@@ -7,19 +7,17 @@ more than one signed group under a single id; every group must vanish.
 
 Reports are deterministic: tuples are enumerated in canonical
 (lexicographic by basis name) order and witnesses record the first
-failures in that order, so two runs with any thread count produce
-byte-identical output.
+failures in that order, so two runs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import basis_element, scalar_element
-from .expr import evaluate, parse
+from .expr import compile_expr, parse
 
 MAX_WITNESSES = 10
 
@@ -34,10 +32,6 @@ class RelationSpec:
 
     def term_count(self):
         return sum(len(g) for g in self.groups)
-
-    def texts(self):
-        from .expr import print_expr
-        return tuple(tuple((str(c), print_expr(e)) for c, e in g) for g in self.groups)
 
 
 def make_relation(rid, arity, description, groups, requires=()):
@@ -99,6 +93,7 @@ class Window:
 @dataclass(frozen=True)
 class CheckReport:
     relation: str
+    description: str
     instance: str
     window: str
     tuples_checked: int
@@ -106,36 +101,32 @@ class CheckReport:
     witnesses: tuple = ()    # (input key, group index, residual element)
     skip_reason: str = ""
 
-    @property
-    def passed(self):
-        return self.status == "pass"
-
     def first_witness(self):
         return self.witnesses[0] if self.witnesses else None
 
-    def render(self):
-        line = "[%s] %-22s %s (%d tuples, %s)" % (
-            self.status.upper(), self.relation, self.instance,
-            self.tuples_checked, self.window)
-        if self.status == "skipped":
-            line += " reason: %s" % self.skip_reason
-        for key, group, residual in self.witnesses:
-            where = "(x)".join(key) if key else "1"
-            line += "\n    witness %s [group %d]: residual %s" % (where, group, residual)
-        return line
+
+def compile_relation(spec, ctx, spaces):
+    """The signed groups of a relation with every term typed on ``spaces``."""
+    return tuple(tuple((coeff, compile_expr(expr, ctx, spaces))
+                       for coeff, expr in group)
+                 for group in spec.groups)
 
 
 def residual_on_key(spec, ctx, spaces, key):
     """Evaluate each signed group on one basis tuple.
 
-    Returns (group index, residual) for the first non-vanishing group,
-    or None when the relation holds on this input.
+    ``spec`` is a RelationSpec or its compile_relation groups.  Returns
+    (group index, residual) for the first non-vanishing group, or None
+    when the relation holds on this input.
     """
+    groups = spec
+    if isinstance(spec, RelationSpec):
+        groups = compile_relation(spec, ctx, spaces)
     x = basis_element(spaces, ctx.field, key) if spaces else scalar_element(ctx.field)
-    for gi, group in enumerate(spec.groups):
+    for gi, group in enumerate(groups):
         residual = None
-        for coeff, expr in group:
-            value = evaluate(expr, ctx, x)
+        for coeff, plan in group:
+            value = plan.apply(x)
             if coeff != 1:
                 value = value.scale(coeff)
             residual = value if residual is None else residual + value
@@ -144,13 +135,13 @@ def residual_on_key(spec, ctx, spaces, key):
     return None
 
 
-def relation_residual(spec, ctx, space, window, instance_name="?", threads=1,
+def relation_residual(spec, ctx, space, window, instance_name="?",
                       applicable=True, skip_reason=""):
     """Check one relation over a window of basis tuples of ``space``."""
+    described = window.describe(space, spec.arity)
     if not applicable:
-        return CheckReport(spec.rid, instance_name,
-                           window.describe(space, spec.arity), 0,
-                           "skipped", (), skip_reason)
+        return CheckReport(spec.rid, spec.description, instance_name,
+                           described, 0, "skipped", (), skip_reason)
     names = window.names_for(space, spec.arity)
     spaces = (space,) * spec.arity
     if spec.arity == 0:
@@ -158,42 +149,24 @@ def relation_residual(spec, ctx, space, window, instance_name="?", threads=1,
     elif not names:
         if space.is_finite() and not space.basis_names():
             # the zero space: nothing exists to check, the relation holds
-            return CheckReport(spec.rid, instance_name, "zero space", 0,
-                               "pass", ())
-        return CheckReport(spec.rid, instance_name,
-                           window.describe(space, spec.arity), 0,
-                           "skipped", (), "window enumeration is empty")
+            return CheckReport(spec.rid, spec.description, instance_name,
+                               "zero space", 0, "pass", ())
+        return CheckReport(spec.rid, spec.description, instance_name,
+                           described, 0, "skipped", (),
+                           "window enumeration is empty")
     else:
         tuples = list(itertools.product(names, repeat=spec.arity))
 
-    def run_chunk(chunk):
-        found = []
-        for key in chunk:
-            hit = residual_on_key(spec, ctx, spaces, key)
-            if hit is not None:
-                found.append((key, hit[0], hit[1]))
-                if len(found) >= MAX_WITNESSES:
-                    break
-        return found
-
-    if threads <= 1 or len(tuples) < 32:
-        witnesses = run_chunk(tuples)
-    else:
-        size = max(1, (len(tuples) + threads - 1) // threads)
-        chunks = [tuples[i:i + size] for i in range(0, len(tuples), size)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_chunk, chunks))
-        witnesses = [w for part in parts for w in part][:MAX_WITNESSES]
+    groups = compile_relation(spec, ctx, spaces)
+    witnesses = []
+    for key in tuples:
+        hit = residual_on_key(groups, ctx, spaces, key)
+        if hit is not None:
+            witnesses.append((key, hit[0], hit[1]))
+            if len(witnesses) >= MAX_WITNESSES:
+                break
 
     status = "pass" if not witnesses else "fail"
-    return CheckReport(spec.rid, instance_name,
-                       window.describe(space, spec.arity),
+    return CheckReport(spec.rid, spec.description, instance_name, described,
                        len(tuples), status, tuple(witnesses))
 
-
-def all_passed(reports):
-    return all(r.status == "pass" for r in reports)
-
-
-def render_reports(reports):
-    return "\n".join(r.render() for r in reports)

@@ -50,6 +50,13 @@ def _resolve(target, field):
     return load_instance(target, field)
 
 
+def _window_index(text):
+    value = int(text) if text.isdecimal() else -1
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    return value
+
+
 def _window(args):
     k = args.window
     k3 = getattr(args, "window3", None)
@@ -65,9 +72,13 @@ def _suite_for(args, instance):
     if name == "consequences":
         return CONSEQUENCES
     if name == "all":
-        base = FROBENIUS_FULL if instance.has_counit else BVUI_FULL
-        return base + CONSEQUENCES + ("NineTerm",)
+        return _full_suite(instance)
     raise EngineError("unknown suite %r" % name)
+
+
+def _full_suite(instance):
+    base = FROBENIUS_FULL if instance.has_counit else BVUI_FULL
+    return base + CONSEQUENCES + ("NineTerm",)
 
 
 def _emit(doc, args):
@@ -85,7 +96,7 @@ def cmd_check(args):
     instance = _resolve(args.target, field)
     window = _window(args)
     suite = _suite_for(args, instance)
-    reports = check_structure(instance, suite, window, threads=args.threads)
+    reports = check_structure(instance, suite, window)
     doc = report_document("check", instance.name, field, window, reports)
     _emit(doc, args)
     return _exit_for(reports)
@@ -115,8 +126,7 @@ def cmd_double(args):
         print("double rejected: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     window = _window(args)
-    reports = check_structure(doubled, FROBENIUS_FULL, window,
-                              threads=args.threads)
+    reports = check_structure(doubled, FROBENIUS_FULL, window)
     doc = report_document("double", doubled.name, field, window, reports)
     _emit(doc, args)
     if args.save:
@@ -129,7 +139,6 @@ def cmd_gysin(args):
     field = field_by_name(args.field)
     instance = _resolve(args.target, field)
     window = _window(args)
-    data = None
     try:
         try:
             data = load_gysin(args.target, instance)
@@ -142,7 +151,7 @@ def cmd_gysin(args):
     except GysinError as exc:
         print("gysin data invalid: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
-    reports = check_lie_bialgebra(instance, data, window, threads=args.threads)
+    reports = check_lie_bialgebra(instance, data, window)
     doc = report_document("gysin", instance.name, field, window, reports)
     _emit(doc, args)
     return _exit_for(reports)
@@ -153,9 +162,7 @@ def cmd_mutate(args):
     instance = builtin_model(args.target, field)
     mutated = mutate(instance, args.mutation)
     window = _window(args)
-    suite = ((FROBENIUS_FULL if mutated.has_counit else BVUI_FULL)
-             + CONSEQUENCES + ("NineTerm",))
-    reports = check_structure(mutated, suite, window, threads=args.threads)
+    reports = check_structure(mutated, _full_suite(mutated), window)
     doc = report_document("mutate", mutated.name, field, window, reports,
                           extra={"mutation": args.mutation})
     _emit(doc, args)
@@ -181,11 +188,12 @@ def build_parser():
                             % ", ".join(BUILTIN_MODEL_NAMES))
         p.add_argument("--field", default="Q", help="Q or Fp:<prime>")
         if window:
-            p.add_argument("--window", type=int, default=4,
+            p.add_argument("--window", type=_window_index, default=4,
                            help="max basis index per input slot")
-            p.add_argument("--window3", type=int, default=None,
+            p.add_argument("--window3", type=_window_index, default=None,
                            help="override for three-input relations")
-            p.add_argument("--threads", type=int, default=1)
+            p.add_argument("--threads", type=int, default=1,
+                           help="accepted for compatibility; has no effect")
             p.add_argument("--out", default=None,
                            help="also write the report as JSON")
 

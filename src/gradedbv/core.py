@@ -8,9 +8,10 @@ Koszul sign convention
 
     (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b).
 
-That single rule is the only place signs are introduced; permutation
-signs, composition of tensored maps and dualization are all derived
-from it. No floating point is used anywhere.
+That single rule, ``tensor_on_key``, is the only place tensor signs are
+introduced: ``tensor_maps`` and tensors in expressions both call it.
+Permutation signs, composition of tensored maps and dualization are all
+derived from it. No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def field_by_name(name):
     """Parse a field tag: "Q" or "Fp:<prime>"."""
     if name == "Q":
         return QQ
-    if name.startswith("Fp:"):
+    if name.startswith("Fp:") and name[3:].isdecimal():
         return PrimeField(int(name[3:]))
     raise EngineError("unknown field %r (expected Q or Fp:<prime>)" % name)
 
@@ -514,9 +515,6 @@ class GradedMap:
                 table[key] = out
         return table
 
-    def equal_on(self, other, keys):
-        return all(self.on_key(k) == other.on_key(k) for k in keys)
-
     def __repr__(self):
         return "<map %s: %s -> %s deg %d>" % (
             self.name, _spaces_key(self.source), _spaces_key(self.target), self.degree)
@@ -537,11 +535,6 @@ def identity(space, field):
                      rule=lambda key: basis_element((space,), field, key))
 
 
-def zero_map(source, target, degree, field, name="0"):
-    return GradedMap(source, target, degree, field, name=name,
-                     rule=lambda key: zero_element(target, field))
-
-
 def compose(f, g):
     """f after g; degree |f| + |g|."""
     if _spaces_key(g.target) != _spaces_key(f.source):
@@ -553,12 +546,38 @@ def compose(f, g):
                      rule=lambda key: f(g.on_key(key)))
 
 
-def tensor_maps(*factors):
-    """Tensor product of maps with the global Koszul sign rule.
+def tensor_on_key(factors, spaces, key, field, coeff=1):
+    """Apply f_1 (x) ... (x) f_k to one basis key with the Koszul rule.
 
-    (f1 (x) ... (x) fk)(x1 (x) ... (x) xk) picks up
-    (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)}.
+    ``factors`` are (arity, degree, on_key) triples; block j of ``key``
+    (slot spaces ``spaces``) feeds f_j, and the result is ``coeff`` times
+    (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
+    f_k(x_k).  Returns None when some f_j(x_j) vanishes.
     """
+    sign = 1
+    consumed = 0
+    pos = 0
+    parts = []
+    for arity, degree, on_key in factors:
+        block = key[pos:pos + arity]
+        if degree % 2 and consumed % 2:
+            sign = -sign
+        part = on_key(block)
+        if part.is_zero():
+            return None
+        parts.append(part)
+        consumed += sum(s.degree(n) for s, n in zip(spaces[pos:pos + arity], block))
+        pos += arity
+    value = field.coerce(coeff)
+    out = scalar_element(field, value if sign > 0 else field.neg(value))
+    for part in parts:
+        out = out.tensor(part)
+    return out
+
+
+def tensor_maps(*factors):
+    """Tensor product of maps with the global Koszul sign rule
+    (see tensor_on_key)."""
     if not factors:
         raise EngineError("empty tensor product of maps")
     if len(factors) == 1:
@@ -567,27 +586,11 @@ def tensor_maps(*factors):
     source = tuple(s for f in factors for s in f.source)
     target = tuple(t for f in factors for t in f.target)
     degree = sum(f.degree for f in factors)
-    arities = [f.source_arity for f in factors]
+    blocks = tuple((f.source_arity, f.degree, f.on_key) for f in factors)
 
     def rule(key):
-        blocks = []
-        pos = 0
-        for a in arities:
-            blocks.append(key[pos:pos + a])
-            pos += a
-        sign = 1
-        consumed = 0
-        for f, block in zip(factors, blocks):
-            if f.degree % 2 and consumed % 2:
-                sign = -sign
-            consumed += sum(s.degree(n) for s, n in zip(f.source, block))
-        out = scalar_element(field, sign)
-        for f, block in zip(factors, blocks):
-            part = f.on_key(block)
-            if part.is_zero():
-                return zero_element(target, field)
-            out = out.tensor(part)
-        return out
+        out = tensor_on_key(blocks, source, key, field)
+        return zero_element(target, field) if out is None else out
 
     name = "(" + " (x) ".join(f.name for f in factors) + ")"
     return GradedMap(source, target, degree, field, name=name, rule=rule)
@@ -616,15 +619,3 @@ def permute(perm, spaces, field):
     return GradedMap(spaces, tuple(target), 0, field,
                      name="perm%s" % (perm,), rule=rule)
 
-
-def map_from_entries(source, target, degree, field, entries, name):
-    """Build a finite-table map from (input key, output element) pairs."""
-    table = {}
-    for key, out in entries:
-        key = tuple(key)
-        if key in table:
-            table[key] = table[key] + out
-        else:
-            table[key] = out
-    table = {k: v for k, v in table.items() if not v.is_zero()}
-    return GradedMap(source, target, degree, field, name=name, table=table)

@@ -32,20 +32,16 @@ class DoubleError(EngineError):
 # dual spaces and dual maps
 # ---------------------------------------------------------------------------
 
-_dual_cache = {}
-
-
 def dual_space(space):
-    """A^vee with basis e^ of degree -|e|; finite spaces only."""
+    """A^vee with basis e^ of degree -|e|; finite spaces only.
+
+    Each call builds a fresh space; spaces are told apart by name, so
+    two duals of one space are interchangeable.
+    """
     if not space.is_finite():
         raise DoubleError("cannot dualize the infinite space %s" % space.name)
-    got = _dual_cache.get(id(space))
-    if got is None:
-        got = FiniteSpace(space.name + "^",
-                          {n + "^": -space.degree(n) for n in space.basis_names()})
-        _dual_cache[id(space)] = (space, got)
-        return got
-    return got[1]
+    return FiniteSpace(space.name + "^",
+                       {n + "^": -space.degree(n) for n in space.basis_names()})
 
 
 def dual_name(name):

@@ -10,7 +10,9 @@ ASCII is canonical on output; print . parse is a fixed point.
 Expressions are evaluated sign-exactly against a context of named
 GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
 they resolve against whatever tensor slots flow into them, so the same
-relation text works on the base space and on derived spaces.
+relation text works on the base space and on derived spaces.  An
+expression is typed once on concrete input slots by ``compile_expr``,
+which returns a Plan; ``evaluate`` and ``as_map`` compile, then apply.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -21,10 +23,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
-from .core import (ArityMismatch, DegreeError, EngineError,
-                   basis_element, permute, scalar_element, zero_element,
-                   _spaces_key)
+from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
+                   basis_element, permute, scalar_element, tensor_on_key,
+                   zero_element, _spaces_key)
 
 
 class ParseError(EngineError):
@@ -263,7 +266,7 @@ def print_expr(node):
 
 
 # ---------------------------------------------------------------------------
-# resolution and evaluation against a context of maps
+# typing and evaluation against a context of maps
 # ---------------------------------------------------------------------------
 
 class OpContext:
@@ -289,107 +292,184 @@ class OpContext:
         return got
 
 
-def source_arity(node, ctx):
-    """Number of input tensor slots the expression consumes."""
+def _shape(node, ctx):
+    """(source arity, target arity, degree) of an expression; summands
+    must agree in source arity and degree."""
     if isinstance(node, Gen):
         if node.name in POLYMORPHIC_ARITY:
-            return POLYMORPHIC_ARITY[node.name]
-        return ctx.lookup(node.name).source_arity
+            arity = POLYMORPHIC_ARITY[node.name]
+            return arity, arity, 0
+        gmap = ctx.lookup(node.name)
+        return gmap.source_arity, gmap.target_arity, gmap.degree
     if isinstance(node, Dual):
-        return target_arity(node.child, ctx)
+        source, target, degree = _shape(node.child, ctx)
+        return target, source, degree
+    if isinstance(node, Scal):
+        return _shape(node.child, ctx)
     if isinstance(node, Compose):
-        return source_arity(node.children[-1], ctx)
+        sources, targets, degrees = zip(*(_shape(c, ctx) for c in node.children))
+        return sources[-1], targets[0], sum(degrees)
     if isinstance(node, Tensor):
-        return sum(source_arity(c, ctx) for c in node.children)
-    if isinstance(node, (Scal,)):
-        return source_arity(node.child, ctx)
+        sources, targets, degrees = zip(*(_shape(c, ctx) for c in node.children))
+        return sum(sources), sum(targets), sum(degrees)
     if isinstance(node, Sum):
-        arities = {source_arity(t, ctx) for t in node.terms}
+        shapes = [_shape(t, ctx) for t in node.terms]
+        arities = {s[0] for s in shapes}
         if len(arities) != 1:
             raise ArityMismatch("summands have different source arities %s" % arities)
-        return arities.pop()
+        _check_degrees(s[2] for s in shapes)
+        return shapes[0]
     raise EngineError("unknown node %r" % (node,))
+
+
+def _check_degrees(degrees):
+    degrees = set(degrees)
+    if len(degrees) != 1:
+        raise DegreeError("summands have different degrees %s" % sorted(degrees))
+
+
+def source_arity(node, ctx):
+    """Number of input tensor slots the expression consumes."""
+    return _shape(node, ctx)[0]
 
 
 def target_arity(node, ctx):
-    if isinstance(node, Gen):
-        if node.name in POLYMORPHIC_ARITY:
-            return POLYMORPHIC_ARITY[node.name]
-        return ctx.lookup(node.name).target_arity
-    if isinstance(node, Dual):
-        return source_arity(node.child, ctx)
-    if isinstance(node, Compose):
-        return target_arity(node.children[0], ctx)
-    if isinstance(node, Tensor):
-        return sum(target_arity(c, ctx) for c in node.children)
-    if isinstance(node, Scal):
-        return target_arity(node.child, ctx)
-    if isinstance(node, Sum):
-        return target_arity(node.terms[0], ctx)
-    raise EngineError("unknown node %r" % (node,))
+    return _shape(node, ctx)[1]
 
 
 def infer_degree(node, ctx):
     """Degree of the expression; sums must have agreeing summands."""
+    return _shape(node, ctx)[2]
+
+
+class Plan(NamedTuple):
+    """An expression typed on concrete input slots.
+
+    ``apply`` maps elements of the ``source`` slots to elements of the
+    ``target`` slots.  A plan keeps no per-key results; only the
+    generators' GradedMaps memoize.
+    """
+
+    source: tuple
+    target: tuple
+    degree: int
+    apply: Callable
+
+
+def compile_expr(node, ctx, in_spaces):
+    """Type the expression once on the given input slots.
+
+    ``in_spaces`` may be None when the expression determines its own
+    source (leftmost composition/tensor of concrete generators).
+    """
+    if in_spaces is not None:
+        in_spaces = tuple(in_spaces)
     if isinstance(node, Gen):
-        if node.name in POLYMORPHIC_ARITY:
-            return 0
-        return ctx.lookup(node.name).degree
+        return _compile_gen(node.name, ctx, in_spaces)
     if isinstance(node, Dual):
-        return infer_degree(node.child, ctx)
-    if isinstance(node, (Compose, Tensor)):
-        return sum(infer_degree(c, ctx) for c in node.children)
+        return _map_plan(_dual_of(node, ctx), in_spaces)
+    if isinstance(node, Compose):
+        plans = []
+        for child in reversed(node.children):
+            plans.append(compile_expr(child, ctx, in_spaces))
+            in_spaces = plans[-1].target
+        stages = tuple(p.apply for p in plans)
+
+        def apply(elem):
+            for stage in stages:
+                elem = stage(elem)
+            return elem
+
+        return Plan(plans[0].source, in_spaces, sum(p.degree for p in plans), apply)
+    if isinstance(node, Tensor):
+        return _compile_tensor(node, ctx, in_spaces)
     if isinstance(node, Scal):
-        return infer_degree(node.child, ctx)
+        child = compile_expr(node.child, ctx, in_spaces)
+        inner, coeff = child.apply, node.coeff
+        return child._replace(apply=lambda elem: inner(elem).scale(coeff))
     if isinstance(node, Sum):
-        degrees = {infer_degree(t, ctx) for t in node.terms}
-        if len(degrees) != 1:
-            raise DegreeError("summands have different degrees %s" % sorted(degrees))
-        return degrees.pop()
+        first = compile_expr(node.terms[0], ctx, in_spaces)
+        plans = [first] + [compile_expr(t, ctx, first.source) for t in node.terms[1:]]
+        targets = {_spaces_key(p.target) for p in plans}
+        if len(targets) != 1:
+            raise ArityMismatch("summands have different targets %s" % targets)
+        _check_degrees(p.degree for p in plans)
+        terms = tuple(p.apply for p in plans)
+
+        def apply(elem):
+            out = terms[0](elem)
+            for term in terms[1:]:
+                out = out + term(elem)
+            return out
+
+        return first._replace(apply=apply)
     raise EngineError("unknown node %r" % (node,))
+
+
+def _compile_gen(name, ctx, in_spaces):
+    if name in POLYMORPHIC_ARITY:
+        if in_spaces is None:
+            raise EngineError("cannot infer source spaces of polymorphic %r" % name)
+        if name == "id":
+            if len(in_spaces) != 1:
+                raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
+            return Plan(in_spaces, in_spaces, 0, lambda elem: elem)
+        perm = ctx.perm(name, in_spaces)
+        return Plan(in_spaces, perm.target, 0, perm)
+    return _map_plan(ctx.lookup(name), in_spaces)
+
+
+def _map_plan(gmap, in_spaces):
+    if in_spaces is None:
+        in_spaces = gmap.source
+    elif _spaces_key(gmap.source) != _spaces_key(in_spaces):
+        raise ArityMismatch(
+            "generator %s defined on %s fed with %s"
+            % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
+    return Plan(in_spaces, gmap.target, gmap.degree, gmap)
+
+
+def _compile_tensor(node, ctx, in_spaces):
+    plans = []
+    pos = 0
+    for child in node.children:
+        if in_spaces is None:
+            plans.append(compile_expr(child, ctx, None))
+        else:
+            arity = source_arity(child, ctx)
+            plans.append(compile_expr(child, ctx, in_spaces[pos:pos + arity]))
+        pos += len(plans[-1].source)
+    if in_spaces is not None and pos != len(in_spaces):
+        raise ArityMismatch("tensor consumed %d of %d slots" % (pos, len(in_spaces)))
+    field = ctx.field
+    source = tuple(s for p in plans for s in p.source)
+    target = tuple(t for p in plans for t in p.target)
+    factors = tuple((len(p.source), p.degree, _on_key(p, field)) for p in plans)
+
+    def apply(elem):
+        out = None
+        for key, value in elem.coeffs.items():
+            term = tensor_on_key(factors, source, key, field, value)
+            if term is not None:
+                out = term if out is None else out + term
+        return zero_element(target, field) if out is None else out
+
+    return Plan(source, target, sum(p.degree for p in plans), apply)
+
+
+def _on_key(plan, field):
+    """The plan as a function of one source basis key."""
+    source, apply = plan.source, plan.apply
+    return lambda key: apply(basis_element(source, field, key))
 
 
 def resolve_spaces(node, ctx, in_spaces):
     """Output slot spaces of the expression on the given input slots."""
-    in_spaces = tuple(in_spaces)
-    if isinstance(node, Gen):
-        if node.name == "id":
-            if len(in_spaces) != 1:
-                raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-            return in_spaces
-        if node.name in PERMS:
-            return ctx.perm(node.name, in_spaces).target
-        gmap = ctx.lookup(node.name)
-        if _spaces_key(gmap.source) != _spaces_key(in_spaces):
-            raise ArityMismatch(
-                "generator %s defined on %s fed with %s"
-                % (node.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
-        return gmap.target
-    if isinstance(node, Dual):
-        return _dual_of(node, ctx).target
-    if isinstance(node, Compose):
-        spaces = in_spaces
-        for child in reversed(node.children):
-            spaces = resolve_spaces(child, ctx, spaces)
-        return spaces
-    if isinstance(node, Tensor):
-        out = []
-        pos = 0
-        for child in node.children:
-            a = source_arity(child, ctx)
-            out.extend(resolve_spaces(child, ctx, in_spaces[pos:pos + a]))
-            pos += a
-        if pos != len(in_spaces):
-            raise ArityMismatch("tensor consumed %d of %d slots" % (pos, len(in_spaces)))
-        return tuple(out)
-    if isinstance(node, Scal):
-        return resolve_spaces(node.child, ctx, in_spaces)
-    if isinstance(node, Sum):
-        outs = {_spaces_key(resolve_spaces(t, ctx, in_spaces)) for t in node.terms}
-        if len(outs) != 1:
-            raise ArityMismatch("summands have different targets %s" % outs)
-        return resolve_spaces(node.terms[0], ctx, in_spaces)
-    raise EngineError("unknown node %r" % (node,))
+    return compile_expr(node, ctx, in_spaces).target
+
+
+def _infer_source_spaces(node, ctx):
+    return compile_expr(node, ctx, None).source
 
 
 def _dual_of(node, ctx):
@@ -399,65 +479,7 @@ def _dual_of(node, ctx):
 
 def evaluate(node, ctx, elem):
     """Apply the expression to an element, exactly and linearly."""
-    if isinstance(node, Gen):
-        if node.name == "id":
-            return elem
-        if node.name in PERMS:
-            return ctx.perm(node.name, elem.spaces)(elem)
-        return ctx.lookup(node.name)(elem)
-    if isinstance(node, Dual):
-        return _dual_of(node, ctx)(elem)
-    if isinstance(node, Compose):
-        out = elem
-        for child in reversed(node.children):
-            out = evaluate(child, ctx, out)
-        return out
-    if isinstance(node, Tensor):
-        return _evaluate_tensor(node, ctx, elem)
-    if isinstance(node, Scal):
-        return evaluate(node.child, ctx, elem).scale(node.coeff)
-    if isinstance(node, Sum):
-        out = None
-        for term in node.terms:
-            value = evaluate(term, ctx, elem)
-            out = value if out is None else out + value
-        return out
-    raise EngineError("unknown node %r" % (node,))
-
-
-def _evaluate_tensor(node, ctx, elem):
-    arities = [source_arity(c, ctx) for c in node.children]
-    if sum(arities) != elem.arity:
-        raise ArityMismatch("tensor of arities %s applied to arity %d"
-                            % (arities, elem.arity))
-    degrees = [infer_degree(c, ctx) for c in node.children]
-    field = ctx.field
-    out = None
-    for key, value in elem.coeffs.items():
-        pos = 0
-        term = scalar_element(field, value)
-        consumed = 0
-        dead = False
-        for child, a, deg in zip(node.children, arities, degrees):
-            block_key = key[pos:pos + a]
-            block_spaces = elem.spaces[pos:pos + a]
-            if deg % 2 and consumed % 2:
-                term = term.scale(-1)
-            consumed += sum(s.degree(n) for s, n in zip(block_spaces, block_key))
-            part = evaluate(child, ctx,
-                            basis_element(block_spaces, field, block_key))
-            if part.is_zero():
-                dead = True
-                break
-            term = term.tensor(part)
-            pos += a
-        if dead:
-            continue
-        out = term if out is None else out + term
-    if out is None:
-        out_spaces = resolve_spaces(node, ctx, elem.spaces)
-        return zero_element(out_spaces, field)
-    return out
+    return compile_expr(node, ctx, elem.spaces).apply(elem)
 
 
 def as_map(node, ctx, in_spaces, name=None):
@@ -466,39 +488,9 @@ def as_map(node, ctx, in_spaces, name=None):
     ``in_spaces`` may be None when the expression determines its own
     source (leftmost composition/tensor of concrete generators).
     """
-    from .core import GradedMap
-    if in_spaces is None:
-        in_spaces = _infer_source_spaces(node, ctx)
-    in_spaces = tuple(in_spaces)
-    out_spaces = resolve_spaces(node, ctx, in_spaces)
-    degree = infer_degree(node, ctx)
-    field = ctx.field
-
-    def rule(key):
-        return evaluate(node, ctx, basis_element(in_spaces, field, key))
-
-    return GradedMap(in_spaces, out_spaces, degree, field,
-                     name=name or print_expr(node), rule=rule)
-
-
-def _infer_source_spaces(node, ctx):
-    if isinstance(node, Gen):
-        if node.name in POLYMORPHIC_ARITY:
-            raise EngineError(
-                "cannot infer source spaces of polymorphic %r" % node.name)
-        return ctx.lookup(node.name).source
-    if isinstance(node, Dual):
-        dualized = _dual_of(node, ctx)
-        return dualized.source
-    if isinstance(node, Compose):
-        return _infer_source_spaces(node.children[-1], ctx)
-    if isinstance(node, Tensor):
-        return tuple(s for c in node.children for s in _infer_source_spaces(c, ctx))
-    if isinstance(node, Scal):
-        return _infer_source_spaces(node.child, ctx)
-    if isinstance(node, Sum):
-        return _infer_source_spaces(node.terms[0], ctx)
-    raise EngineError("unknown node %r" % (node,))
+    plan = compile_expr(node, ctx, in_spaces)
+    return GradedMap(plan.source, plan.target, plan.degree, ctx.field,
+                     name=name or print_expr(node), rule=_on_key(plan, ctx.field))
 
 
 # ---------------------------------------------------------------------------
@@ -512,22 +504,14 @@ def parse_element(text, spaces, field, normalize=None):
     ``normalize`` optionally canonicalizes basis names (the sphere model
     accepts U^0, U^1, AU^0, AU^1 for 1, U, A, AU).
     """
-    node = parse(text)
     spaces = tuple(spaces)
-
-    def resolve(n, coeff):
-        if isinstance(n, Scal):
-            return resolve(n.child, coeff * n.coeff)
-        if isinstance(n, Sum):
-            out = zero_element(spaces, field)
-            for t in n.terms:
-                out = out + resolve(t, coeff)
-            return out
-        key = _flatten_key(n)
-        if len(spaces) == 0:
+    out = zero_element(spaces, field)
+    for coeff, key in _literal_terms(parse(text)):
+        if not spaces:
             if key != ("1",):
                 raise ParseError("expected a scalar literal, got %r" % (text,))
-            return scalar_element(field, field.coerce(coeff))
+            out = out + scalar_element(field, field.coerce(coeff))
+            continue
         if len(key) != len(spaces):
             raise ArityMismatch(
                 "element literal %r has %d slots, expected %d"
@@ -538,9 +522,8 @@ def parse_element(text, spaces, field, normalize=None):
             if name is None or not space.contains(name):
                 raise UnknownName(raw, space)
             names.append(name)
-        return basis_element(spaces, field, names, field.coerce(coeff))
-
-    return resolve(node, Fraction(1))
+        out = out + basis_element(spaces, field, names, field.coerce(coeff))
+    return out
 
 
 class UnknownName(ParseError):
@@ -550,20 +533,19 @@ class UnknownName(ParseError):
 
 def literal_slots(text):
     """Tensor slot count of an element literal (1 for a bare scalar)."""
-    def slots(n):
-        if isinstance(n, Scal):
-            return slots(n.child)
-        if isinstance(n, Sum):
-            counts = {slots(t) for t in n.terms}
-            if len(counts) != 1:
-                raise ParseError("terms of %r have different slot counts" % text)
-            return counts.pop()
-        if isinstance(n, Tensor):
-            return sum(slots(c) for c in n.children)
-        if isinstance(n, Gen):
-            return 1
-        raise ParseError("element literals are tensors of basis names")
-    return slots(parse(text))
+    counts = {len(key) for _, key in _literal_terms(parse(text))}
+    if len(counts) != 1:
+        raise ParseError("terms of %r have different slot counts" % text)
+    return counts.pop()
+
+
+def _literal_terms(node, coeff=Fraction(1)):
+    """(coefficient, basis-name key) for each term of an element literal."""
+    if isinstance(node, Scal):
+        return _literal_terms(node.child, coeff * node.coeff)
+    if isinstance(node, Sum):
+        return [term for t in node.terms for term in _literal_terms(t, coeff)]
+    return [(coeff, _flatten_key(node))]
 
 
 def _flatten_key(n):

@@ -245,7 +245,7 @@ def _transported(rid, pre, post):
     return tuple(groups)
 
 
-def check_lie_bialgebra(instance, data, window=Window(), threads=1):
+def check_lie_bialgebra(instance, data, window=Window()):
     """Jacobi, coJacobi and the bracket/cobracket compatibility on
     classes, plus the transported nine-term and seven-term identities
     and an agreement report between the two Jacobi routes."""
@@ -274,15 +274,6 @@ def check_lie_bialgebra(instance, data, window=Window(), threads=1):
         (1, "(id (x) bracket) . (cobracket (x) id) . tau"),
     ]])
 
-    reports = [
-        relation_residual(jacobi, ctx, b, window, instance_name=name,
-                          threads=threads),
-        relation_residual(cojacobi, ctx, b, window, instance_name=name,
-                          threads=threads),
-        relation_residual(drinfeld, ctx, b, window, instance_name=name,
-                          threads=threads),
-    ]
-
     ee = Tensor((Gen("E"), Gen("E")))
     mm = Tensor((Gen("M"), Gen("M")))
     nine = RelationSpec("GysinNineTerm", 2,
@@ -292,14 +283,13 @@ def check_lie_bialgebra(instance, data, window=Window(), threads=1):
     seven = RelationSpec("GysinSevenTerm", 3,
                          "seven-term identity transported to classes",
                          _transported("SevenTermMu", mmm, Gen("E")))
-    reports.append(relation_residual(nine, ctx, b, window,
-                                     instance_name=name, threads=threads))
-    reports.append(relation_residual(seven, ctx, b, window,
-                                     instance_name=name, threads=threads))
+    reports = [relation_residual(spec, ctx, b, window, instance_name=name)
+               for spec in (jacobi, cojacobi, drinfeld, nine, seven)]
 
     agree = reports[0].status == reports[4].status
     reports.append(CheckReport(
-        "GysinJacobiAgreement", name, reports[0].window, 0,
+        "GysinJacobiAgreement", "inherited and transported Jacobi routes agree",
+        name, reports[0].window, 0,
         "pass" if agree else "fail", (),
         "" if agree else "inherited Jacobi is %s but transported seven-term is %s"
         % (reports[0].status, reports[4].status)))

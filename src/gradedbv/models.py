@@ -257,46 +257,26 @@ def mutate(instance, mutation):
     if not isinstance(instance.space, SphereSpace):
         raise EngineError("mutation %r targets the sphere model" % mutation)
     field = instance.field
-    space = instance.space
-    spaces1 = (space,)
-    spaces2 = (space, space)
-
+    lam, delta = instance.lam, instance.delta
     if mutation == "lambda-u-flip":
         def lam_rule(key):
-            a, k = sphere_key(key[0])
-            out = zero_element(spaces2, field)
-            one = field.coerce(1)
-            for i in range(k):
-                j = k - 1 - i
-                if a:
-                    out = out + Element(spaces2, field, {
-                        (sphere_name(True, i), sphere_name(True, j)): one})
-                else:
-                    out = out + Element(spaces2, field, {
-                        (sphere_name(True, i), sphere_name(False, j)): one,
-                        (sphere_name(False, i), sphere_name(True, j)): one})
-            return out
-        lam = GradedMap(spaces1, spaces2, instance.lam_degree, field,
+            out = instance.lam.on_key(key)
+            if sphere_key(key[0])[0]:       # lambda(AU^k) is unchanged
+                return out
+            return Element(out.spaces, field, {
+                k: v if sphere_key(k[0])[0] else field.neg(v)
+                for k, v in out.coeffs.items()})
+        lam = GradedMap(lam.source, lam.target, lam.degree, field,
                         name="lambda[mutated]", rule=lam_rule)
-        return BVUIInstance(instance.name + "+lambda-u-flip", space, field,
-                            instance.mu, instance.eta, lam, instance.delta,
-                            instance.lam_degree)
-
-    if mutation == "delta-au-doubled":
+    elif mutation == "delta-au-doubled":
         def delta_rule(key):
-            a, k = sphere_key(key[0])
-            if not a or k == 0:
-                return zero_element(spaces1, field)
-            coeff = 2 if k == 1 else k
-            return basis_element(spaces1, field, (sphere_name(False, k - 1),),
-                                 coeff)
-        delta = GradedMap(spaces1, spaces1, 1, field, name="Delta[mutated]",
-                          rule=delta_rule)
-        return BVUIInstance(instance.name + "+delta-au-doubled", space, field,
-                            instance.mu, instance.eta, instance.lam, delta,
-                            instance.lam_degree)
-
-    raise EngineError("unhandled mutation %r" % mutation)
+            out = instance.delta.on_key(key)
+            return out.scale(2) if key == ("AU",) else out
+        delta = GradedMap(delta.source, delta.target, delta.degree, field,
+                          name="Delta[mutated]", rule=delta_rule)
+    return BVUIInstance(instance.name + "+" + mutation, instance.space, field,
+                        instance.mu, instance.eta, lam, delta,
+                        instance.lam_degree)
 
 
 # ---------------------------------------------------------------------------

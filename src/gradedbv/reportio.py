@@ -32,6 +32,23 @@ def _parse_coeff(raw, field, problems, where):
     return field.coerce(0)
 
 
+def _objects(container, section, problems, prefix=""):
+    """(index, entry) for each object of a list section; anything else
+    is reported as a problem."""
+    where = prefix + section
+    raw = container.get(section) or []
+    if not isinstance(raw, list):
+        problems.append("%s: must be a list, got %r" % (where, raw))
+        return []
+    out = []
+    for idx, item in enumerate(raw):
+        if isinstance(item, dict):
+            out.append((idx, item))
+        else:
+            problems.append("%s[%d]: must be an object, got %r" % (where, idx, item))
+    return out
+
+
 def _parse_output_key(raw, arity, problems, where):
     if arity == 0:
         if raw in ((), [], None):
@@ -58,10 +75,11 @@ def _load_entries(doc, section, src_arity, tgt_arity, degree, space, field,
     spaces_src = (space,) * src_arity
     spaces_tgt = (space,) * tgt_arity
     table = {}
-    for idx, entry in enumerate(doc.get(section) or []):
+    for idx, entry in _objects(doc, section, problems):
         where = "%s[%d]" % (section, idx)
         inputs = entry.get("inputs", [])
-        if len(inputs) != src_arity or not all(isinstance(x, str) for x in inputs):
+        if (not isinstance(inputs, list) or len(inputs) != src_arity
+                or not all(isinstance(x, str) for x in inputs)):
             problems.append("%s: inputs %r must be %d basis names"
                             % (where, inputs, src_arity))
             continue
@@ -70,7 +88,7 @@ def _load_entries(doc, section, src_arity, tgt_arity, degree, space, field,
             problems.append("%s: undeclared basis names %s" % (where, missing))
             continue
         coeffs = {}
-        for jdx, item in enumerate(entry.get("output") or []):
+        for jdx, item in _objects(entry, "output", problems, where + "."):
             okey = _parse_output_key(item.get("name"), tgt_arity, problems,
                                      "%s.output[%d]" % (where, jdx))
             if okey is None:
@@ -100,7 +118,7 @@ def _load_entries(doc, section, src_arity, tgt_arity, degree, space, field,
 
 def _load_element(doc, section, space, field, problems, want_degree=None):
     coeffs = {}
-    for idx, item in enumerate(doc.get(section) or []):
+    for idx, item in _objects(doc, section, problems):
         where = "%s[%d]" % (section, idx)
         name = item.get("name")
         if not isinstance(name, str) or not space.contains(name):
@@ -119,7 +137,7 @@ def instance_from_dict(doc, field=None):
     problems = []
     name = doc.get("name") or "unnamed"
     try:
-        field = field or field_by_name(doc.get("field", "Q"))
+        field = field or field_by_name(str(doc.get("field", "Q")))
     except EngineError as exc:
         raise InstanceFileError([str(exc)]) from None
     lam_degree = doc.get("lambda_degree")
@@ -130,7 +148,7 @@ def instance_from_dict(doc, field=None):
         problems.append("lambda_degree %d must be odd" % lam_degree)
 
     degrees = {}
-    for idx, item in enumerate(doc.get("basis") or []):
+    for idx, item in _objects(doc, "basis", problems):
         bname, bdeg = item.get("name"), item.get("degree")
         if not isinstance(bname, str) or not isinstance(bdeg, int):
             problems.append("basis[%d]: need {name, degree}" % idx)
@@ -153,7 +171,7 @@ def instance_from_dict(doc, field=None):
     epsilon = None
     if doc.get("epsilon") is not None:
         eps_table = {}
-        for idx, item in enumerate(doc["epsilon"]):
+        for idx, item in _objects(doc, "epsilon", problems):
             where = "epsilon[%d]" % idx
             ename = item.get("name")
             if not isinstance(ename, str) or not space.contains(ename):
@@ -201,10 +219,12 @@ def load_gysin(path, instance):
     section = doc.get("gysin")
     if section is None:
         return None
+    if not isinstance(section, dict):
+        raise InstanceFileError(["gysin: must be an object, got %r" % (section,)])
     problems = []
     field = instance.field
     degrees = {}
-    for idx, item in enumerate(section.get("basis") or []):
+    for idx, item in _objects(section, "basis", problems, "gysin."):
         bname, bdeg = item.get("name"), item.get("degree")
         if not isinstance(bname, str) or not isinstance(bdeg, int):
             problems.append("gysin.basis[%d]: need {name, degree}" % idx)
@@ -214,15 +234,16 @@ def load_gysin(path, instance):
 
     def load_map(tag, src, tgt, degree):
         table = {}
-        for idx, entry in enumerate(section.get(tag) or []):
+        for idx, entry in _objects(section, tag, problems, "gysin."):
             where = "gysin.%s[%d]" % (tag, idx)
             inputs = entry.get("inputs", [])
-            if len(inputs) != 1 or not src.contains(inputs[0]):
+            if not (isinstance(inputs, list) and len(inputs) == 1
+                    and isinstance(inputs[0], str) and src.contains(inputs[0])):
                 problems.append("%s: inputs must be one declared name, got %r"
                                 % (where, inputs))
                 continue
             coeffs = {}
-            for item in entry.get("output") or []:
+            for _, item in _objects(entry, "output", problems, where + "."):
                 oname = item.get("name")
                 if not isinstance(oname, str) or not tgt.contains(oname):
                     problems.append("%s: undeclared output %r" % (where, oname))
@@ -281,37 +302,20 @@ def save_instance(instance, path):
 # report files
 # ---------------------------------------------------------------------------
 
-_EXTRA_DESCRIPTIONS = {
-    "GysinJacobi": "graded Jacobi identity for the string bracket",
-    "GysinCoJacobi": "graded coJacobi identity for the string cobracket",
-    "GysinDrinfeld": "compatibility of string bracket and cobracket",
-    "GysinNineTerm": "nine-term identity transported to classes",
-    "GysinSevenTerm": "seven-term identity transported to classes",
-    "GysinJacobiAgreement": "inherited and transported Jacobi routes agree",
-}
-
-
 def report_document(command, instance_name, field, window, reports,
                     extra=None):
-    from .structures import _CATALOG_SOURCE
-    body = []
-    for r in reports:
-        if r.relation in _CATALOG_SOURCE:
-            desc = _CATALOG_SOURCE[r.relation][1]
-        else:
-            desc = _EXTRA_DESCRIPTIONS.get(r.relation, r.relation)
-        body.append({
-            "relation": r.relation,
-            "description": desc,
-            "instance": r.instance,
-            "window": r.window,
-            "tuples_checked": r.tuples_checked,
-            "status": r.status,
-            "skip_reason": r.skip_reason,
-            "witnesses": [
-                {"input": list(key), "group": group, "residual": str(res)}
-                for key, group, res in r.witnesses],
-        })
+    body = [{
+        "relation": r.relation,
+        "description": r.description,
+        "instance": r.instance,
+        "window": r.window,
+        "tuples_checked": r.tuples_checked,
+        "status": r.status,
+        "skip_reason": r.skip_reason,
+        "witnesses": [
+            {"input": list(key), "group": group, "residual": str(res)}
+            for key, group, res in r.witnesses],
+    } for r in reports]
     doc = {
         "engine": ENGINE_VERSION,
         "command": command,

@@ -148,6 +148,27 @@ def forget_frobenius_to_bvui(instance):
 BETA = "(Delta . mu - mu . (Delta (x) id) - mu . (id (x) Delta))"
 GAMMA = "((Delta (x) id) . lambda + (id (x) Delta) . lambda + lambda . Delta)"
 
+# the eleven-term relation; its first nine terms are the nine-term reduction
+_ELEVEN_TERMS = [
+    (1, "lambda . Delta . mu"),
+    (-1, "lambda . mu . (Delta (x) id)"),
+    (-1, "lambda . mu . (id (x) Delta)"),
+    (1, "(Delta (x) id) . lambda . mu"),
+    (1, "(id (x) Delta) . lambda . mu"),
+    (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda)"),
+    (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda) . tau"),
+    (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id)"),
+    (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id) . tau"),
+    (1, "(mu (x) mu) . (id (x) id (x) Delta (x) id) . (id (x) (lambda . eta) (x) id)"),
+    (1, "(mu (x) mu) . (id (x) id (x) Delta (x) id) . (id (x) (lambda . eta) (x) id) . tau"),
+]
+
+# the copairing symmetry, stated once for BVCopairingSym and BVFrobenius
+_COPAIRING_SYM = [[
+    (1, "(Delta (x) id) . lambda . eta"),
+    (-1, "(id (x) Delta) . lambda . eta"),
+]]
+
 _CATALOG_SOURCE = {
     "Assoc": (3, "associativity of the product", (), [[
         (1, "mu . (mu (x) id)"),
@@ -204,38 +225,13 @@ _CATALOG_SOURCE = {
         (1, "sigma2 . ((lambda . Delta) (x) id) . lambda"),
     ]]),
     "ElevenTerm": (2, "eleven-term compatibility of operator, product, coproduct and unit",
-                   (), [[
-        (1, "lambda . Delta . mu"),
-        (-1, "lambda . mu . (Delta (x) id)"),
-        (-1, "lambda . mu . (id (x) Delta)"),
-        (1, "(Delta (x) id) . lambda . mu"),
-        (1, "(id (x) Delta) . lambda . mu"),
-        (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda)"),
-        (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda) . tau"),
-        (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id)"),
-        (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id) . tau"),
-        (1, "(mu (x) mu) . (id (x) id (x) Delta (x) id) . (id (x) (lambda . eta) (x) id)"),
-        (1, "(mu (x) mu) . (id (x) id (x) Delta (x) id) . (id (x) (lambda . eta) (x) id) . tau"),
-    ]]),
+                   (), [_ELEVEN_TERMS]),
     "NineTerm": (2, "nine-term reduction of the eleven-term relation",
-                 ("nine_term_reduction",), [[
-        (1, "lambda . Delta . mu"),
-        (-1, "lambda . mu . (Delta (x) id)"),
-        (-1, "lambda . mu . (id (x) Delta)"),
-        (1, "(Delta (x) id) . lambda . mu"),
-        (1, "(id (x) Delta) . lambda . mu"),
-        (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda)"),
-        (-1, "(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda) . tau"),
-        (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id)"),
-        (-1, "(id (x) mu) . (id (x) Delta (x) id) . (lambda (x) id) . tau"),
-    ]]),
+                 ("nine_term_reduction",), [_ELEVEN_TERMS[:9]]),
     "DeltaEta": (0, "the BV operator kills the unit", (), [[
         (1, "Delta . eta"),
     ]]),
-    "BVCopairingSym": (0, "operator symmetry of the copairing", (), [[
-        (1, "(Delta (x) id) . lambda . eta"),
-        (-1, "(id (x) Delta) . lambda . eta"),
-    ]]),
+    "BVCopairingSym": (0, "operator symmetry of the copairing", (), _COPAIRING_SYM),
     "Frobenius": (2, "Frobenius compatibility of product and coproduct",
                   (), [
         [(1, "lambda . mu"), (-1, "(mu (x) id) . (id (x) lambda)")],
@@ -250,10 +246,8 @@ _CATALOG_SOURCE = {
         [(1, "mu"), (-1, "((epsilon . mu) (x) id) . (id (x) lambda)")],
         [(1, "mu"), (1, "(id (x) (epsilon . mu)) . (lambda (x) id)")],
     ]),
-    "BVFrobenius": (0, "operator symmetry of the copairing (Frobenius axiom)", (), [[
-        (1, "(Delta (x) id) . lambda . eta"),
-        (-1, "(id (x) Delta) . lambda . eta"),
-    ]]),
+    "BVFrobenius": (0, "operator symmetry of the copairing (Frobenius axiom)", (),
+                    _COPAIRING_SYM),
     "BVFrobeniusCounit": (2, "counit form of the operator symmetry", ("epsilon",), [[
         (1, "epsilon . mu . (Delta (x) id)"),
         (-1, "epsilon . mu . (id (x) Delta)"),
@@ -361,7 +355,7 @@ def evaluate_closed(expr, instance):
     return evaluate(expr, instance.context(), scalar_element(instance.field))
 
 
-def check_structure(instance, suite, window=Window(), threads=1):
+def check_structure(instance, suite, window=Window()):
     """One report per relation id, in suite order."""
     reports = []
     for rid in suite:
@@ -369,14 +363,13 @@ def check_structure(instance, suite, window=Window(), threads=1):
         ok, reason = is_applicable(spec, instance)
         reports.append(relation_residual(
             spec, instance.context(), instance.space, window,
-            instance_name=instance.name, threads=threads,
-            applicable=ok, skip_reason=reason))
+            instance_name=instance.name, applicable=ok, skip_reason=reason))
     return reports
 
 
-def check_consequences(instance, window=Window(), threads=1):
+def check_consequences(instance, window=Window()):
     """The derived identities, with bracket and cobracket expanded."""
-    return check_structure(instance, CONSEQUENCES, window, threads)
+    return check_structure(instance, CONSEQUENCES, window)
 
 
 def derived_bracket(instance):

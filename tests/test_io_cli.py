@@ -223,6 +223,27 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     assert all(r["description"] for r in doc["reports"])
 
 
+@pytest.mark.parametrize("overrides,expected", [
+    ({"basis": [1]}, "basis[0]"),
+    ({"mu": [5]}, "mu[0]"),
+    ({"gysin": {"basis": 3}}, "gysin.basis"),
+])
+def test_malformed_instance_files_are_invalid(tmp_path, capsys, overrides,
+                                              expected):
+    path = _write(tmp_path, _minimal_doc(**overrides))
+    assert main(["gysin", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: %s" % expected in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--window", "--window3"])
+def test_negative_window_is_a_usage_error(flag):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "sphere:3", flag, "-2"])
+    assert err.value.code == 64
+
+
 def test_relation_failure_exit_code(tmp_path):
     path = _write(tmp_path, _minimal_doc(mu=[]))
     assert main(["check", str(path), "--suite", "bvui"]) == 3

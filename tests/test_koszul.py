@@ -1,5 +1,6 @@
 """Sign kernel: koszul_sign, permutation maps, tensor interchange."""
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -123,3 +124,21 @@ def test_interchange_law_on_random_maps():
 
 def test_permutation_key_reordering():
     assert apply_permutation_key((1, 2, 0), ("a", "b", "c")) == ("c", "a", "b")
+
+
+def test_expression_tensor_agrees_with_tensor_maps():
+    # every factor odd, so the Koszul sign is live on every block
+    from gradedbv.checks import Window
+    sphere = g.sphere_model(3)
+    ctx = sphere.context()
+    sp = sphere.space
+    names = Window(3).names_for(sp, 3)
+    for text, maps in (("lambda (x) Delta", (sphere.lam, sphere.delta)),
+                       ("Delta (x) lambda (x) Delta",
+                        (sphere.delta, sphere.lam, sphere.delta))):
+        expr = g.parse(text)
+        tensored = g.tensor_maps(*maps)
+        arity = len(maps)
+        for key in itertools.product(names, repeat=arity):
+            x = basis_element((sp,) * arity, sphere.field, key)
+            assert g.evaluate(expr, ctx, x) == tensored.on_key(key), (text, key)

@@ -1,12 +1,16 @@
 """Relation catalog, suite checkers, derived bracket and cobracket."""
 
+import json
+
 import pytest
 
 import gradedbv as g
+from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
 from gradedbv.core import FiniteSpace, GradedMap, basis_element
-from gradedbv.expr import parse
+from gradedbv.expr import compile_expr, parse
 from gradedbv.models import normalize_sphere_name
+from gradedbv.reportio import report_document
 from gradedbv.structures import (BVUIInstance, builtin_relation,
                                  check_consequences, is_applicable)
 
@@ -261,10 +265,33 @@ def test_true_identities_survive_characteristic_two():
     assert all(r.status == "pass" for r in reports)
 
 
-def test_reports_are_identical_across_thread_counts(sphere):
-    mutated = g.mutate(sphere, "delta-au-doubled")
+def test_reports_are_identical_across_runs():
     suite = g.BVUI_FULL + ("NineTerm",)
-    one = g.check_structure(mutated, suite, Window(3, 2), threads=1)
-    four = g.check_structure(mutated, suite, Window(3, 2), threads=4)
-    assert [r.render() for r in one] == [r.render() for r in four]
-    assert any(r.status == "fail" for r in one)
+    window = Window(3, 2)
+    docs = []
+    for _ in range(2):
+        mutated = g.mutate(g.sphere_model(3), "delta-au-doubled")
+        reports = g.check_structure(mutated, suite, window)
+        docs.append(json.dumps(report_document("check", mutated.name,
+                                               mutated.field, window, reports),
+                               sort_keys=True))
+    assert docs[0] == docs[1]
+    assert any(r["status"] == "fail" for r in json.loads(docs[0])["reports"])
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_relation_terms_are_compiled_once(sphere, monkeypatch, k):
+    calls = []
+
+    def counting(node, ctx, in_spaces):
+        calls.append(node)
+        return compile_expr(node, ctx, in_spaces)
+
+    monkeypatch.setattr(checks, "compile_expr", counting)
+    for rid in ("Jacobi", "ElevenTerm", "Unit"):
+        spec = builtin_relation(rid)
+        calls.clear()
+        report = relation_residual(spec, sphere.context(), sphere.space,
+                                   Window(k))
+        assert report.tuples_checked == (2 * k + 2) ** spec.arity
+        assert calls == [e for group in spec.groups for _, e in group]
