@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import basis_element, scalar_element
+from .core import (ArityMismatch, accumulate, basis_element, scalar_element,
+                   _spaces_key, _trusted_element)
 from .expr import compile_expr, parse
 
 MAX_WITNESSES = 10
@@ -106,10 +107,19 @@ class CheckReport:
 
 
 def compile_relation(spec, ctx, spaces):
-    """The signed groups of a relation with every term typed on ``spaces``."""
-    return tuple(tuple((coeff, compile_expr(expr, ctx, spaces))
-                       for coeff, expr in group)
-                 for group in spec.groups)
+    """The signed groups of a relation with every term typed on ``spaces``
+    and every coefficient in the context's field.  The terms of a group
+    must share a target, since their values are summed."""
+    groups = []
+    for group in spec.groups:
+        terms = tuple((ctx.field.coerce(coeff), compile_expr(expr, ctx, spaces))
+                      for coeff, expr in group)
+        targets = sorted({_spaces_key(plan.target) for _, plan in terms})
+        if len(targets) > 1:
+            raise ArityMismatch("terms of %s have different targets %s"
+                                % (spec.rid, targets))
+        groups.append(terms)
+    return tuple(groups)
 
 
 def residual_on_key(spec, ctx, spaces, key):
@@ -122,16 +132,14 @@ def residual_on_key(spec, ctx, spaces, key):
     groups = spec
     if isinstance(spec, RelationSpec):
         groups = compile_relation(spec, ctx, spaces)
-    x = basis_element(spaces, ctx.field, key) if spaces else scalar_element(ctx.field)
+    field = ctx.field
+    x = basis_element(spaces, field, key) if spaces else scalar_element(field)
     for gi, group in enumerate(groups):
-        residual = None
+        acc = {}
         for coeff, plan in group:
-            value = plan.apply(x)
-            if coeff != 1:
-                value = value.scale(coeff)
-            residual = value if residual is None else residual + value
-        if residual is not None and not residual.is_zero():
-            return gi, residual
+            accumulate(acc, plan.apply(x).coeffs.items(), coeff, field)
+        if acc:
+            return gi, _trusted_element(group[0][1].target, field, acc)
     return None
 
 

@@ -45,6 +45,7 @@ class Rationals:
     """Exact rational scalars (arbitrary precision)."""
 
     name = "Q"
+    one = Fraction(1)
 
     def coerce(self, value):
         if isinstance(value, Fraction):
@@ -72,6 +73,9 @@ class Rationals:
     def is_zero(self, a):
         return a == 0
 
+    def is_one(self, a):
+        return a == 1
+
     def fmt(self, a):
         return str(a)
 
@@ -81,6 +85,8 @@ class Rationals:
 
 class PrimeField:
     """Integers mod an odd prime p; p = 2 erases all signs (diagnostic)."""
+
+    one = 1
 
     def __init__(self, p):
         if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
@@ -117,6 +123,9 @@ class PrimeField:
 
     def is_zero(self, a):
         return a == 0
+
+    def is_one(self, a):
+        return a == 1
 
     def fmt(self, a):
         return str(a)
@@ -229,12 +238,24 @@ def _spaces_key(spaces):
     return tuple(s.name for s in spaces)
 
 
+def _same_spaces(a, b):
+    """Slot spaces agree: the same space objects (a C-level tuple
+    comparison, spaces compare by identity), else the same names."""
+    return a == b or _spaces_key(a) == _spaces_key(b)
+
+
 class Element:
     """Finitely supported linear combination of tensor basis elements.
 
     Keys are tuples of basis names, one per tensor slot; ``spaces`` gives
     the ambient space of each slot.  Zero coefficients are pruned eagerly
     so that equality-to-zero is just emptiness of the support.
+
+    Elements are values: nothing mutates ``coeffs`` after construction,
+    so results may share a coefficient dict with a cached map output.
+    The engine's own arithmetic fills one dict with ``accumulate`` and
+    wraps it with ``_trusted_element``, without the per-key checks made
+    here.
     """
 
     __slots__ = ("spaces", "field", "coeffs")
@@ -286,24 +307,16 @@ class Element:
         return sorted(self.coeffs.items())
 
     def scale(self, scalar):
-        scalar = self.field.coerce(scalar)
-        mul = self.field.mul
-        return Element(self.spaces, self.field,
-                       {k: mul(scalar, v) for k, v in self.coeffs.items()})
+        coeffs = {}
+        accumulate(coeffs, self.coeffs.items(), self.field.coerce(scalar),
+                   self.field)
+        return _trusted_element(self.spaces, self.field, coeffs)
 
     def __add__(self, other):
         self._check_compatible(other)
-        add, is_zero = self.field.add, self.field.is_zero
         coeffs = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            acc = add(coeffs.get(key, self.field.coerce(0)), value)
-            if is_zero(acc):
-                coeffs.pop(key, None)
-            else:
-                coeffs[key] = acc
-        out = Element(self.spaces, self.field)
-        out.coeffs = coeffs
-        return out
+        accumulate(coeffs, other.coeffs.items(), self.field.one, self.field)
+        return _trusted_element(self.spaces, self.field, coeffs)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -322,7 +335,7 @@ class Element:
         return Element(self.spaces + other.spaces, self.field, coeffs)
 
     def _check_compatible(self, other):
-        if _spaces_key(self.spaces) != _spaces_key(other.spaces):
+        if not _same_spaces(self.spaces, other.spaces):
             raise ArityMismatch(
                 "elements live in different tensor products: %s vs %s"
                 % (_spaces_key(self.spaces), _spaces_key(other.spaces)))
@@ -330,7 +343,7 @@ class Element:
     def __eq__(self, other):
         if not isinstance(other, Element):
             return NotImplemented
-        return (_spaces_key(self.spaces) == _spaces_key(other.spaces)
+        return (_same_spaces(self.spaces, other.spaces)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
@@ -341,6 +354,43 @@ class Element:
 
     def __repr__(self):
         return "Element(%s)" % format_element(self)
+
+
+def _trusted_element(spaces, field, coeffs):
+    """Wrap coefficients built by the engine's own arithmetic.
+
+    The caller guarantees what ``Element.__init__`` would check: ``spaces``
+    is a tuple, every key has its arity and no value is zero.  ``coeffs``
+    is taken over, not copied.
+    """
+    elem = object.__new__(Element)
+    elem.spaces = spaces
+    elem.field = field
+    elem.coeffs = coeffs
+    return elem
+
+
+def accumulate(acc, terms, scalar, field):
+    """Add ``scalar * value`` into the dict ``acc`` for every (key, value)
+    of ``terms``, dropping keys that cancel.
+
+    ``scalar`` is a field element; the multiply is skipped when it is the
+    field's one.  Values in ``terms`` must be non-zero field elements.
+    """
+    if field.is_zero(scalar):
+        return
+    scaled = not field.is_one(scalar)
+    add, mul, is_zero = field.add, field.mul, field.is_zero
+    for key, value in terms:
+        if scaled:
+            value = mul(scalar, value)
+        old = acc.get(key)
+        if old is not None:
+            value = add(old, value)
+            if is_zero(value):
+                del acc[key]
+                continue
+        acc[key] = value
 
 
 def format_element(elem):
@@ -413,8 +463,11 @@ class GradedMap:
     """Homogeneous linear map between tensor powers of graded spaces.
 
     The action is a finite table or a rule producing a finitely
-    supported Element for every source basis key.  Rule outputs are
-    memoized; every application asserts degree additivity.
+    supported Element for every source basis key.  Outputs are memoized
+    per key; when a key's output enters the cache it is checked once to
+    lie in the ``target`` spaces and to have degree
+    ``source_degree(key) + degree``.  A failing output is not cached, so
+    every later application raises again.
     """
 
     def __init__(self, source, target, degree, field, name="?",
@@ -455,6 +508,11 @@ class GradedMap:
                 out = zero_element(self.target, self.field)
         else:
             out = self._rule(key)
+        if not _same_spaces(out.spaces, self.target):
+            raise ArityMismatch(
+                "map %s maps %r into %s, expected %s"
+                % (self.name, key, _spaces_key(out.spaces),
+                   _spaces_key(self.target)))
         if not out.is_zero():
             want = self.source_degree(key) + self.degree
             for okey in out.coeffs:
@@ -464,18 +522,25 @@ class GradedMap:
                         "map %s violates degree additivity on %r: output %r "
                         "has degree %d, expected %d"
                         % (self.name, key, okey, got, want))
+        if out.spaces is not self.target:
+            out = _trusted_element(self.target, self.field, out.coeffs)
         self._cache[key] = out
         return out
 
     def __call__(self, elem):
-        if _spaces_key(elem.spaces) != _spaces_key(self.source):
+        if not _same_spaces(elem.spaces, self.source):
             raise ArityMismatch(
                 "map %s defined on %s applied to element of %s"
                 % (self.name, _spaces_key(self.source), _spaces_key(elem.spaces)))
-        out = zero_element(self.target, self.field)
+        field, on_key = self.field, self.on_key
+        if len(elem.coeffs) == 1:
+            (key, value), = elem.coeffs.items()
+            if field.is_one(value):
+                return on_key(key)
+        acc = {}
         for key, value in elem.coeffs.items():
-            out = out + self.on_key(key).scale(value)
-        return out
+            accumulate(acc, on_key(key).coeffs.items(), value, field)
+        return _trusted_element(self.target, field, acc)
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -546,33 +611,62 @@ def compose(f, g):
                      rule=lambda key: f(g.on_key(key)))
 
 
-def tensor_on_key(factors, spaces, key, field, coeff=1):
-    """Apply f_1 (x) ... (x) f_k to one basis key with the Koszul rule.
+def tensor_factors(factors):
+    """Prepare (arity, degree, on_key) triples for tensor_on_key.
 
-    ``factors`` are (arity, degree, on_key) triples; block j of ``key``
-    (slot spaces ``spaces``) feeds f_j, and the result is ``coeff`` times
-    (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
-    f_k(x_k).  Returns None when some f_j(x_j) vanishes.
+    ``on_key`` is None for an identity block.  Each triple gains a flag
+    telling whether a later factor has odd degree, the only case in which
+    the block's slot degrees enter the Koszul sign.
     """
-    sign = 1
+    out = []
+    later_odd = False
+    for arity, degree, on_key in reversed(factors):
+        out.append((arity, degree, on_key, later_odd))
+        later_odd = later_odd or degree % 2 == 1
+    return tuple(reversed(out))
+
+
+def tensor_on_key(acc, factors, spaces, key, field, coeff):
+    """Add f_1 (x) ... (x) f_k, applied to one basis key with the Koszul
+    rule, into the coefficient dict ``acc`` (see ``accumulate``).
+
+    ``factors`` come from ``tensor_factors``; block j of ``key`` (slot
+    spaces ``spaces``) feeds f_j, and the result is ``coeff`` times
+    (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
+    f_k(x_k).  Nothing is added when some f_j(x_j) vanishes.
+    """
+    negate = False
     consumed = 0
     pos = 0
     parts = []
-    for arity, degree, on_key in factors:
-        block = key[pos:pos + arity]
+    for arity, degree, on_key, later_odd in factors:
+        end = pos + arity
+        block = key[pos:end]
         if degree % 2 and consumed % 2:
-            sign = -sign
-        part = on_key(block)
-        if part.is_zero():
-            return None
-        parts.append(part)
-        consumed += sum(s.degree(n) for s, n in zip(spaces[pos:pos + arity], block))
-        pos += arity
-    value = field.coerce(coeff)
-    out = scalar_element(field, value if sign > 0 else field.neg(value))
-    for part in parts:
-        out = out.tensor(part)
-    return out
+            negate = not negate
+        if on_key is None:
+            parts.append((block, None))
+        else:
+            part = on_key(block).coeffs
+            if not part:
+                return
+            parts.append((block, part))
+        if later_odd:
+            for i in range(pos, end):
+                consumed += spaces[i].degree(key[i])
+        pos = end
+    if pos != len(key):
+        raise ArityMismatch("key %r does not match arity %d" % (key, pos))
+    one, mul = field.one, field.mul
+    terms = [((), one)]
+    for block, part in parts:
+        if part is None:
+            terms = [(k + block, v) for k, v in terms]
+        else:
+            # v1 is one: the start value, kept by identity blocks
+            terms = [(k1 + k2, v2 if v1 is one else mul(v1, v2))
+                     for k1, v1 in terms for k2, v2 in part.items()]
+    accumulate(acc, terms, field.neg(coeff) if negate else coeff, field)
 
 
 def tensor_maps(*factors):
@@ -586,11 +680,13 @@ def tensor_maps(*factors):
     source = tuple(s for f in factors for s in f.source)
     target = tuple(t for f in factors for t in f.target)
     degree = sum(f.degree for f in factors)
-    blocks = tuple((f.source_arity, f.degree, f.on_key) for f in factors)
+    blocks = tensor_factors([(f.source_arity, f.degree, f.on_key)
+                             for f in factors])
 
     def rule(key):
-        out = tensor_on_key(blocks, source, key, field)
-        return zero_element(target, field) if out is None else out
+        acc = {}
+        tensor_on_key(acc, blocks, source, key, field, field.one)
+        return _trusted_element(target, field, acc)
 
     name = "(" + " (x) ".join(f.name for f in factors) + ")"
     return GradedMap(source, target, degree, field, name=name, rule=rule)

@@ -26,8 +26,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   basis_element, permute, scalar_element, tensor_on_key,
-                   zero_element, _spaces_key)
+                   accumulate, basis_element, permute, scalar_element,
+                   tensor_factors, tensor_on_key, zero_element, _spaces_key,
+                   _trusted_element)
 
 
 class ParseError(EngineError):
@@ -163,9 +164,9 @@ class _Parser:
             follower = self.peek()[0]
             if follower == "star":
                 self.next()
-                coeff *= Fraction(value)
+                coeff *= _coefficient(value)
             elif follower in ("name", "number", "lpar"):
-                coeff *= Fraction(value)
+                coeff *= _coefficient(value)
             else:
                 self.i = save
         node = self.parse_tensor()
@@ -207,6 +208,14 @@ class _Parser:
             self.next()
             return Gen(value)
         self.fail("expected a generator, '(' or a coefficient")
+
+
+def _coefficient(text):
+    """A rational coefficient token such as ``2`` or ``1/2``."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError("zero denominator in coefficient %r" % text) from None
 
 
 def parse(text):
@@ -347,7 +356,9 @@ class Plan(NamedTuple):
 
     ``apply`` maps elements of the ``source`` slots to elements of the
     ``target`` slots.  A plan keeps no per-key results; only the
-    generators' GradedMaps memoize.
+    generators' GradedMaps memoize.  A generator's plan carries the
+    generator's own ``source`` and ``target`` tuples, so elements flowing
+    between stages usually pass the space checks by identity.
     """
 
     source: tuple
@@ -385,25 +396,38 @@ def compile_expr(node, ctx, in_spaces):
         return _compile_tensor(node, ctx, in_spaces)
     if isinstance(node, Scal):
         child = compile_expr(node.child, ctx, in_spaces)
-        inner, coeff = child.apply, node.coeff
+        inner, coeff = child.apply, ctx.field.coerce(node.coeff)
         return child._replace(apply=lambda elem: inner(elem).scale(coeff))
     if isinstance(node, Sum):
-        first = compile_expr(node.terms[0], ctx, in_spaces)
-        plans = [first] + [compile_expr(t, ctx, first.source) for t in node.terms[1:]]
-        targets = {_spaces_key(p.target) for p in plans}
-        if len(targets) != 1:
-            raise ArityMismatch("summands have different targets %s" % targets)
-        _check_degrees(p.degree for p in plans)
-        terms = tuple(p.apply for p in plans)
-
-        def apply(elem):
-            out = terms[0](elem)
-            for term in terms[1:]:
-                out = out + term(elem)
-            return out
-
-        return first._replace(apply=apply)
+        return _compile_sum(node, ctx, in_spaces)
     raise EngineError("unknown node %r" % (node,))
+
+
+def _compile_sum(node, ctx, in_spaces):
+    field = ctx.field
+    scalars, plans = [], []
+    for term in node.terms:
+        # a summand's own coefficient becomes its accumulation scalar
+        scalar = field.one
+        if isinstance(term, Scal):
+            scalar, term = field.coerce(term.coeff), term.child
+        scalars.append(scalar)
+        plans.append(compile_expr(term, ctx, in_spaces))
+        in_spaces = plans[0].source     # later summands take the first's slots
+    targets = {_spaces_key(p.target) for p in plans}
+    if len(targets) != 1:
+        raise ArityMismatch("summands have different targets %s" % targets)
+    _check_degrees(p.degree for p in plans)
+    terms = tuple(zip(scalars, (p.apply for p in plans)))
+    target = plans[0].target
+
+    def apply(elem):
+        acc = {}
+        for scalar, term in terms:
+            accumulate(acc, term(elem).coeffs.items(), scalar, field)
+        return _trusted_element(target, field, acc)
+
+    return plans[0]._replace(apply=apply)
 
 
 def _compile_gen(name, ctx, in_spaces):
@@ -413,20 +437,22 @@ def _compile_gen(name, ctx, in_spaces):
         if name == "id":
             if len(in_spaces) != 1:
                 raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-            return Plan(in_spaces, in_spaces, 0, lambda elem: elem)
+            return Plan(in_spaces, in_spaces, 0, _identity)
         perm = ctx.perm(name, in_spaces)
-        return Plan(in_spaces, perm.target, 0, perm)
+        return Plan(perm.source, perm.target, 0, perm)
     return _map_plan(ctx.lookup(name), in_spaces)
 
 
+def _identity(elem):
+    return elem
+
+
 def _map_plan(gmap, in_spaces):
-    if in_spaces is None:
-        in_spaces = gmap.source
-    elif _spaces_key(gmap.source) != _spaces_key(in_spaces):
+    if in_spaces is not None and _spaces_key(gmap.source) != _spaces_key(in_spaces):
         raise ArityMismatch(
             "generator %s defined on %s fed with %s"
             % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
-    return Plan(in_spaces, gmap.target, gmap.degree, gmap)
+    return Plan(gmap.source, gmap.target, gmap.degree, gmap)
 
 
 def _compile_tensor(node, ctx, in_spaces):
@@ -444,21 +470,31 @@ def _compile_tensor(node, ctx, in_spaces):
     field = ctx.field
     source = tuple(s for p in plans for s in p.source)
     target = tuple(t for p in plans for t in p.target)
-    factors = tuple((len(p.source), p.degree, _on_key(p, field)) for p in plans)
+    factors = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
+                              for p in plans])
 
     def apply(elem):
-        out = None
+        acc = {}
         for key, value in elem.coeffs.items():
-            term = tensor_on_key(factors, source, key, field, value)
-            if term is not None:
-                out = term if out is None else out + term
-        return zero_element(target, field) if out is None else out
+            tensor_on_key(acc, factors, source, key, field, value)
+        return _trusted_element(target, field, acc)
 
     return Plan(source, target, sum(p.degree for p in plans), apply)
 
 
+def _factor_on_key(plan, field):
+    """A tensor factor's on_key for tensor_factors: None for ``id``, the
+    generator's memoized on_key, or the whole plan applied to one key."""
+    if plan.apply is _identity:
+        return None
+    if isinstance(plan.apply, GradedMap):
+        return plan.apply.on_key
+    return _on_key(plan, field)
+
+
 def _on_key(plan, field):
-    """The plan as a function of one source basis key."""
+    """The plan as a function of one source basis key; the key's arity is
+    checked when it becomes a basis element."""
     source, apply = plan.source, plan.apply
     return lambda key: apply(basis_element(source, field, key))
 

@@ -94,20 +94,19 @@ def sphere_model(n, field=QQ):
         return basis_element(spaces1, field, (sphere_name(a1 or a2, k1 + k2),))
 
     def lam_rule(key):
+        # the keys for distinct i are distinct, so nothing is summed
         a, k = sphere_key(key[0])
-        out = zero_element(spaces2, field)
         one = field.coerce(1)
         minus = field.coerce(-1)
+        coeffs = {}
         for i in range(k):
             j = k - 1 - i
             if a:
-                out = out + Element(spaces2, field, {
-                    (sphere_name(True, i), sphere_name(True, j)): one})
+                coeffs[(sphere_name(True, i), sphere_name(True, j))] = one
             else:
-                out = out + Element(spaces2, field, {
-                    (sphere_name(True, i), sphere_name(False, j)): one,
-                    (sphere_name(False, i), sphere_name(True, j)): minus})
-        return out
+                coeffs[(sphere_name(True, i), sphere_name(False, j))] = one
+                coeffs[(sphere_name(False, i), sphere_name(True, j))] = minus
+        return Element(spaces2, field, coeffs)
 
     def delta_rule(key):
         a, k = sphere_key(key[0])

@@ -3,9 +3,10 @@
 import pytest
 
 import gradedbv as g
-from gradedbv.core import (DegreeError, FiniteSpace, GradedMap, PrimeField,
-                           basis_element, format_element, scalar_element,
-                           zero_element)
+from gradedbv.core import (ArityMismatch, DegreeError, FiniteSpace, GradedMap,
+                           PrimeField, basis_element, format_element,
+                           scalar_element, zero_element)
+from gradedbv.expr import as_map, compile_expr, evaluate, parse
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,76 @@ def test_arity_mismatch_raises(sphere):
     x = basis_element((sp,), field, ("U",))
     with pytest.raises(g.EngineError):
         sphere.mu(x)
+
+
+def test_arity_is_checked_for_keys_of_composite_maps(sphere):
+    m = as_map(parse("(lambda (x) id) . lambda"), sphere.context(),
+               (sphere.space,))
+    with pytest.raises(ArityMismatch):
+        m.on_key(("U", "U"))
+    pair = as_map(parse("Delta (x) id"), sphere.context(),
+                  (sphere.space, sphere.space))
+    with pytest.raises(ArityMismatch):
+        pair.on_key(("AU",))
+    plan = compile_expr(parse("Delta (x) id"), sphere.context(),
+                        (sphere.space, sphere.space))
+    with pytest.raises(ArityMismatch):
+        plan.apply(basis_element((sphere.space,), sphere.field, ("AU",)))
+
+
+@pytest.mark.parametrize("wrong", ["arity", "space"])
+def test_rule_output_outside_target_is_rejected_every_time(sphere, wrong):
+    sp, field = sphere.space, sphere.field
+    if wrong == "arity":
+        out = basis_element((sp, sp), field, ("U", "1"))
+    else:
+        out = basis_element((FiniteSpace("W", {"U": 2}),), field, ("U",))
+    bad = GradedMap((sp,), (sp,), 0, field, name="bad", rule=lambda key: out)
+    x = basis_element((sp,), field, ("U",))
+    for _ in range(2):          # the bad output is never cached
+        with pytest.raises(ArityMismatch):
+            bad(x)
+    assert not bad._cache
+
+
+def test_cancelling_terms_leave_an_empty_support(sphere):
+    sp = sphere.space
+    x = basis_element((sp,), g.QQ, ("U",), 3)
+    assert (x - x).coeffs == {}
+    f101 = PrimeField(101)
+    y = basis_element((sp,), f101, ("U",))
+    total = y
+    for _ in range(100):
+        total = total + y
+    assert total.coeffs == {}
+    assert evaluate(parse("mu - mu . tau"),
+                    sphere.context(),
+                    basis_element((sp, sp), sphere.field, ("U", "U^2"))).coeffs == {}
+
+
+def test_equally_named_spaces_in_distinct_tuples_add_and_apply(sphere):
+    sp, field = sphere.space, sphere.field
+    x = basis_element(tuple([sp, sp]), field, ("U", "AU"))
+    assert x.spaces is not sphere.mu.source
+    assert sphere.mu(x) == basis_element((sp,), field, ("AU^2",))
+    # distinct space objects that share a name compare by name
+    v1 = FiniteSpace("V", {"p": 0, "q": -1})
+    v2 = FiniteSpace("V", {"p": 0, "q": -1})
+    f = GradedMap((v1,), (v1,), -1, field, name="f", table={
+        ("p",): basis_element((v1,), field, ("q",), 2)})
+    p2 = basis_element((v2,), field, ("p",))
+    assert f(p2) == basis_element((v2,), field, ("q",), 2)
+    assert (p2 + basis_element((v1,), field, ("q",))).items() == [
+        (("p",), 1), (("q",), 1)]
+
+
+def test_scale_by_one_is_an_equal_copy(sphere):
+    sp, field = sphere.space, sphere.field
+    x = (basis_element((sp,), field, ("U",), 2)
+         + basis_element((sp,), field, ("A",), -1))
+    y = x.scale(1)
+    assert y == x
+    assert y.coeffs is not x.coeffs
 
 
 def test_format_element_is_canonical(sphere):

@@ -209,6 +209,17 @@ def test_bad_expression_exit_code():
     assert main(["eval", "sphere:3", "--expr", "mu . (", "--input", "1"]) == 64
 
 
+@pytest.mark.parametrize("expr,value", [
+    ("1/0*mu", "U(x)U"),
+    ("mu", "1/0*U(x)U"),
+])
+def test_zero_denominator_is_a_parse_error(capsys, expr, value):
+    assert main(["eval", "sphere:3", "--expr", expr, "--input", value]) == 64
+    err = capsys.readouterr().err
+    assert "parse error:" in err
+    assert "Traceback" not in err
+
+
 def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

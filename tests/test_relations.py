@@ -279,6 +279,17 @@ def test_reports_are_identical_across_runs():
     assert any(r["status"] == "fail" for r in json.loads(docs[0])["reports"])
 
 
+def test_group_terms_with_different_targets_are_rejected(sphere):
+    spec = checks.make_relation("MixedTargets", 1, "lambda against id", [[
+        (1, "lambda"),
+        (-1, "id"),
+    ]])
+    with pytest.raises(g.core.ArityMismatch):
+        checks.compile_relation(spec, sphere.context(), (sphere.space,))
+    with pytest.raises(g.core.ArityMismatch):
+        relation_residual(spec, sphere.context(), sphere.space, Window(2))
+
+
 @pytest.mark.parametrize("k", [2, 4])
 def test_relation_terms_are_compiled_once(sphere, monkeypatch, k):
     calls = []
