@@ -8,8 +8,9 @@ Koszul sign convention
 
     (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b).
 
-That single rule, ``tensor_on_key``, is the only place tensor signs are
-introduced: ``tensor_maps`` and tensors in expressions both call it.
+That single rule, the kernel ``tensor_apply``, is the only place tensor
+signs are introduced: ``tensor_maps`` and tensors in expressions both
+call it.
 Permutation signs, composition of tensored maps and dualization are all
 derived from it. No floating point is used anywhere.
 """
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class EngineError(Exception):
@@ -42,25 +44,31 @@ class UnknownBasisName(EngineError):
 # ---------------------------------------------------------------------------
 
 class Rationals:
-    """Exact rational scalars (arbitrary precision)."""
+    """Exact rational scalars (arbitrary precision).
+
+    A value with denominator 1 is held as an ``int``, any other as a
+    ``Fraction``: ``coerce``, ``add``, ``mul`` and ``inv`` return an
+    ``int`` whenever the result is integral, so the integral coefficients
+    that dominate the built-in models never pay for ``Fraction``
+    arithmetic.  Both types compare, hash and print alike
+    (``str(2) == str(Fraction(2))``).
+    """
 
     name = "Q"
-    one = Fraction(1)
+    one = 1
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
-            return Fraction(value)
+        if isinstance(value, (int, Fraction)):
+            return _integral(value)
         if isinstance(value, str):
-            return Fraction(value)
+            return _integral(Fraction(value))
         raise EngineError("cannot coerce %r into Q" % (value,))
 
     def add(self, a, b):
-        return a + b
+        return _integral(a + b)
 
     def mul(self, a, b):
-        return a * b
+        return _integral(a * b)
 
     def neg(self, a):
         return -a
@@ -68,7 +76,7 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise EngineError("division by zero in Q")
-        return 1 / Fraction(a)
+        return _integral(1 / Fraction(a))
 
     def is_zero(self, a):
         return a == 0
@@ -81,6 +89,11 @@ class Rationals:
 
     def __repr__(self):
         return "Q"
+
+
+def _integral(value):
+    """A rational as an ``int`` when its denominator is 1."""
+    return value.numerator if value.denominator == 1 else value
 
 
 class PrimeField:
@@ -611,67 +624,93 @@ def compose(f, g):
                      rule=lambda key: f(g.on_key(key)))
 
 
-def tensor_factors(factors):
-    """Prepare (arity, degree, on_key) triples for tensor_on_key.
+class TensorKernel(NamedTuple):
+    """A tensor product f_1 (x) ... (x) f_k of maps, prepared once by
+    ``tensor_factors`` for ``tensor_apply``.
 
-    ``on_key`` is None for an identity block.  Each triple gains a flag
-    telling whether a later factor has odd degree, the only case in which
-    the block's slot degrees enter the Koszul sign.
+    ``sign_slots`` holds ``(i, degree)`` for each input slot i whose
+    degree enters the Koszul sign: slot i of block j counts once for
+    every odd f_l with l > j, so only slots counted an odd number of
+    times are kept, with their space's ``degree`` function.  ``blocks``
+    holds ``(start, end, on_key)`` for each factor that is not an
+    identity; identity blocks are copied from the input key.
     """
-    out = []
-    later_odd = False
+
+    arity: int
+    sign_slots: tuple
+    blocks: tuple
+
+
+def tensor_factors(factors, spaces):
+    """Prepare a TensorKernel from (arity, degree, on_key) triples, one
+    per factor in order; ``on_key`` is None for an identity block.
+    ``spaces`` are the input slot spaces."""
+    sign_slots, blocks = [], []
+    later_odd = 0
+    pos = len(spaces)
     for arity, degree, on_key in reversed(factors):
-        out.append((arity, degree, on_key, later_odd))
-        later_odd = later_odd or degree % 2 == 1
-    return tuple(reversed(out))
+        start = pos - arity
+        if later_odd % 2:
+            sign_slots.extend((i, spaces[i].degree) for i in range(start, pos))
+        if on_key is not None:
+            blocks.append((start, pos, on_key))
+        later_odd += degree % 2
+        pos = start
+    if pos != 0:
+        raise ArityMismatch("tensor factors consume %d slots, not %d"
+                            % (len(spaces) - pos, len(spaces)))
+    return TensorKernel(len(spaces), tuple(reversed(sign_slots)),
+                        tuple(reversed(blocks)))
 
 
-def tensor_on_key(acc, factors, spaces, key, field, coeff):
-    """Add f_1 (x) ... (x) f_k, applied to one basis key with the Koszul
-    rule, into the coefficient dict ``acc`` (see ``accumulate``).
+def tensor_apply(kernel, items, field):
+    """Apply a tensor product of maps, with the Koszul rule, to the
+    (key, coefficient) items of an element; returns the coefficient
+    dict of the result (see ``accumulate``).
 
-    ``factors`` come from ``tensor_factors``; block j of ``key`` (slot
-    spaces ``spaces``) feeds f_j, and the result is ``coeff`` times
+    Key x = x_1 (x) ... (x) x_k, block j feeding f_j, goes to
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
-    f_k(x_k).  Nothing is added when some f_j(x_j) vanishes.
+    f_k(x_k); nothing is added when some f_j(x_j) vanishes.  This is the
+    only place tensor signs are introduced.
     """
-    negate = False
-    consumed = 0
-    pos = 0
-    parts = []
-    for arity, degree, on_key, later_odd in factors:
-        end = pos + arity
-        block = key[pos:end]
-        if degree % 2 and consumed % 2:
-            negate = not negate
-        if on_key is None:
-            parts.append((block, None))
-        else:
-            part = on_key(block).coeffs
+    arity, sign_slots, blocks = kernel
+    neg, mul, one = field.neg, field.mul, field.one
+    acc = {}
+    for key, coeff in items:
+        if len(key) != arity:
+            raise ArityMismatch("key %r does not match arity %d" % (key, arity))
+        odd = False
+        for i, degree in sign_slots:
+            if degree(key[i]) % 2:
+                odd = not odd
+        if odd:
+            coeff = neg(coeff)
+        if len(blocks) == 1:
+            (start, end, on_key), = blocks
+            part = on_key(key[start:end]).coeffs
+            head, tail = key[:start], key[end:]
+            accumulate(acc, [(head + k + tail, v) for k, v in part.items()],
+                       coeff, field)
+            continue
+        terms = [((), coeff)]
+        pos = 0
+        for start, end, on_key in blocks:
+            part = on_key(key[start:end]).coeffs
             if not part:
-                return
-            parts.append((block, part))
-        if later_odd:
-            for i in range(pos, end):
-                consumed += spaces[i].degree(key[i])
-        pos = end
-    if pos != len(key):
-        raise ArityMismatch("key %r does not match arity %d" % (key, pos))
-    one, mul = field.one, field.mul
-    terms = [((), one)]
-    for block, part in parts:
-        if part is None:
-            terms = [(k + block, v) for k, v in terms]
-        else:
-            # v1 is one: the start value, kept by identity blocks
-            terms = [(k1 + k2, v2 if v1 is one else mul(v1, v2))
+                break
+            gap = key[pos:start]
+            terms = [(k1 + gap + k2, mul(v1, v2))
                      for k1, v1 in terms for k2, v2 in part.items()]
-    accumulate(acc, terms, field.neg(coeff) if negate else coeff, field)
+            pos = end
+        else:
+            tail = key[pos:]
+            accumulate(acc, [(k + tail, v) for k, v in terms], one, field)
+    return acc
 
 
 def tensor_maps(*factors):
     """Tensor product of maps with the global Koszul sign rule
-    (see tensor_on_key)."""
+    (see tensor_apply)."""
     if not factors:
         raise EngineError("empty tensor product of maps")
     if len(factors) == 1:
@@ -680,13 +719,12 @@ def tensor_maps(*factors):
     source = tuple(s for f in factors for s in f.source)
     target = tuple(t for f in factors for t in f.target)
     degree = sum(f.degree for f in factors)
-    blocks = tensor_factors([(f.source_arity, f.degree, f.on_key)
-                             for f in factors])
+    kernel = tensor_factors([(f.source_arity, f.degree, f.on_key)
+                             for f in factors], source)
 
     def rule(key):
-        acc = {}
-        tensor_on_key(acc, blocks, source, key, field, field.one)
-        return _trusted_element(target, field, acc)
+        return _trusted_element(
+            target, field, tensor_apply(kernel, ((key, field.one),), field))
 
     name = "(" + " (x) ".join(f.name for f in factors) + ")"
     return GradedMap(source, target, degree, field, name=name, rule=rule)

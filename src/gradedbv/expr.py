@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
                    accumulate, basis_element, permute, scalar_element,
-                   tensor_factors, tensor_on_key, zero_element, _spaces_key,
+                   tensor_apply, tensor_factors, zero_element, _spaces_key,
                    _trusted_element)
 
 
@@ -470,14 +470,12 @@ def _compile_tensor(node, ctx, in_spaces):
     field = ctx.field
     source = tuple(s for p in plans for s in p.source)
     target = tuple(t for p in plans for t in p.target)
-    factors = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
-                              for p in plans])
+    kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
+                             for p in plans], source)
 
     def apply(elem):
-        acc = {}
-        for key, value in elem.coeffs.items():
-            tensor_on_key(acc, factors, source, key, field, value)
-        return _trusted_element(target, field, acc)
+        return _trusted_element(
+            target, field, tensor_apply(kernel, elem.coeffs.items(), field))
 
     return Plan(source, target, sum(p.degree for p in plans), apply)
 

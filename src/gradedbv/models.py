@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 
 from .core import (Element, EngineError, FiniteSpace, GradedMap, GradedSpace,
-                   QQ, basis_element, zero_element)
+                   QQ, UnknownBasisName, basis_element, zero_element)
 from .structures import BVUIInstance, FrobeniusInstance
 
 
@@ -36,7 +36,7 @@ def sphere_key(name):
     if not m:
         return None
     if m.group(2) is not None:
-        return (m.group(1) == "A", int(m.group(2)))
+        return (m.group(1) == "A", int(m.group(2).lstrip("0") or "0"))
     a, u = m.group(3), m.group(4)
     if not a and not u:
         return None
@@ -55,20 +55,32 @@ def sphere_name(a_flag, k):
 
 
 class SphereSpace(GradedSpace):
-    """Rule-generated basis {U^k, AU^k : k >= 0} for odd n >= 3."""
+    """Rule-generated basis {U^k, AU^k : k >= 0} for odd n >= 3.
+
+    Degrees are looked up in a dict from canonical name to degree; a
+    name enters it once it has passed the spelling check of
+    ``sphere_key``/``sphere_name``, so ``U^1``, ``AU^0`` or ``U^01`` are
+    rejected on every call.
+    """
 
     def __init__(self, n):
         self.n = n
         self.name = "sphere:%d" % n
+        self._degrees = {}
 
     def degree(self, basis_name):
+        try:
+            return self._degrees[basis_name]
+        except KeyError:
+            pass
         key = sphere_key(basis_name)
         if key is None or sphere_name(*key) != basis_name:
-            from .core import UnknownBasisName
             raise UnknownBasisName("%r is not a basis element of %s"
                                    % (basis_name, self.name))
         a, k = key
-        return k * (self.n - 1) - (self.n if a else 0)
+        degree = k * (self.n - 1) - (self.n if a else 0)
+        self._degrees[basis_name] = degree
+        return degree
 
     def contains(self, basis_name):
         key = sphere_key(basis_name)
@@ -123,7 +135,22 @@ def sphere_model(n, field=QQ):
                         1 - 2 * n)
 
 
+# The largest U-power ``normalize_sphere_name`` accepts: lambda(U^k) has 2k
+# terms, and a composite such as (lambda (x) id) . lambda has about k^2.
+MAX_INPUT_U_POWER = 1000
+
+
 def normalize_sphere_name(raw):
+    """Canonical spelling of a sphere basis name read from input (``U^1``
+    is ``U``), or None when ``raw`` is no sphere name.  A U-power above
+    MAX_INPUT_U_POWER is an EngineError."""
+    m = _SPHERE_NAME.match(raw)
+    digits = m.group(2).lstrip("0") if m and m.group(2) else ""
+    # lengths first: int() refuses strings of more than a few thousand digits
+    if (len(digits) > len(str(MAX_INPUT_U_POWER))
+            or int(digits or "0") > MAX_INPUT_U_POWER):
+        raise EngineError("U-power in %r exceeds the input bound %d"
+                          % (raw, MAX_INPUT_U_POWER))
     key = sphere_key(raw)
     return None if key is None else sphere_name(*key)
 

@@ -210,3 +210,46 @@ def test_field_by_name_roundtrip():
     assert g.field_by_name("Fp:7").p == 7
     with pytest.raises(g.EngineError):
         g.field_by_name("R")
+
+
+def test_integral_rationals_are_ints():
+    from fractions import Fraction
+    QQ = g.QQ
+    half = Fraction(1, 2)
+    assert type(QQ.add(half, half)) is int and QQ.add(half, half) == 1
+    assert type(QQ.coerce("4/2")) is int and QQ.coerce("4/2") == 2
+    assert type(QQ.coerce(Fraction(6, 3))) is int
+    assert type(QQ.mul(Fraction(2, 3), 3)) is int
+    assert type(QQ.inv(half)) is int and QQ.inv(half) == 2
+    assert QQ.one == 1 and type(QQ.one) is int
+    # non-integral values stay exact Fractions and print as before
+    assert QQ.add(half, 1) == Fraction(3, 2)
+    assert QQ.fmt(QQ.coerce("-6/4")) == "-3/2"
+    assert QQ.fmt(QQ.coerce("4/2")) == str(Fraction(2)) == "2"
+
+
+def test_eval_with_fractional_coefficients_prints_as_before(capsys):
+    from gradedbv.cli import main
+    assert main(["eval", "sphere:3", "--expr", "1/2*lambda",
+                 "--input", "2*AU^3 + 1/3*U^2"]) == 0
+    assert capsys.readouterr().out == (
+        "-1/6*1(x)AU + A(x)AU^2 + 1/6*A(x)U + 1/6*AU(x)1 + AU(x)AU"
+        " + AU^2(x)A - 1/6*U(x)A\n")
+    assert main(["eval", "sphere:3", "--expr", "1/2*Delta (x) Delta",
+                 "--input", "AU^2 (x) AU - 2/3*AU^3 (x) AU^2"]) == 0
+    assert capsys.readouterr().out == "-U(x)1 + 2*U^2(x)U\n"
+
+
+@pytest.mark.parametrize("bad", ["U^1", "AU^0", "U^01", "B"])
+def test_sphere_degree_rejects_misspelled_names(bad):
+    from gradedbv.core import UnknownBasisName
+    sp = g.sphere_model(3).space
+    for _ in range(2):
+        with pytest.raises(UnknownBasisName):
+            sp.degree(bad)
+        assert not sp.contains(bad)
+    assert sp.degree("U") == 2 and sp.degree("AU") == -1
+    for _ in range(2):
+        with pytest.raises(UnknownBasisName):
+            sp.degree(bad)
+        assert not sp.contains(bad)

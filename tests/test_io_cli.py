@@ -307,6 +307,35 @@ def test_user_supplied_gysin_data_rejected_when_inconsistent(tmp_path):
     assert main(["gysin", str(path)]) == 2
 
 
+def test_huge_input_u_power_is_a_usage_error(capsys, monkeypatch):
+    # rejected while the input is read: no map is ever applied to a key
+    from gradedbv.core import GradedMap
+
+    def no_rule(self, key):
+        raise AssertionError("a rule ran on %r" % (key,))
+
+    monkeypatch.setattr(GradedMap, "on_key", no_rule)
+    assert main(["eval", "sphere:3", "--expr", "lambda",
+                 "--input", "U^99999999999999999999"]) == 64
+    err = capsys.readouterr().err
+    assert "exceeds the input bound %d" % g.models.MAX_INPUT_U_POWER in err
+    assert "Traceback" not in err
+
+
+def test_input_u_power_at_the_bound_is_evaluated(capsys):
+    bound = g.models.MAX_INPUT_U_POWER
+    assert main(["eval", "sphere:3", "--expr", "Delta",
+                 "--input", "AU^%d" % bound]) == 0
+    assert capsys.readouterr().out.strip() == "%d*U^%d" % (bound, bound - 1)
+    assert main(["eval", "sphere:3", "--expr", "Delta",
+                 "--input", "AU^%d" % (bound + 1)]) == 64
+    capsys.readouterr()
+    # leading zeros neither count against the bound nor overflow int()
+    assert main(["eval", "sphere:3", "--expr", "Delta",
+                 "--input", "AU^" + "0" * 5000 + "1"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
 def test_bad_model_parameter_is_a_usage_error(capsys):
     assert main(["check", "sphere:4"]) == 64
     assert "odd n" in capsys.readouterr().err

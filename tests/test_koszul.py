@@ -142,3 +142,95 @@ def test_expression_tensor_agrees_with_tensor_maps():
         for key in itertools.product(names, repeat=arity):
             x = basis_element((sp,) * arity, sphere.field, key)
             assert g.evaluate(expr, ctx, x) == tensored.on_key(key), (text, key)
+
+
+def _block_sign(blocks, factor_degrees, space):
+    """(-1)^{sum_j |f_j| (|x_1| + ... + |x_{j-1}|)}, computed directly."""
+    exponent = 0
+    seen = 0
+    for block, degree in zip(blocks, factor_degrees):
+        exponent += degree * seen
+        seen += sum(space.degree(name) for name in block)
+    return -1 if exponent % 2 else 1
+
+
+def test_tensor_kernel_with_identity_blocks_between_and_after():
+    from gradedbv.checks import Window
+    from gradedbv.expr import compile_expr
+    sphere = g.sphere_model(3)
+    ctx, sp, field = sphere.context(), sphere.space, sphere.field
+    one = g.identity(sp, field)
+    maps = {"Delta": sphere.delta, "lambda": sphere.lam, "id": one}
+    negative = 0
+    for text in ("Delta (x) id (x) Delta", "lambda (x) id (x) Delta",
+                 "Delta (x) id (x) Delta (x) id",
+                 "lambda (x) id (x) lambda (x) id"):
+        factors = [maps[name] for name in text.split(" (x) ")]
+        assert sum(f.degree % 2 for f in factors) >= 2
+        arity = len(factors)
+        names = Window(3 if arity == 3 else 2).names_for(sp, arity)
+        plan = compile_expr(g.parse(text), ctx, (sp,) * arity)
+        tensored = g.tensor_maps(*factors)
+        for key in itertools.product(names, repeat=arity):
+            blocks = [(name,) for name in key]
+            sign = _block_sign(blocks, [f.degree for f in factors], sp)
+            expected = g.scalar_element(field)
+            for f, block in zip(factors, blocks):
+                expected = expected.tensor(f.on_key(block))
+            expected = expected.scale(sign)
+            x = basis_element((sp,) * arity, field, key)
+            assert plan.apply(x) == expected, (text, key)
+            assert tensored.on_key(key) == expected, (text, key)
+            negative += sign == -1 and not expected.is_zero()
+    assert negative > 0     # the sign is live on these windows
+    # only identity blocks: the key passes through unchanged
+    x = basis_element((sp, sp), field, ("AU", "A"), 3)
+    assert compile_expr(g.parse("id (x) id"), ctx, (sp, sp)).apply(x) == x
+
+
+def test_vanishing_tensor_factor_adds_nothing():
+    from gradedbv.core import tensor_apply, tensor_factors
+    sphere = g.sphere_model(3)
+    sp, field = sphere.space, sphere.field
+    calls = []
+
+    def lam_on_key(block):
+        calls.append(block)
+        return sphere.lam.on_key(block)
+
+    kernel = tensor_factors([(1, 1, sphere.delta.on_key),
+                             (1, sphere.lam.degree, lam_on_key)], (sp, sp))
+    # Delta(U) = 0: the first item adds nothing, lambda never sees it
+    both = tensor_apply(kernel, [(("U", "AU^2"), 5), (("AU", "AU^2"), 1)],
+                        field)
+    assert calls == [("AU^2",)]
+    assert both == tensor_apply(kernel, [(("AU", "AU^2"), 1)], field)
+    assert both
+    assert tensor_apply(kernel, [(("AU^2", "1"), 1)], field) == {}  # lambda(1) = 0
+    ctx = sphere.context()
+    for text, key in (("Delta (x) lambda", ("U", "AU^2")),
+                      ("lambda (x) Delta", ("AU^2", "U")),
+                      ("Delta (x) lambda", ("AU^2", "1")),
+                      ("id (x) Delta", ("AU", "U")),
+                      ("Delta (x) id (x) Delta", ("AU", "U^2", "U"))):
+        x = basis_element((sp,) * len(key), field, key)
+        assert g.evaluate(g.parse(text), ctx, x).is_zero(), text
+
+
+def test_tensor_kernel_rejects_keys_of_the_wrong_length():
+    import pytest
+    from gradedbv.core import ArityMismatch, tensor_apply, tensor_factors
+    sphere = g.sphere_model(3)
+    sp, field = sphere.space, sphere.field
+    single = tensor_factors([(1, 0, None), (1, 1, sphere.delta.on_key)],
+                            (sp, sp))
+    double = tensor_factors([(1, 1, sphere.delta.on_key), (1, 0, None),
+                             (1, 1, sphere.delta.on_key)], (sp, sp, sp))
+    for kernel, arity in ((single, 2), (double, 3)):
+        for key in (("AU",) * (arity - 1), ("AU",) * (arity + 1)):
+            with pytest.raises(ArityMismatch):
+                tensor_apply(kernel, [(key, 1)], field)
+    with pytest.raises(ArityMismatch):
+        g.tensor_maps(sphere.delta, sphere.delta).on_key(("AU",))
+    with pytest.raises(ArityMismatch):
+        tensor_factors([(1, 1, sphere.delta.on_key)], (sp, sp))
