@@ -152,9 +152,7 @@ def relation_residual(spec, ctx, space, window, instance_name="?",
                            described, 0, "skipped", (), skip_reason)
     names = window.names_for(space, spec.arity)
     spaces = (space,) * spec.arity
-    if spec.arity == 0:
-        tuples = [()]
-    elif not names:
+    if spec.arity and not names:
         if space.is_finite() and not space.basis_names():
             # the zero space: nothing exists to check, the relation holds
             return CheckReport(spec.rid, spec.description, instance_name,
@@ -162,12 +160,10 @@ def relation_residual(spec, ctx, space, window, instance_name="?",
         return CheckReport(spec.rid, spec.description, instance_name,
                            described, 0, "skipped", (),
                            "window enumeration is empty")
-    else:
-        tuples = list(itertools.product(names, repeat=spec.arity))
 
     groups = compile_relation(spec, ctx, spaces)
     witnesses = []
-    for key in tuples:
+    for key in itertools.product(names, repeat=spec.arity):
         hit = residual_on_key(groups, ctx, spaces, key)
         if hit is not None:
             witnesses.append((key, hit[0], hit[1]))
@@ -176,5 +172,5 @@ def relation_residual(spec, ctx, space, window, instance_name="?",
 
     status = "pass" if not witnesses else "fail"
     return CheckReport(spec.rid, spec.description, instance_name, described,
-                       len(tuples), status, tuple(witnesses))
+                       len(names) ** spec.arity, status, tuple(witnesses))
 

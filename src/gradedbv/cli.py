@@ -15,8 +15,9 @@ from .core import EngineError, field_by_name
 from .double import DoubleError, build_double
 from .expr import ParseError, evaluate, parse, parse_element, source_arity
 from .gysin import GysinError, canonical_gysin, check_lie_bialgebra
-from .models import (BUILTIN_MODEL_NAMES, MUTATIONS, SphereSpace,
-                     builtin_model, mutate, normalize_sphere_name)
+from .models import (BUILTIN_MODEL_NAMES, MAX_INPUT_U_POWER, MUTATIONS,
+                     SphereSpace, builtin_model, mutate,
+                     normalize_sphere_name)
 from .reportio import (InstanceFileError, load_gysin, load_instance,
                        render_document, report_document, save_instance,
                        write_report)
@@ -51,9 +52,16 @@ def _resolve(target, field):
 
 
 def _window_index(text):
-    value = int(text) if text.isdecimal() else -1
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected an integer >= 0, got %r" % text)
+    """A window index in 0..MAX_INPUT_U_POWER: a sphere window of index k
+    enumerates 2k + 2 names per slot, so larger ones exhaust memory."""
+    digits = text.lstrip("0") or "0"
+    # lengths first: int() refuses strings of more than a few thousand digits
+    value = -1
+    if text.isdecimal() and len(digits) <= len(str(MAX_INPUT_U_POWER)):
+        value = int(digits)
+    if not 0 <= value <= MAX_INPUT_U_POWER:
+        raise argparse.ArgumentTypeError(
+            "expected an integer from 0 to %d, got %r" % (MAX_INPUT_U_POWER, text))
     return value
 
 

@@ -12,7 +12,8 @@ GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
 they resolve against whatever tensor slots flow into them, so the same
 relation text works on the base space and on derived spaces.  An
 expression is typed once on concrete input slots by ``compile_expr``,
-which returns a Plan; ``evaluate`` and ``as_map`` compile, then apply.
+which returns a Plan shared by every use in the same context;
+``evaluate`` and ``as_map`` compile, then apply.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -279,26 +280,25 @@ def print_expr(node):
 # ---------------------------------------------------------------------------
 
 class OpContext:
-    """Named GradedMaps an expression can reference, over one field."""
+    """Named GradedMaps an expression can reference, over one field.
+
+    ``plans`` hash-conses compiled expressions: ``compile_expr`` keys it
+    on ``(node, in_spaces)``, so one node typed on the same slot spaces
+    (compared by identity) is one Plan for every term, group and
+    relation compiled in this context.  Names are only added to ``maps``
+    before expressions using them are compiled.
+    """
 
     def __init__(self, maps, field):
         self.maps = dict(maps)
         self.field = field
-        self._perm_cache = {}
+        self.plans = {}
 
     def lookup(self, name):
         try:
             return self.maps[name]
         except KeyError:
             raise EngineError("unknown generator %r" % name) from None
-
-    def perm(self, name, spaces):
-        key = (name, _spaces_key(spaces))
-        got = self._perm_cache.get(key)
-        if got is None:
-            got = permute(PERMS[name], spaces, self.field)
-            self._perm_cache[key] = got
-        return got
 
 
 def _shape(node, ctx):
@@ -355,10 +355,13 @@ class Plan(NamedTuple):
     """An expression typed on concrete input slots.
 
     ``apply`` maps elements of the ``source`` slots to elements of the
-    ``target`` slots.  A plan keeps no per-key results; only the
-    generators' GradedMaps memoize.  A generator's plan carries the
-    generator's own ``source`` and ``target`` tuples, so elements flowing
-    between stages usually pass the space checks by identity.
+    ``target`` slots.  Only GradedMaps keep per-key results: the
+    generators' own maps, and the map a Sum compiles to, so a shared
+    subexpression such as the derived bracket is summed once per basis
+    key in a context.  No other composite plan caches its outputs.  A
+    generator's plan carries the generator's own ``source`` and
+    ``target`` tuples, so elements flowing between stages usually pass
+    the space checks by identity.
     """
 
     source: tuple
@@ -371,10 +374,19 @@ def compile_expr(node, ctx, in_spaces):
     """Type the expression once on the given input slots.
 
     ``in_spaces`` may be None when the expression determines its own
-    source (leftmost composition/tensor of concrete generators).
+    source (leftmost composition/tensor of concrete generators).  Plans
+    are looked up in ``ctx.plans`` first; a failed compile is not stored.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
+    key = (node, in_spaces)
+    plan = ctx.plans.get(key)
+    if plan is None:
+        plan = ctx.plans[key] = _compile(node, ctx, in_spaces)
+    return plan
+
+
+def _compile(node, ctx, in_spaces):
     if isinstance(node, Gen):
         return _compile_gen(node.name, ctx, in_spaces)
     if isinstance(node, Dual):
@@ -404,6 +416,9 @@ def compile_expr(node, ctx, in_spaces):
 
 
 def _compile_sum(node, ctx, in_spaces):
+    """A Sum compiles to a GradedMap: its summands are added once per
+    source basis key, and the output is checked and memoized like a
+    generator's (a failing output is not cached)."""
     field = ctx.field
     scalars, plans = [], []
     for term in node.terms:
@@ -419,15 +434,19 @@ def _compile_sum(node, ctx, in_spaces):
         raise ArityMismatch("summands have different targets %s" % targets)
     _check_degrees(p.degree for p in plans)
     terms = tuple(zip(scalars, (p.apply for p in plans)))
-    target = plans[0].target
+    source, target, degree = plans[0].source, plans[0].target, plans[0].degree
+    one = field.one
 
-    def apply(elem):
+    def rule(key):
+        x = _trusted_element(source, field, {key: one})
         acc = {}
         for scalar, term in terms:
-            accumulate(acc, term(elem).coeffs.items(), scalar, field)
+            accumulate(acc, term(x).coeffs.items(), scalar, field)
         return _trusted_element(target, field, acc)
 
-    return plans[0]._replace(apply=apply)
+    gmap = GradedMap(source, target, degree, field, name=print_expr(node),
+                     rule=rule)
+    return Plan(source, target, degree, gmap)
 
 
 def _compile_gen(name, ctx, in_spaces):
@@ -438,7 +457,7 @@ def _compile_gen(name, ctx, in_spaces):
             if len(in_spaces) != 1:
                 raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
             return Plan(in_spaces, in_spaces, 0, _identity)
-        perm = ctx.perm(name, in_spaces)
+        perm = permute(PERMS[name], in_spaces, ctx.field)
         return Plan(perm.source, perm.target, 0, perm)
     return _map_plan(ctx.lookup(name), in_spaces)
 

@@ -135,7 +135,10 @@ def _load_element(doc, section, space, field, problems, want_degree=None):
 
 def instance_from_dict(doc, field=None):
     problems = []
-    name = doc.get("name") or "unnamed"
+    name = doc.get("name")
+    if name is not None and not isinstance(name, str):
+        problems.append("name must be a string, got %r" % (name,))
+    name = name if isinstance(name, str) and name else "unnamed"
     try:
         field = field or field_by_name(str(doc.get("field", "Q")))
     except EngineError as exc:

@@ -238,6 +238,9 @@ def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     ({"basis": [1]}, "basis[0]"),
     ({"mu": [5]}, "mu[0]"),
     ({"gysin": {"basis": 3}}, "gysin.basis"),
+    ({"name": [1]}, "name must be a string"),
+    ({"name": 5}, "name must be a string"),
+    ({"name": True}, "name must be a string"),
 ])
 def test_malformed_instance_files_are_invalid(tmp_path, capsys, overrides,
                                               expected):
@@ -246,6 +249,23 @@ def test_malformed_instance_files_are_invalid(tmp_path, capsys, overrides,
     err = capsys.readouterr().err
     assert "invalid: %s" % expected in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "double"])
+def test_non_string_instance_name_is_invalid(tmp_path, capsys, command):
+    path = _write(tmp_path, _minimal_doc(name=[1]))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: name must be a string, got [1]" in err
+    assert "Traceback" not in err
+
+
+def test_missing_or_empty_instance_name_is_unnamed(tmp_path):
+    doc = _minimal_doc()
+    del doc["name"]
+    assert load_instance(_write(tmp_path, doc)).name == "unnamed"
+    assert load_instance(_write(tmp_path, _minimal_doc(name=""))).name == "unnamed"
+    assert load_instance(_write(tmp_path, _minimal_doc(name=None))).name == "unnamed"
 
 
 @pytest.mark.parametrize("flag", ["--window", "--window3"])

@@ -1,6 +1,7 @@
 """Relation catalog, suite checkers, derived bracket and cobracket."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,10 +9,10 @@ import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
 from gradedbv.core import FiniteSpace, GradedMap, basis_element
-from gradedbv.expr import compile_expr, parse
+from gradedbv.expr import Gen, Sum, compile_expr, parse, print_expr
 from gradedbv.models import normalize_sphere_name
 from gradedbv.reportio import report_document
-from gradedbv.structures import (BVUIInstance, builtin_relation,
+from gradedbv.structures import (BETA, GAMMA, BVUIInstance, builtin_relation,
                                  check_consequences, is_applicable)
 
 
@@ -306,3 +307,133 @@ def test_relation_terms_are_compiled_once(sphere, monkeypatch, k):
                                    Window(k))
         assert report.tuples_checked == (2 * k + 2) ** spec.arity
         assert calls == [e for group in spec.groups for _, e in group]
+
+
+# -- compiled plans shared per context ------------------------------------
+
+@pytest.mark.parametrize("text,arity,rids", [
+    (BETA, 2, ("Jacobi", "Poisson", "MixedLemma")),
+    (GAMMA, 1, ("CoJacobi", "CoPoisson", "MixedLemma")),
+])
+def test_bracket_is_one_memoized_map_per_context(text, arity, rids):
+    inst = g.sphere_model(3)
+    ctx, sp = inst.context(), inst.space
+    node = parse(text)
+    shared = compile_expr(node, ctx, (sp,) * arity).apply
+    assert isinstance(shared, GradedMap)
+    assert shared.name == print_expr(node)
+
+    rule, computed, used = shared._rule, Counter(), Counter()
+    on_key = shared.on_key
+
+    def counting_rule(key):
+        computed[key] += 1
+        return rule(key)
+
+    def counting_on_key(key):
+        used[rid] += 1
+        return on_key(key)
+
+    shared._rule, shared.on_key = counting_rule, counting_on_key
+    for rid in rids:
+        spec = builtin_relation(rid)
+        checks.compile_relation(spec, ctx, (sp,) * spec.arity)
+        assert compile_expr(node, ctx, (sp,) * arity).apply is shared
+        report = relation_residual(spec, ctx, sp, Window(2))
+        assert report.status == "pass", rid
+        assert used[rid] > 0, rid
+    assert computed and set(computed.values()) == {1}
+    # every key computed is cached once and only once
+    assert set(shared._cache) == set(computed)
+
+
+def test_plans_are_keyed_on_space_identity():
+    field = g.QQ
+    a = FiniteSpace("V", {"x": 1, "y": 0})
+    b = FiniteSpace("V", {"x": 1, "y": 0})
+    ctx = g.OpContext({}, field)
+    for text in ("tau", "id (x) id - tau"):
+        node = parse(text)
+        on_a = compile_expr(node, ctx, (a, a))
+        assert compile_expr(node, ctx, [a, a]) is on_a
+        on_b = compile_expr(node, ctx, (b, b))
+        assert on_b is not on_a
+        assert on_b.apply is not on_a.apply
+        assert on_b.source == (b, b) and on_a.source == (a, a)
+        x = basis_element((a, a), field, ("x", "x"))
+        assert on_a.apply(x).coeffs == {("x", "x"): -1 if text == "tau" else 2}
+
+
+def test_failing_summand_raises_on_every_application():
+    field = g.QQ
+    space = FiniteSpace("V", {"x": 0, "y": 0})
+    calls = []
+
+    def rule(key):
+        calls.append(key)
+        if key == ("y",):
+            raise g.core.EngineError("no value on y")
+        return basis_element((space,), field, key)
+
+    f = GradedMap((space,), (space,), 0, field, name="f", rule=rule)
+    ctx = g.OpContext({"f": f}, field)
+    plan = compile_expr(parse("f - 2*id"), ctx, (space,))
+    assert isinstance(plan.apply, GradedMap)
+    x = basis_element((space,), field, ("x",))
+    y = basis_element((space,), field, ("y",))
+    assert plan.apply(x).coeffs == {("x",): -1}
+    for _ in range(3):
+        with pytest.raises(g.core.EngineError, match="no value on y"):
+            plan.apply(y)
+        with pytest.raises(g.core.EngineError, match="no value on y"):
+            plan.apply(x + y)
+    assert calls.count(("y",)) == 6 and calls.count(("x",)) == 1
+    assert set(plan.apply._cache) == {("x",)}
+
+
+def test_only_generators_and_sums_memoize_after_a_full_check(monkeypatch):
+    from gradedbv import cli
+    builtin_model, built = cli.builtin_model, []
+
+    def capture(name, field):
+        built.append(builtin_model(name, field))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "builtin_model", capture)
+    assert cli.main(["check", "sphere:3", "--suite", "all",
+                     "--window", "2"]) == 0
+    plans = built[0].context().plans
+    memoized = [node for (node, _), plan in plans.items()
+                if isinstance(plan.apply, GradedMap)]
+    assert any(isinstance(node, Sum) for node in memoized)
+    assert all(isinstance(node, (Gen, Sum)) for node in memoized), \
+        sorted({print_expr(n) for n in memoized
+                if not isinstance(n, (Gen, Sum))})
+    assert all(isinstance(plan.apply, GradedMap)
+               for (node, _), plan in plans.items() if isinstance(node, Sum))
+
+
+def test_tuples_checked_counts_the_whole_window_after_early_stop(sphere):
+    spec = checks.make_relation("AlwaysFails", 3, "twice the identity",
+                                [[(2, "id (x) id (x) id")]])
+    report = relation_residual(spec, sphere.context(), sphere.space, Window(2))
+    assert report.status == "fail"
+    assert len(report.witnesses) == checks.MAX_WITNESSES
+    assert report.tuples_checked == 6 ** 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--window", "1001"],
+    ["--window3", "99999999999"],
+])
+def test_huge_window_is_a_usage_error(monkeypatch, capsys, argv):
+    from gradedbv import cli, structures
+
+    def no_relation(*args, **kwargs):
+        raise AssertionError("a relation ran")
+
+    monkeypatch.setattr(structures, "relation_residual", no_relation)
+    with pytest.raises(SystemExit) as err:
+        cli.main(["check", "sphere:3", "--suite", "bvui"] + argv)
+    assert err.value.code == 64
+    assert "from 0 to %d" % g.models.MAX_INPUT_U_POWER in capsys.readouterr().err
