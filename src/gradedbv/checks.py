@@ -16,8 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import (ArityMismatch, accumulate, basis_element, scalar_element,
-                   _spaces_key, _trusted_element)
+from .core import ArityMismatch, accumulate, _spaces_key, _trusted_element
 from .expr import compile_expr, parse
 
 MAX_WITNESSES = 10
@@ -132,12 +131,14 @@ def residual_on_key(spec, ctx, spaces, key):
     groups = spec
     if isinstance(spec, RelationSpec):
         groups = compile_relation(spec, ctx, spaces)
+    if len(key) != len(spaces):
+        raise ArityMismatch("key %r does not match arity %d" % (key, len(spaces)))
     field = ctx.field
-    x = basis_element(spaces, field, key) if spaces else scalar_element(field)
+    x = {tuple(key): field.one}
     for gi, group in enumerate(groups):
         acc = {}
         for coeff, plan in group:
-            accumulate(acc, plan.apply(x).coeffs.items(), coeff, field)
+            accumulate(acc, plan.run(x).items(), coeff, field)
         if acc:
             return gi, _trusted_element(group[0][1].target, field, acc)
     return None

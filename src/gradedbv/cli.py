@@ -18,7 +18,7 @@ from .gysin import GysinError, canonical_gysin, check_lie_bialgebra
 from .models import (BUILTIN_MODEL_NAMES, MAX_INPUT_U_POWER, MUTATIONS,
                      SphereSpace, builtin_model, mutate,
                      normalize_sphere_name)
-from .reportio import (InstanceFileError, load_gysin, load_instance,
+from .reportio import (InstanceFileError, gysin_from_section, load_instance,
                        render_document, report_document, save_instance,
                        write_report)
 from .structures import (BVUI_FULL, CONSEQUENCES, FROBENIUS_FULL,
@@ -148,10 +148,7 @@ def cmd_gysin(args):
     instance = _resolve(args.target, field)
     window = _window(args)
     try:
-        try:
-            data = load_gysin(args.target, instance)
-        except (OSError, ValueError):
-            data = None
+        data = gysin_from_section(instance.gysin_section, instance)
         if data is None:
             data = canonical_gysin(instance, window)
         else:

@@ -268,7 +268,11 @@ class Element:
     so results may share a coefficient dict with a cached map output.
     The engine's own arithmetic fills one dict with ``accumulate`` and
     wraps it with ``_trusted_element``, without the per-key checks made
-    here.
+    here.  Inside a relation check no Element is built per stage:
+    compiled plans pass bare coefficient dicts (``GradedMap.run``,
+    ``expr.Plan.run``), and Elements appear only as map outputs cached
+    by ``on_key``, at ``GradedMap.__call__``/``Plan.apply``, and for
+    witnesses.
     """
 
     __slots__ = ("spaces", "field", "coeffs")
@@ -481,6 +485,12 @@ class GradedMap:
     lie in the ``target`` spaces and to have degree
     ``source_degree(key) + degree``.  A failing output is not cached, so
     every later application raises again.
+
+    ``run`` applies the map to a bare coefficient dict; it is how
+    compiled expression plans call the map, and its result may be a
+    cached output's own dict, so callers only read it.  ``__call__``
+    is the Element boundary: it checks the element's spaces once and
+    wraps ``run``'s dict.
     """
 
     def __init__(self, source, target, degree, field, name="?",
@@ -540,20 +550,24 @@ class GradedMap:
         self._cache[key] = out
         return out
 
-    def __call__(self, elem):
-        if not _same_spaces(elem.spaces, self.source):
-            raise ArityMismatch(
-                "map %s defined on %s applied to element of %s"
-                % (self.name, _spaces_key(self.source), _spaces_key(elem.spaces)))
+    def run(self, coeffs):
+        """The map on a coefficient dict of source keys; returns the
+        coefficient dict of the image.  ``coeffs`` is not mutated.  A
+        single key with coefficient one returns its cached output's own
+        dict, which the caller only reads."""
         field, on_key = self.field, self.on_key
-        if len(elem.coeffs) == 1:
-            (key, value), = elem.coeffs.items()
+        if len(coeffs) == 1:
+            (key, value), = coeffs.items()
             if field.is_one(value):
-                return on_key(key)
+                return on_key(key).coeffs
         acc = {}
-        for key, value in elem.coeffs.items():
+        for key, value in coeffs.items():
             accumulate(acc, on_key(key).coeffs.items(), value, field)
-        return _trusted_element(self.target, field, acc)
+        return acc
+
+    def __call__(self, elem):
+        return run_on_element("map " + self.name, self.source, self.target,
+                              self.field, self.run, elem)
 
     # -- algebra of maps ----------------------------------------------------
 
@@ -596,6 +610,17 @@ class GradedMap:
     def __repr__(self):
         return "<map %s: %s -> %s deg %d>" % (
             self.name, _spaces_key(self.source), _spaces_key(self.target), self.degree)
+
+
+def run_on_element(name, source, target, field, run, elem):
+    """The Element boundary of a dict-level ``run``: ``elem`` must lie in
+    the ``source`` spaces, and ``run``'s dict is wrapped as an element of
+    ``target``."""
+    if not _same_spaces(elem.spaces, source):
+        raise ArityMismatch(
+            "%s defined on %s applied to element of %s"
+            % (name, _spaces_key(source), _spaces_key(elem.spaces)))
+    return _trusted_element(target, field, run(elem.coeffs))
 
 
 def source_basis_keys(spaces):

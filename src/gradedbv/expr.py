@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   accumulate, basis_element, permute, scalar_element,
-                   tensor_apply, tensor_factors, zero_element, _spaces_key,
-                   _trusted_element)
+                   accumulate, basis_element, permute, run_on_element,
+                   scalar_element, tensor_apply, tensor_factors, zero_element,
+                   _spaces_key, _trusted_element)
 
 
 class ParseError(EngineError):
@@ -354,20 +354,27 @@ def infer_degree(node, ctx):
 class Plan(NamedTuple):
     """An expression typed on concrete input slots.
 
-    ``apply`` maps elements of the ``source`` slots to elements of the
-    ``target`` slots.  Only GradedMaps keep per-key results: the
-    generators' own maps, and the map a Sum compiles to, so a shared
-    subexpression such as the derived bracket is summed once per basis
-    key in a context.  No other composite plan caches its outputs.  A
-    generator's plan carries the generator's own ``source`` and
-    ``target`` tuples, so elements flowing between stages usually pass
-    the space checks by identity.
+    ``run`` maps a coefficient dict over the ``source`` slots to one over
+    the ``target`` slots; compiled plans call each other only through it,
+    so stages exchange bare dicts.  ``run`` never mutates its input, and
+    its result may be a cached map output's own dict, which callers only
+    read.  ``apply`` is the Element boundary: for generators and Sums it
+    is the GradedMap itself, for other composites one space check and one
+    wrap of ``run`` (``core.run_on_element``).  Elements are built only there,
+    for witnesses, and as the per-key outputs that maps cache (a composite
+    tensor factor's value on one block is wrapped too).
+
+    Only GradedMaps keep per-key results: the generators' own maps, and
+    the map a Sum compiles to, so a shared subexpression such as the
+    derived bracket is summed once per basis key in a context.  No other
+    composite plan caches its outputs.
     """
 
     source: tuple
     target: tuple
     degree: int
     apply: Callable
+    run: Callable
 
 
 def compile_expr(node, ctx, in_spaces):
@@ -391,25 +398,29 @@ def _compile(node, ctx, in_spaces):
         return _compile_gen(node.name, ctx, in_spaces)
     if isinstance(node, Dual):
         return _map_plan(_dual_of(node, ctx), in_spaces)
+    field = ctx.field
     if isinstance(node, Compose):
         plans = []
         for child in reversed(node.children):
             plans.append(compile_expr(child, ctx, in_spaces))
             in_spaces = plans[-1].target
-        stages = tuple(p.apply for p in plans)
+        stages = tuple(p.run for p in plans)
 
-        def apply(elem):
+        def run(coeffs):
             for stage in stages:
-                elem = stage(elem)
-            return elem
+                if not coeffs:
+                    break
+                coeffs = stage(coeffs)
+            return coeffs
 
-        return Plan(plans[0].source, in_spaces, sum(p.degree for p in plans), apply)
+        return _composite(plans[0].source, in_spaces,
+                          sum(p.degree for p in plans), field, run)
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces)
     if isinstance(node, Scal):
         child = compile_expr(node.child, ctx, in_spaces)
-        inner, coeff = child.apply, ctx.field.coerce(node.coeff)
-        return child._replace(apply=lambda elem: inner(elem).scale(coeff))
+        run = _linear_run(((field.coerce(node.coeff), child.run),), field)
+        return _composite(child.source, child.target, child.degree, field, run)
     if isinstance(node, Sum):
         return _compile_sum(node, ctx, in_spaces)
     raise EngineError("unknown node %r" % (node,))
@@ -433,20 +444,26 @@ def _compile_sum(node, ctx, in_spaces):
     if len(targets) != 1:
         raise ArityMismatch("summands have different targets %s" % targets)
     _check_degrees(p.degree for p in plans)
-    terms = tuple(zip(scalars, (p.apply for p in plans)))
+    run = _linear_run(tuple(zip(scalars, (p.run for p in plans))), field)
     source, target, degree = plans[0].source, plans[0].target, plans[0].degree
     one = field.one
 
     def rule(key):
-        x = _trusted_element(source, field, {key: one})
+        return _trusted_element(target, field, run({key: one}))
+
+    return _map_plan(GradedMap(source, target, degree, field,
+                               name=print_expr(node), rule=rule), None)
+
+
+def _linear_run(terms, field):
+    """The ``run`` of a linear combination: the sum of ``scalar *
+    run(coeffs)`` over the (scalar, run) pairs of ``terms``."""
+    def run(coeffs):
         acc = {}
         for scalar, term in terms:
-            accumulate(acc, term(x).coeffs.items(), scalar, field)
-        return _trusted_element(target, field, acc)
-
-    gmap = GradedMap(source, target, degree, field, name=print_expr(node),
-                     rule=rule)
-    return Plan(source, target, degree, gmap)
+            accumulate(acc, term(coeffs).items(), scalar, field)
+        return acc
+    return run
 
 
 def _compile_gen(name, ctx, in_spaces):
@@ -456,14 +473,13 @@ def _compile_gen(name, ctx, in_spaces):
         if name == "id":
             if len(in_spaces) != 1:
                 raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-            return Plan(in_spaces, in_spaces, 0, _identity)
-        perm = permute(PERMS[name], in_spaces, ctx.field)
-        return Plan(perm.source, perm.target, 0, perm)
+            return Plan(in_spaces, in_spaces, 0, _identity, _identity)
+        return _map_plan(permute(PERMS[name], in_spaces, ctx.field), None)
     return _map_plan(ctx.lookup(name), in_spaces)
 
 
-def _identity(elem):
-    return elem
+def _identity(value):
+    return value
 
 
 def _map_plan(gmap, in_spaces):
@@ -471,7 +487,14 @@ def _map_plan(gmap, in_spaces):
         raise ArityMismatch(
             "generator %s defined on %s fed with %s"
             % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
-    return Plan(gmap.source, gmap.target, gmap.degree, gmap)
+    return Plan(gmap.source, gmap.target, gmap.degree, gmap, gmap.run)
+
+
+def _composite(source, target, degree, field, run):
+    """A plan that is not a GradedMap; its ``apply`` checks the element's
+    spaces once and wraps ``run``'s dict (``core.run_on_element``)."""
+    return Plan(source, target, degree, lambda elem: run_on_element(
+        "expression", source, target, field, run, elem), run)
 
 
 def _compile_tensor(node, ctx, in_spaces):
@@ -491,12 +514,8 @@ def _compile_tensor(node, ctx, in_spaces):
     target = tuple(t for p in plans for t in p.target)
     kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
                              for p in plans], source)
-
-    def apply(elem):
-        return _trusted_element(
-            target, field, tensor_apply(kernel, elem.coeffs.items(), field))
-
-    return Plan(source, target, sum(p.degree for p in plans), apply)
+    return _composite(source, target, sum(p.degree for p in plans), field,
+                      lambda coeffs: tensor_apply(kernel, coeffs.items(), field))
 
 
 def _factor_on_key(plan, field):
@@ -510,10 +529,11 @@ def _factor_on_key(plan, field):
 
 
 def _on_key(plan, field):
-    """The plan as a function of one source basis key; the key's arity is
-    checked when it becomes a basis element."""
-    source, apply = plan.source, plan.apply
-    return lambda key: apply(basis_element(source, field, key))
+    """The plan as a function of one source basis key.  Its callers have
+    checked the key's arity: the tensor kernel for a factor's block, and
+    ``GradedMap.on_key`` for ``as_map``."""
+    target, run, one = plan.target, plan.run, field.one
+    return lambda key: _trusted_element(target, field, run({key: one}))
 
 
 def resolve_spaces(node, ctx, in_spaces):
@@ -539,9 +559,13 @@ def as_map(node, ctx, in_spaces, name=None):
     """Materialize an expression as a GradedMap.
 
     ``in_spaces`` may be None when the expression determines its own
-    source (leftmost composition/tensor of concrete generators).
+    source (leftmost composition/tensor of concrete generators).  A
+    generator or a Sum is returned as the plan's own map, and ``name``
+    is then ignored; any other expression gets a new map.
     """
     plan = compile_expr(node, ctx, in_spaces)
+    if isinstance(plan.apply, GradedMap):
+        return plan.apply
     return GradedMap(plan.source, plan.target, plan.degree, ctx.field,
                      name=name or print_expr(node), rule=_on_key(plan, ctx.field))
 

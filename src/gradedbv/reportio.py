@@ -212,14 +212,20 @@ def load_instance(path, field=None):
              % (path, exc.lineno, exc.colno, exc.msg)]) from None
     if not isinstance(doc, dict):
         raise InstanceFileError(["%s: top level must be an object" % path])
-    return instance_from_dict(doc, field)
+    instance = instance_from_dict(doc, field)
+    instance.gysin_section = doc.get("gysin")
+    return instance
 
 
 def load_gysin(path, instance):
     """The optional gysin section of an instance file, validated."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    section = doc.get("gysin")
+        return gysin_from_section(json.load(handle).get("gysin"), instance)
+
+
+def gysin_from_section(section, instance):
+    """GysinData from the raw ``gysin`` section of an instance document,
+    or None when there is none."""
     if section is None:
         return None
     if not isinstance(section, dict):

@@ -63,6 +63,8 @@ class BVUIInstance:
         self._ctx = None
 
     has_counit = False
+    # the raw "gysin" section of the instance file this was loaded from
+    gysin_section = None
 
     def eta_map(self):
         return GradedMap((), (self.space,), 0, self.field, name="eta",
@@ -373,12 +375,14 @@ def check_consequences(instance, window=Window()):
 
 
 def derived_bracket(instance):
-    """[Delta, mu] with the operator extended as Delta(x)1 + 1(x)Delta."""
+    """[Delta, mu] with the operator extended as Delta(x)1 + 1(x)Delta:
+    the context's memoized map of the BETA Sum, shared with every
+    relation that uses it."""
     return as_map(parse(BETA), instance.context(),
-                  (instance.space, instance.space), name="beta")
+                  (instance.space, instance.space))
 
 
 def derived_cobracket(instance):
-    """[Delta, lambda]; degree |lambda| + 1."""
-    return as_map(parse(GAMMA), instance.context(),
-                  (instance.space,), name="gamma")
+    """[Delta, lambda]; degree |lambda| + 1.  The context's memoized map
+    of the GAMMA Sum."""
+    return as_map(parse(GAMMA), instance.context(), (instance.space,))

@@ -327,6 +327,26 @@ def test_user_supplied_gysin_data_rejected_when_inconsistent(tmp_path):
     assert main(["gysin", str(path)]) == 2
 
 
+def test_builtin_gysin_ignores_a_file_of_the_same_name(tmp_path, monkeypatch,
+                                                       capsys):
+    doc = _gysin_doc()
+    doc["gysin"]["M"] = [{"inputs": ["c"],
+                          "output": [{"name": "w", "coeff": 2}]}]
+    runs = []
+    for name in ("plain", "shadowed"):
+        cwd = tmp_path / name
+        cwd.mkdir()
+        if name == "shadowed":
+            _write(cwd, doc, "three-dim")
+        monkeypatch.chdir(cwd)
+        code = main(["gysin", "three-dim", "--window", "2", "--out", "r.json"])
+        report = cwd / "r.json"
+        runs.append((code, report.exists() and report.read_bytes(),
+                     capsys.readouterr()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
 def test_huge_input_u_power_is_a_usage_error(capsys, monkeypatch):
     # rejected while the input is read: no map is ever applied to a key
     from gradedbv.core import GradedMap

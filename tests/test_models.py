@@ -180,9 +180,11 @@ def test_exterior_eleven_term_vanishes_termwise():
 
 
 def test_all_finite_examples_pass_before_exposure():
-    for inst in g.finite_bvui_examples():
-        reports = g.check_structure(inst, g.BVUI_FULL, Window())
-        assert all(r.status == "pass" for r in reports), inst.name
+    for field in (g.QQ, g.field_by_name("Fp:101")):
+        for inst in g.finite_bvui_examples(field):
+            reports = g.check_structure(inst, g.BVUI_FULL, Window())
+            assert [r.status for r in reports] == ["pass"] * len(g.BVUI_FULL), \
+                (field, inst.name)
 
 
 # -- mutations ---------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
-from gradedbv.core import FiniteSpace, GradedMap, basis_element
+from gradedbv.core import ArityMismatch, FiniteSpace, GradedMap, basis_element
 from gradedbv.expr import Gen, Sum, compile_expr, parse, print_expr
 from gradedbv.models import normalize_sphere_name
 from gradedbv.reportio import report_document
@@ -437,3 +437,109 @@ def test_huge_window_is_a_usage_error(monkeypatch, capsys, argv):
         cli.main(["check", "sphere:3", "--suite", "bvui"] + argv)
     assert err.value.code == 64
     assert "from 0 to %d" % g.models.MAX_INPUT_U_POWER in capsys.readouterr().err
+
+
+# -- plans exchange coefficient dicts ----------------------------------------
+
+@pytest.mark.parametrize("text,arity,derived", [
+    (BETA, 2, g.derived_bracket),
+    (GAMMA, 1, g.derived_cobracket),
+])
+def test_derived_maps_are_the_contexts_sum_map(text, arity, derived):
+    inst = g.sphere_model(3)
+    sp = inst.space
+    gmap = derived(inst)
+    assert gmap is compile_expr(parse(text), inst.context(), (sp,) * arity).apply
+    keys = [("U", "AU^2", "AU", "U")[i:i + arity] for i in range(3)]
+    for key in keys:
+        gmap.on_key(key)
+    assert set(gmap._cache) == set(keys)
+
+
+def _fresh_output(gmap, key, tables):
+    if gmap._table is not None:
+        return tables[id(gmap)].get(key, {})
+    return gmap._rule(key).coeffs
+
+
+def test_shared_output_dicts_stay_intact(monkeypatch):
+    # run may hand out a cached output's own dict: no caller may mutate it
+    from gradedbv import cli
+    builtin_model, build_double = cli.builtin_model, cli.build_double
+    built = []
+
+    def capture(inst):
+        tables = {id(m): {k: dict(v.coeffs) for k, v in m._table.items()}
+                  for m in inst.generator_maps().values()
+                  if m._table is not None}
+        built.append((inst, tables, dict(inst.eta.coeffs)))
+        return inst
+
+    monkeypatch.setattr(cli, "builtin_model",
+                        lambda *args: capture(builtin_model(*args)))
+    monkeypatch.setattr(cli, "build_double",
+                        lambda inst: capture(build_double(inst)))
+    for field in ("Q", "Fp:101"):
+        assert cli.main(["check", "sphere:3", "--suite", "all",
+                         "--window", "2", "--field", field]) == 0
+    assert cli.main(["double", "three-dim"]) == 0
+    assert [inst.name for inst, _, _ in built] == [
+        "sphere:3", "sphere:3", "three-dim", "D(three-dim)"]
+    checked = Counter()
+    for inst, tables, eta in built:
+        ctx = inst.context()
+        maps = {id(m): m for m in ctx.maps.values()}
+        maps.update((id(p.apply), p.apply) for p in ctx.plans.values()
+                    if isinstance(p.apply, GradedMap))
+        for gmap in maps.values():
+            for key, out in gmap._cache.items():
+                assert out.coeffs == _fresh_output(gmap, key, tables), \
+                    (inst.name, gmap.name, key)
+                checked[inst.name, gmap._table is not None] += 1
+        assert inst.eta.coeffs == eta
+    sums = [p.apply for p in built[0][0].context().plans.values()
+            if isinstance(p.apply, GradedMap) and p.apply.name in (
+                print_expr(parse(BETA)), print_expr(parse(GAMMA)))]
+    assert len(sums) == 2 and all(m._cache for m in sums)
+    assert checked["sphere:3", False] and checked["D(three-dim)", True]
+
+
+@pytest.mark.parametrize("text,arity", [
+    ("mu", 2), ("id", 1), ("tau", 2), ("2*mu", 2), ("-id", 1),
+    ("Delta (x) id", 2), ("mu . (Delta (x) id)", 2),
+    ("(lambda (x) id) . lambda", 1), (BETA, 2), (GAMMA, 1),
+])
+def test_plan_run_leaves_its_input_intact(sphere, text, arity):
+    plan = compile_expr(parse(text), sphere.context(), (sphere.space,) * arity)
+    names = ("U", "AU", "AU^2")
+    for coeffs in ({names[:arity]: 1}, {names[:arity]: 3, names[1:1 + arity]: -1}):
+        before = dict(coeffs)
+        out = plan.run(coeffs)
+        assert coeffs == before
+        x = g.Element(plan.source, sphere.field, coeffs)
+        assert out == plan.apply(x).coeffs
+        assert plan.run(coeffs) == out and coeffs == before
+
+
+def test_residual_on_key_checks_the_key_arity(sphere):
+    ctx, sp = sphere.context(), sphere.space
+    bare = checks.make_relation("BareId", 1, "id - id", [[(1, "id"), (-1, "id")]])
+    for spec in (builtin_relation("Unit"), bare):
+        assert residual_on_key(spec, ctx, (sp,), ("U",)) is None
+        for key in (("U", "U"), ()):
+            with pytest.raises(ArityMismatch):
+                residual_on_key(spec, ctx, (sp,), key)
+
+
+@pytest.mark.parametrize("text", [
+    "mu", "mu . (Delta (x) id)", "Delta (x) id", "2*mu", "-(id (x) id)"])
+def test_plans_check_the_spaces_of_their_input(sphere, text):
+    # a generator's plan applies the GradedMap itself; the others share
+    # one boundary.  Same-arity elements of other spaces reach no kernel
+    # or on_key check, so the boundary is what rejects them.
+    plan = compile_expr(parse(text), sphere.context(), (sphere.space,) * 2)
+    other = g.sphere_model(5)
+    for spaces in ((other.space,) * 2, (sphere.space,)):
+        x = g.Element(spaces, sphere.field, {("U", "AU")[:len(spaces)]: 1})
+        with pytest.raises(ArityMismatch):
+            plan.apply(x)
