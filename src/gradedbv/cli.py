@@ -2,7 +2,7 @@
 
 Commands: check, eval, double, gysin, mutate.  Exit codes: 0 success,
 2 validation failure, 3 relation failure, 4 an expected failure did not
-occur, 64 usage error.
+occur, 64 usage error or a run that checked no relation.
 """
 
 from __future__ import annotations
@@ -96,6 +96,11 @@ def _emit(doc, args):
 
 
 def _exit_for(reports):
+    """0 when every executed check passes, 3 on a failure, 64 when no
+    relation was checked at all (every report skipped)."""
+    if not any(r.status in ("pass", "fail") for r in reports):
+        print("error: no relation was checked", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_RELATION if any(r.status == "fail" for r in reports) else EXIT_OK
 
 

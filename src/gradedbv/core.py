@@ -623,6 +623,25 @@ def run_on_element(name, source, target, field, run, elem):
     return _trusted_element(target, field, run(elem.coeffs))
 
 
+def table_map(source, target, degree, field, entries, name="?"):
+    """A table GradedMap from (input key, output key, coefficient)
+    entries, the one way finite maps are built.
+
+    Coefficients are coerced into ``field``; repeated entries are summed
+    (see ``accumulate``), so zero coefficients, cancelled outputs and
+    rows that cancel entirely leave nothing in the table.  ``Element``
+    checks each output key's arity; degrees are checked by ``on_key``.
+    """
+    one = field.one
+    rows = {}
+    for key, okey, coeff in entries:
+        # the coefficient is the scalar: a zero one adds nothing
+        accumulate(rows.setdefault(tuple(key), {}), ((tuple(okey), one),),
+                   field.coerce(coeff), field)
+    table = {key: Element(target, field, row) for key, row in rows.items() if row}
+    return GradedMap(source, target, degree, field, name=name, table=table)
+
+
 def source_basis_keys(spaces):
     """All basis keys of a finite tensor product, in canonical order."""
     pools = []

@@ -19,8 +19,8 @@ every component along an independent evaluation/coevaluation route.
 from __future__ import annotations
 
 from .core import (Element, EngineError, FiniteSpace, GradedMap,
-                   basis_element, identity, permute, scalar_element,
-                   source_basis_keys, zero_element)
+                   basis_element, identity, permute, source_basis_keys,
+                   table_map)
 from .structures import FrobeniusInstance
 
 
@@ -63,25 +63,19 @@ def dual_map(f, name=None):
     src = tuple(dual_space(t) for t in reversed(f.target))
     tgt = tuple(dual_space(s) for s in reversed(f.source))
     sign_flip = f.degree % 2
-    table = {}
-    for key in source_basis_keys(f.source):
-        out = f.on_key(key)
-        if out.is_zero():
-            continue
-        image_key = rev_dual_key(key)
-        for okey, coeff in out.coeffs.items():
-            phi = rev_dual_key(okey)
-            # (-1)^{|f||phi|} with |phi| = -|f(key)|
-            value = coeff
-            if sign_flip and (sum(f.target[i].degree(n)
-                                  for i, n in enumerate(okey)) % 2):
-                value = field.neg(value)
-            row = table.setdefault(phi, {})
-            row[image_key] = field.add(row.get(image_key, field.coerce(0)), value)
-    elem_table = {k: Element(tgt, field, v) for k, v in table.items()}
-    elem_table = {k: v for k, v in elem_table.items() if not v.is_zero()}
-    return GradedMap(src, tgt, f.degree, field,
-                     name=name or "dual(%s)" % f.name, table=elem_table)
+
+    def entries():
+        for key in source_basis_keys(f.source):
+            image_key = rev_dual_key(key)
+            for okey, coeff in f.on_key(key).coeffs.items():
+                # (-1)^{|f||phi|} with |phi| = -|f(key)|
+                if sign_flip and (sum(f.target[i].degree(n)
+                                      for i, n in enumerate(okey)) % 2):
+                    coeff = field.neg(coeff)
+                yield rev_dual_key(okey), image_key, coeff
+
+    return table_map(src, tgt, f.degree, field, entries(),
+                     name or "dual(%s)" % f.name)
 
 
 def build_ev_coev(space, field):
@@ -93,14 +87,11 @@ def build_ev_coev(space, field):
     if not space.is_finite():
         raise DoubleError("cannot build ev/coev on infinite %s" % space.name)
     dv = dual_space(space)
-    ev_table = {(dual_name(n), n): scalar_element(field)
-                for n in space.basis_names()}
-    ev = GradedMap((dv, space), (), 0, field, name="ev", table=ev_table)
-    coev_out = Element((space, dv), field,
-                       {(n, dual_name(n)): field.coerce(1)
-                        for n in space.basis_names()})
-    coev = GradedMap((), (space, dv), 0, field, name="coev",
-                     table={(): coev_out})
+    names = space.basis_names()
+    ev = table_map((dv, space), (), 0, field,
+                   [((dual_name(n), n), (), 1) for n in names], "ev")
+    coev = table_map((), (space, dv), 0, field,
+                     [((), (n, dual_name(n)), 1) for n in names], "coev")
     return ev, coev
 
 
@@ -134,14 +125,11 @@ def shift_space(space, lam_degree, tag="'"):
 def build_shifts(space, shifted, lam_degree, field):
     """Mutually inverse s (degree |lambda|) and omega (degree -|lambda|)."""
     dv = dual_space(space)
-    s_table = {}
-    w_table = {}
-    for n in space.basis_names():
-        s_table[(dual_name(n),)] = basis_element((shifted,), field, (n + "'",))
-        w_table[(n + "'",)] = basis_element((dv,), field, (dual_name(n),))
-    s = GradedMap((dv,), (shifted,), lam_degree, field, name="s", table=s_table)
-    w = GradedMap((shifted,), (dv,), -lam_degree, field, name="omega",
-                  table=w_table)
+    pairs = [((dual_name(n),), (n + "'",)) for n in space.basis_names()]
+    s = table_map((dv,), (shifted,), lam_degree, field,
+                  [(v, sh, 1) for v, sh in pairs], "s")
+    w = table_map((shifted,), (dv,), -lam_degree, field,
+                  [(sh, v, 1) for v, sh in pairs], "omega")
     return s, w
 
 
@@ -223,48 +211,27 @@ def build_double_data(instance):
         ("a", "v", "a"): (s @ iA) * (iAv @ mu) * (coev_t @ iA),
     }
 
-    def part(name):
-        return "a" if A.contains(name) else "v"
-
-    def into(elem, spaces):
-        return Element(spaces, field, elem.coeffs)
-
-    mu_table = {}
-    for key in source_basis_keys((D, D)):
-        out = zero_element((D,), field)
-        p = (part(key[0]), part(key[1]))
-        for (p1, p2, _), comp in mu_comp.items():
-            if (p1, p2) == p:
-                out = out + into(comp.on_key(key), (D,))
-        if not out.is_zero():
-            mu_table[key] = out
-    mu_D = GradedMap((D, D), (D,), 0, field, name="mu", table=mu_table)
-
-    lam_table = {}
-    for key in source_basis_keys((D,)):
-        out = zero_element((D, D), field)
-        p = part(key[0])
-        for (p0, _, _2), comp in lam_comp.items():
-            if p0 == p:
-                out = out + into(comp.on_key(key), (D, D))
-        if not out.is_zero():
-            lam_table[key] = out
-    lam_D = GradedMap((D,), (D, D), d, field, name="lambda", table=lam_table)
+    def assemble(source, target, degree, name, components):
+        """The map on D summing, on each basis key, the components whose
+        leading parts are the parts of the key's slots."""
+        def entries():
+            for key in source_basis_keys(source):
+                parts = tuple("a" if A.contains(n) else "v" for n in key)
+                for comp_parts, comp in components.items():
+                    if comp_parts[:len(key)] == parts:
+                        for okey, coeff in comp.on_key(key).coeffs.items():
+                            yield key, okey, coeff
+        return table_map(source, target, degree, field, entries(), name)
 
     delta_sh = (s * delta_d * w).scale(-1)
-    delta_table = {}
-    for key in source_basis_keys((D,)):
-        comp = delta if part(key[0]) == "a" else delta_sh
-        out = comp.on_key(key)
-        if not out.is_zero():
-            delta_table[key] = into(out, (D,))
-    delta_D = GradedMap((D,), (D,), 1, field, name="Delta", table=delta_table)
-
-    eta_D = into(instance.eta, (D,))
-    eps_table = {}
-    for n, coeff in instance.eta.coeffs.items():
-        eps_table[(n[0] + "'",)] = scalar_element(field, coeff)
-    eps_D = GradedMap((D,), (), -d, field, name="epsilon", table=eps_table)
+    mu_D = assemble((D, D), (D,), 0, "mu", mu_comp)
+    lam_D = assemble((D,), (D, D), d, "lambda", lam_comp)
+    delta_D = assemble((D,), (D,), 1, "Delta",
+                       {("a",): delta, ("v",): delta_sh})
+    eta_D = Element((D,), field, instance.eta.coeffs)
+    eps_D = table_map((D,), (), -d, field,
+                      [((n + "'",), (), c)
+                       for (n,), c in instance.eta.coeffs.items()], "epsilon")
 
     frob = FrobeniusInstance("D(%s)" % instance.name, D, field, mu_D, eta_D,
                              lam_D, delta_D, d, eps_D)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import re
 
 from .core import (Element, EngineError, FiniteSpace, GradedMap, GradedSpace,
-                   QQ, UnknownBasisName, basis_element, zero_element)
+                   QQ, UnknownBasisName, basis_element, table_map,
+                   zero_element)
 from .structures import BVUIInstance, FrobeniusInstance
 
 
@@ -159,16 +160,11 @@ def normalize_sphere_name(raw):
 # finite models
 # ---------------------------------------------------------------------------
 
-def _table_map(space, field, src_arity, tgt_arity, degree, name, entries):
-    spaces_src = (space,) * src_arity
-    spaces_tgt = (space,) * tgt_arity
-    table = {}
-    for key, out in entries.items():
-        table[tuple(key)] = Element(
-            spaces_tgt, field,
-            {tuple(k): field.coerce(c) for k, c in out.items()})
-    return GradedMap(spaces_src, spaces_tgt, degree, field, name=name,
-                     table=table)
+def _table_map(space, field, src_arity, tgt_arity, degree, name, rows):
+    """``core.table_map`` of a literal {input: {output: coeff}} table."""
+    return table_map((space,) * src_arity, (space,) * tgt_arity, degree, field,
+                     [(key, okey, c) for key, out in rows.items()
+                      for okey, c in out.items()], name)
 
 
 def sphere_frobenius_model(n, field=QQ):

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 
-from .core import Element, EngineError, FiniteSpace, GradedMap, field_by_name
+from .core import (Element, EngineError, FiniteSpace, accumulate, field_by_name,
+                   table_map)
 from .gysin import GysinData
 from .structures import BVUIInstance, FrobeniusInstance, ValidationError
 
@@ -50,11 +51,6 @@ def _objects(container, section, problems, prefix=""):
 
 
 def _parse_output_key(raw, arity, problems, where):
-    if arity == 0:
-        if raw in ((), [], None):
-            return ()
-        problems.append("%s: output name %r for a scalar output" % (where, raw))
-        return None
     if isinstance(raw, str):
         key = (raw,)
     elif isinstance(raw, (list, tuple)) and all(isinstance(x, str) for x in raw):
@@ -69,54 +65,65 @@ def _parse_output_key(raw, arity, problems, where):
     return key
 
 
-def _load_entries(doc, section, src_arity, tgt_arity, degree, space, field,
-                  problems):
-    declared = set(space.basis_names())
-    spaces_src = (space,) * src_arity
-    spaces_tgt = (space,) * tgt_arity
-    table = {}
-    for idx, entry in _objects(doc, section, problems):
-        where = "%s[%d]" % (section, idx)
+def _load_basis(doc, problems, prefix=""):
+    """{name: degree} of the ``basis`` section; a repeated name is a
+    problem."""
+    degrees = {}
+    for idx, item in _objects(doc, "basis", problems, prefix):
+        where = "%sbasis[%d]" % (prefix, idx)
+        bname, bdeg = item.get("name"), item.get("degree")
+        if not isinstance(bname, str) or not isinstance(bdeg, int):
+            problems.append("%s: need {name, degree}" % where)
+            continue
+        if bname in degrees:
+            problems.append("%s: duplicate name %r" % (where, bname))
+            continue
+        degrees[bname] = bdeg
+    return degrees
+
+
+def _load_map(doc, section, source, target, degree, field, problems,
+              prefix=""):
+    """The table map of a list section of {inputs, output} entries from
+    the ``source`` slot spaces to the ``target`` ones; repeated entries
+    and outputs are summed."""
+    entries = []
+    for idx, entry in _objects(doc, section, problems, prefix):
+        where = "%s%s[%d]" % (prefix, section, idx)
         inputs = entry.get("inputs", [])
-        if (not isinstance(inputs, list) or len(inputs) != src_arity
+        if (not isinstance(inputs, list) or len(inputs) != len(source)
                 or not all(isinstance(x, str) for x in inputs)):
             problems.append("%s: inputs %r must be %d basis names"
-                            % (where, inputs, src_arity))
+                            % (where, inputs, len(source)))
             continue
-        missing = [x for x in inputs if x not in declared]
+        missing = [x for s, x in zip(source, inputs) if not s.contains(x)]
         if missing:
             problems.append("%s: undeclared basis names %s" % (where, missing))
             continue
-        coeffs = {}
+        in_deg = sum(s.degree(x) for s, x in zip(source, inputs))
         for jdx, item in _objects(entry, "output", problems, where + "."):
-            okey = _parse_output_key(item.get("name"), tgt_arity, problems,
-                                     "%s.output[%d]" % (where, jdx))
+            at = "%s.output[%d]" % (where, jdx)
+            okey = _parse_output_key(item.get("name"), len(target), problems, at)
             if okey is None:
                 continue
-            bad = [x for x in okey if x not in declared]
+            bad = [x for t, x in zip(target, okey) if not t.contains(x)]
             if bad:
-                problems.append("%s.output[%d]: undeclared basis names %s"
-                                % (where, jdx, bad))
+                problems.append("%s: undeclared basis names %s" % (at, bad))
                 continue
-            value = _parse_coeff(item.get("coeff", 1), field, problems,
-                                 "%s.output[%d]" % (where, jdx))
-            in_deg = sum(space.degree(x) for x in inputs)
-            out_deg = sum(space.degree(x) for x in okey)
+            value = _parse_coeff(item.get("coeff", 1), field, problems, at)
+            out_deg = sum(t.degree(x) for t, x in zip(target, okey))
             if out_deg != in_deg + degree:
-                problems.append(
-                    "%s.output[%d]: degree %d, expected input %d + map %d"
-                    % (where, jdx, out_deg, in_deg, degree))
+                problems.append("%s: degree %d, expected input %d + map %d"
+                                % (at, out_deg, in_deg, degree))
                 continue
-            coeffs[okey] = field.add(coeffs.get(okey, field.coerce(0)), value)
-        key = tuple(inputs)
-        out = Element(spaces_tgt, field, coeffs)
-        table[key] = table[key] + out if key in table else out
-    table = {k: v for k, v in table.items() if not v.is_zero()}
-    return GradedMap(spaces_src, spaces_tgt, degree, field, name=section,
-                     table=table)
+            entries.append((inputs, okey, value))
+    return table_map(source, target, degree, field, entries, section)
 
 
-def _load_element(doc, section, space, field, problems, want_degree=None):
+def _load_element(doc, section, space, field, problems, want_degree=None,
+                  role="expected"):
+    """An element of ``space`` from a list of {name, coeff} entries, each
+    of degree ``want_degree`` when given; repeated names are summed."""
     coeffs = {}
     for idx, item in _objects(doc, section, problems):
         where = "%s[%d]" % (section, idx)
@@ -125,11 +132,13 @@ def _load_element(doc, section, space, field, problems, want_degree=None):
             problems.append("%s: undeclared basis name %r" % (where, name))
             continue
         if want_degree is not None and space.degree(name) != want_degree:
-            problems.append("%s: %r has degree %d, expected %d"
-                            % (where, name, space.degree(name), want_degree))
+            problems.append("%s: %r has degree %d, %s %d"
+                            % (where, name, space.degree(name), role,
+                               want_degree))
             continue
         value = _parse_coeff(item.get("coeff", 1), field, problems, where)
-        coeffs[(name,)] = field.add(coeffs.get((name,), field.coerce(0)), value)
+        # the coefficient is the scalar: a zero one adds nothing
+        accumulate(coeffs, (((name,), field.one),), value, field)
     return Element((space,), field, coeffs)
 
 
@@ -150,46 +159,27 @@ def instance_from_dict(doc, field=None):
     elif lam_degree % 2 == 0:
         problems.append("lambda_degree %d must be odd" % lam_degree)
 
-    degrees = {}
-    for idx, item in _objects(doc, "basis", problems):
-        bname, bdeg = item.get("name"), item.get("degree")
-        if not isinstance(bname, str) or not isinstance(bdeg, int):
-            problems.append("basis[%d]: need {name, degree}" % idx)
-            continue
-        if bname in degrees:
-            problems.append("basis[%d]: duplicate name %r" % (idx, bname))
-            continue
-        degrees[bname] = bdeg
+    degrees = _load_basis(doc, problems)
     if not degrees:
         problems.append("basis must declare at least one element")
     space = FiniteSpace(name, degrees)
+    spaces1, spaces2 = (space,), (space, space)
 
-    mu = _load_entries(doc, "mu", 2, 1, 0, space, field, problems)
-    lam = _load_entries(doc, "lambda", 1, 2, lam_degree, space, field, problems)
-    delta = _load_entries(doc, "Delta", 1, 1, 1, space, field, problems)
+    mu = _load_map(doc, "mu", spaces2, spaces1, 0, field, problems)
+    lam = _load_map(doc, "lambda", spaces1, spaces2, lam_degree, field,
+                    problems)
+    delta = _load_map(doc, "Delta", spaces1, spaces1, 1, field, problems)
     eta = _load_element(doc, "eta", space, field, problems, want_degree=0)
     if eta.is_zero():
         problems.append("eta must be a nonzero element of degree 0")
 
     epsilon = None
     if doc.get("epsilon") is not None:
-        eps_table = {}
-        for idx, item in _objects(doc, "epsilon", problems):
-            where = "epsilon[%d]" % idx
-            ename = item.get("name")
-            if not isinstance(ename, str) or not space.contains(ename):
-                problems.append("%s: undeclared basis name %r" % (where, ename))
-                continue
-            if space.degree(ename) != lam_degree:
-                problems.append("%s: %r has degree %d, the counit pairs "
-                                "degree %d" % (where, ename,
-                                               space.degree(ename), lam_degree))
-                continue
-            value = _parse_coeff(item.get("coeff", 1), field, problems, where)
-            from .core import scalar_element
-            eps_table[(ename,)] = scalar_element(field, value)
-        epsilon = GradedMap((space,), (), -lam_degree, field, name="epsilon",
-                            table=eps_table)
+        covector = _load_element(doc, "epsilon", space, field, problems,
+                                 lam_degree, "the counit pairs degree")
+        epsilon = table_map(spaces1, (), -lam_degree, field,
+                            [(key, (), c) for key, c in covector.coeffs.items()],
+                            "epsilon")
 
     if problems:
         raise InstanceFileError(problems)
@@ -217,53 +207,20 @@ def load_instance(path, field=None):
     return instance
 
 
-def load_gysin(path, instance):
-    """The optional gysin section of an instance file, validated."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return gysin_from_section(json.load(handle).get("gysin"), instance)
-
-
 def gysin_from_section(section, instance):
     """GysinData from the raw ``gysin`` section of an instance document,
-    or None when there is none."""
+    or None when there is none; read like the instance's own sections."""
     if section is None:
         return None
     if not isinstance(section, dict):
         raise InstanceFileError(["gysin: must be an object, got %r" % (section,)])
     problems = []
-    field = instance.field
-    degrees = {}
-    for idx, item in _objects(section, "basis", problems, "gysin."):
-        bname, bdeg = item.get("name"), item.get("degree")
-        if not isinstance(bname, str) or not isinstance(bdeg, int):
-            problems.append("gysin.basis[%d]: need {name, degree}" % idx)
-            continue
-        degrees[bname] = bdeg
-    b_space = FiniteSpace(instance.name + "/classes", degrees)
-
-    def load_map(tag, src, tgt, degree):
-        table = {}
-        for idx, entry in _objects(section, tag, problems, "gysin."):
-            where = "gysin.%s[%d]" % (tag, idx)
-            inputs = entry.get("inputs", [])
-            if not (isinstance(inputs, list) and len(inputs) == 1
-                    and isinstance(inputs[0], str) and src.contains(inputs[0])):
-                problems.append("%s: inputs must be one declared name, got %r"
-                                % (where, inputs))
-                continue
-            coeffs = {}
-            for _, item in _objects(entry, "output", problems, where + "."):
-                oname = item.get("name")
-                if not isinstance(oname, str) or not tgt.contains(oname):
-                    problems.append("%s: undeclared output %r" % (where, oname))
-                    continue
-                value = _parse_coeff(item.get("coeff", 1), field, problems, where)
-                coeffs[(oname,)] = value
-            table[(inputs[0],)] = Element((tgt,), field, coeffs)
-        return GradedMap((src,), (tgt,), degree, field, name=tag, table=table)
-
-    erase = load_map("E", instance.space, b_space, 0)
-    mark = load_map("M", b_space, instance.space, 1)
+    b_space = FiniteSpace(instance.name + "/classes",
+                          _load_basis(section, problems, "gysin."))
+    erase = _load_map(section, "E", (instance.space,), (b_space,), 0,
+                      instance.field, problems, "gysin.")
+    mark = _load_map(section, "M", (b_space,), (instance.space,), 1,
+                     instance.field, problems, "gysin.")
     if problems:
         raise InstanceFileError(problems)
     return GysinData(b_space, erase, mark)

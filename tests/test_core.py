@@ -5,7 +5,7 @@ import pytest
 import gradedbv as g
 from gradedbv.core import (ArityMismatch, DegreeError, FiniteSpace, GradedMap,
                            PrimeField, basis_element, format_element,
-                           scalar_element, zero_element)
+                           scalar_element, table_map, zero_element)
 from gradedbv.expr import as_map, compile_expr, evaluate, parse
 
 
@@ -183,6 +183,61 @@ def test_scale_by_one_is_an_equal_copy(sphere):
     y = x.scale(1)
     assert y == x
     assert y.coeffs is not x.coeffs
+
+
+# ---------------------------------------------------------------------------
+# table maps
+# ---------------------------------------------------------------------------
+
+def _ab_space():
+    return FiniteSpace("ab", {"a": 0, "b": 0, "c": 1})
+
+
+@pytest.mark.parametrize("field", [g.QQ, PrimeField(101)])
+def test_table_map_sums_repeated_entries(field):
+    sp = _ab_space()
+    f = table_map((sp,), (sp,), 0, field, [
+        (("a",), ("a",), 2), (("a",), ("b",), 1), (("a",), ("a",), 3),
+        (["a"], ["b"], "1/2")], name="f")
+    assert f.name == "f" and f.degree == 0
+    assert f.on_key(("a",)).coeffs == {("a",): field.coerce(5),
+                                       ("b",): field.coerce("3/2")}
+
+
+def test_table_map_drops_cancelled_outputs_and_rows():
+    sp = _ab_space()
+    field = g.QQ
+    f = table_map((sp,), (sp,), 0, field, [
+        (("a",), ("a",), 1), (("a",), ("b",), 2), (("a",), ("a",), -1),
+        (("b",), ("b",), 3), (("b",), ("b",), -3)])
+    assert f.on_key(("a",)).coeffs == {("b",): 2}
+    assert f.on_key(("b",)).is_zero()
+    assert set(f.as_table()) == {("a",)}
+    assert f._table.keys() == {("a",)}
+
+
+def test_table_map_ignores_zero_coefficients():
+    sp = _ab_space()
+    field = PrimeField(101)
+    f = table_map((sp,), (sp,), 0, field, [
+        (("a",), ("a",), 0), (("b",), ("a",), 101), (("b",), ("b",), 1)])
+    assert f._table.keys() == {("b",)}
+    assert f.on_key(("b",)).coeffs == {("b",): 1}
+    assert f.on_key(("a",)).is_zero()
+
+
+@pytest.mark.parametrize("okey", [("a", "b"), ()])
+def test_table_map_checks_the_arity_of_output_keys(okey):
+    sp = _ab_space()
+    with pytest.raises(ArityMismatch):
+        table_map((sp,), (sp,), 0, g.QQ, [(("a",), okey, 1)])
+
+
+def test_table_map_degrees_are_checked_on_application():
+    sp = _ab_space()
+    f = table_map((sp,), (sp,), 0, g.QQ, [(("a",), ("c",), 1)])
+    with pytest.raises(DegreeError):
+        f.on_key(("a",))
 
 
 def test_format_element_is_canonical(sphere):

@@ -86,6 +86,17 @@ def test_all_violations_reported_not_only_first(tmp_path):
     assert len(err.value.problems) >= 3
 
 
+def test_repeated_element_entries_are_summed(tmp_path):
+    path = tmp_path / "frob.json"
+    save_instance(g.sphere_frobenius_model(3), path)
+    doc = json.loads(path.read_text())
+    doc["eta"] = [{"name": "1", "coeff": 2}, {"name": "1", "coeff": -1}]
+    doc["epsilon"] = [{"name": "x", "coeff": 3}, {"name": "x", "coeff": -2}]
+    loaded = load_instance(_write(tmp_path, doc))
+    assert loaded.eta.coeffs == {("1",): 1}
+    assert loaded.epsilon.on_key(("x",)).coeffs == {(): 1}
+
+
 def test_parse_error_reports_location(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"name": "x", ')
@@ -310,13 +321,64 @@ def _gysin_doc():
 
 
 def test_user_supplied_gysin_data_from_file(tmp_path):
-    from gradedbv.reportio import load_gysin
+    from gradedbv.reportio import gysin_from_section
     path = _write(tmp_path, _gysin_doc(), "gy.json")
     inst = load_instance(path)
-    data = load_gysin(path, inst)
+    data = gysin_from_section(load_instance(path).gysin_section, inst)
     assert data is not None
     assert data.validate(inst, Window())
     assert main(["gysin", str(path)]) == 0
+
+
+def _gysin_case(case):
+    doc = _gysin_doc()
+    gy = doc["gysin"]
+    if case == "class-degree":
+        gy["basis"] = [{"name": "c", "degree": -3}]
+    elif case == "duplicate-class":
+        gy["basis"] = [{"name": "c", "degree": -2}, {"name": "c", "degree": -2}]
+    elif case == "split-entries":
+        gy["E"] = [{"inputs": ["z"], "output": [{"name": "c", "coeff": 2}]},
+                   {"inputs": ["z"], "output": [{"name": "c", "coeff": -1}]}]
+    elif case == "split-outputs":
+        gy["E"] = [{"inputs": ["z"], "output": [{"name": "c", "coeff": 2},
+                                                {"name": "c", "coeff": -1}]}]
+    return doc
+
+
+@pytest.mark.parametrize("case,code,message", [
+    ("class-degree", 2, "invalid: gysin.E[0].output[0]: degree -3, "
+                        "expected input -2 + map 0"),
+    ("duplicate-class", 2, "invalid: gysin.basis[1]: duplicate name 'c'"),
+    ("split-entries", 0, ""),
+    ("split-outputs", 0, ""),
+])
+def test_gysin_section_is_read_like_the_instance(tmp_path, capsys, case,
+                                                 code, message):
+    path = _write(tmp_path, _gysin_case(case), "gy.json")
+    assert main(["gysin", str(path)]) == code
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+
+
+def test_a_run_that_checks_nothing_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "empty.json"
+    assert main(["gysin", "sphere:3", "--window", "0", "--out", str(out)]) == 64
+    assert "error: no relation was checked" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    assert doc["summary"] == {"pass": 0, "fail": 0, "skipped": 6}
+    agreement = doc["reports"][-1]
+    assert agreement["relation"] == "GysinJacobiAgreement"
+    assert agreement["status"] == "skipped"
+    assert "skipped" in agreement["skip_reason"]
+    # zero-space passes are checks that hold, not an empty run
+    assert main(["gysin", "trivial"]) == 0
+    captured = capsys.readouterr()
+    assert "0 fail, 0 skipped" in captured.out
+    assert captured.err == ""
 
 
 def test_user_supplied_gysin_data_rejected_when_inconsistent(tmp_path):
