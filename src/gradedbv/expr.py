@@ -393,6 +393,21 @@ def compile_expr(node, ctx, in_spaces):
     return plan
 
 
+def permuted_head(node, ctx, in_spaces):
+    """(X's plan, P's map, P's slot map) for a term ``X . P`` whose
+    rightmost factor P is a polymorphic ``tau``, ``sigma`` or ``sigma2``;
+    None for any other term.  Both plans come from ``compile_expr``, so a
+    head X that is also a term of its own is that term's Plan object."""
+    if not (isinstance(node, Compose) and isinstance(node.children[-1], Gen)
+            and node.children[-1].name in PERMS):
+        return None
+    *rest, perm = node.children
+    perm_plan = compile_expr(perm, ctx, in_spaces)
+    head = rest[0] if len(rest) == 1 else Compose(tuple(rest))
+    return (compile_expr(head, ctx, perm_plan.target), perm_plan.apply,
+            PERMS[perm.name])
+
+
 def _compile(node, ctx, in_spaces):
     if isinstance(node, Gen):
         return _compile_gen(node.name, ctx, in_spaces)

@@ -23,9 +23,14 @@ class InstanceFileError(ValidationError):
     pass
 
 
+def _is_int(value):
+    """A JSON integer; ``true`` and ``false`` are not integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_coeff(raw, field, problems, where):
     try:
-        if isinstance(raw, (int, str)):
+        if _is_int(raw) or isinstance(raw, str):
             return field.coerce(raw)
     except (EngineError, ValueError, ZeroDivisionError):
         pass
@@ -72,7 +77,7 @@ def _load_basis(doc, problems, prefix=""):
     for idx, item in _objects(doc, "basis", problems, prefix):
         where = "%sbasis[%d]" % (prefix, idx)
         bname, bdeg = item.get("name"), item.get("degree")
-        if not isinstance(bname, str) or not isinstance(bdeg, int):
+        if not isinstance(bname, str) or not _is_int(bdeg):
             problems.append("%s: need {name, degree}" % where)
             continue
         if bname in degrees:
@@ -153,7 +158,7 @@ def instance_from_dict(doc, field=None):
     except EngineError as exc:
         raise InstanceFileError([str(exc)]) from None
     lam_degree = doc.get("lambda_degree")
-    if not isinstance(lam_degree, int):
+    if not _is_int(lam_degree):
         problems.append("lambda_degree must be an integer")
         lam_degree = -1
     elif lam_degree % 2 == 0:

@@ -364,6 +364,36 @@ def test_gysin_section_is_read_like_the_instance(tmp_path, capsys, case,
         assert err == ""
 
 
+def _boolean_case(case):
+    if case == "gysin-degree":
+        doc = _gysin_doc()
+        doc["gysin"]["basis"].append({"name": "d", "degree": False})
+        return doc
+    doc = _minimal_doc()
+    if case == "degree":
+        doc["basis"].append({"name": "x", "degree": True})
+    elif case == "lambda_degree":
+        doc["lambda_degree"] = True
+    elif case == "coeff":
+        doc["eta"] = [{"name": "1", "coeff": True}]
+    return doc
+
+
+@pytest.mark.parametrize("case,command,message", [
+    ("degree", "check", "invalid: basis[1]: need {name, degree}"),
+    ("lambda_degree", "check", "invalid: lambda_degree must be an integer"),
+    ("coeff", "check", "invalid: eta[0]: bad coefficient True"),
+    ("gysin-degree", "gysin", "invalid: gysin.basis[1]: need {name, degree}"),
+])
+def test_json_booleans_are_not_integers(tmp_path, capsys, case, command,
+                                        message):
+    path = _write(tmp_path, _boolean_case(case))
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_a_run_that_checks_nothing_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "empty.json"
     assert main(["gysin", "sphere:3", "--window", "0", "--out", str(out)]) == 64
