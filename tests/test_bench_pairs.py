@@ -14,20 +14,20 @@ _spec.loader.exec_module(bench_pairs)
 @pytest.mark.parametrize("text,seeds", [
     ("401-410", list(range(401, 411))),
     ("7", [7]),
-    ("1-3,9, 11-12", [1, 2, 3, 9, 11, 12]),
+    (" 3-3 ", [3]),
 ])
 def test_seed_ranges(text, seeds):
     assert bench_pairs.parse_seeds(text) == seeds
 
 
-@pytest.mark.parametrize("text", ["5-3", "x", "1-", "", "1-3,2"])
+@pytest.mark.parametrize("text", ["5-3", "x", "1-", "", "1-3,9"])
 def test_bad_seed_ranges_are_rejected(text):
     with pytest.raises(ValueError):
         bench_pairs.parse_seeds(text)
 
 
-def test_quartiles_are_inclusive():
-    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (2.0, 3.0, 4.0)
+def test_quartiles_are_exclusive_as_in_the_benchmark():
+    assert bench_pairs.quartiles([1.0, 2.0, 3.0, 4.0, 5.0]) == (1.5, 3.0, 4.5)
     assert bench_pairs.quartiles([4.0]) == (4.0, 4.0, 4.0)
 
 
@@ -38,35 +38,19 @@ def _pairs(parent, change):
 def test_verdict_passes_nine_wins_beyond_the_parent_iqr():
     parent = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 0.80]
     change = [0.90, 0.91, 0.92, 0.93, 0.94, 0.95, 0.96, 0.97, 0.98, 0.99]
-    gate = bench_pairs.verdict(_pairs(parent, change), lower_is_better=True)
+    gate = bench_pairs.verdict(_pairs(parent, change))
     assert gate["wins"] == 9 and gate["pairs"] == 10
-    assert gate["parent"] == pytest.approx((1.0125, 1.035, 1.0575))
+    assert gate["parent"] == pytest.approx((1.0075, 1.035, 1.0625))
     assert gate["gain"] == pytest.approx(1.035 - 0.945)
-    assert gate["parent_iqr"] == pytest.approx(0.045)
+    assert gate["parent_iqr"] == pytest.approx(0.055)
     assert gate["passed"]
 
 
 def test_verdict_fails_with_eight_wins_or_a_gain_inside_the_iqr():
     parent = [1.0 + 0.01 * i for i in range(10)]
     eight = [p - 0.1 for p in parent[:8]] + [p + 0.1 for p in parent[8:]]
-    assert not bench_pairs.verdict(_pairs(parent, eight), True)["passed"]
+    assert not bench_pairs.verdict(_pairs(parent, eight))["passed"]
     small = [p - 0.001 for p in parent]
-    gate = bench_pairs.verdict(_pairs(parent, small), True)
+    gate = bench_pairs.verdict(_pairs(parent, small))
     assert gate["wins"] == 10 and gate["gain"] < gate["parent_iqr"]
     assert not gate["passed"]
-
-
-def test_verdict_for_a_metric_where_higher_is_better():
-    parent = [100.0, 101.0, 102.0, 103.0]
-    change = [120.0, 121.0, 122.0, 123.0]
-    assert bench_pairs.verdict(_pairs(parent, change), False)["passed"]
-    assert not bench_pairs.verdict(_pairs(change, parent), False)["passed"]
-    assert bench_pairs.verdict(_pairs(change, parent), True)["passed"]
-
-
-def test_metric_direction_comes_from_benchmark_json():
-    root = TOOL.parent.parent
-    assert bench_pairs.lower_is_better(root, "wall_s")
-    assert not bench_pairs.lower_is_better(root, "tuples_per_s")
-    with pytest.raises(ValueError):
-        bench_pairs.lower_is_better(root, "checks.key_evals")

@@ -1,80 +1,67 @@
 """Alternating parent/change pairs of the repository benchmark.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload sphere-wide \\
-        --seeds 401-410 --seconds 30 [--metric wall_s]
+        --seeds 401-410 --seconds 30
 
 PARENT and CHANGE are two checkouts of the repository (for example two
 ``git worktree``s).  For each seed of the range, ``bench/run.py
 --trace 0`` runs once in each checkout; the side that goes first
 alternates from seed to seed, so drift in the host's load falls on both
-sides alike.  The script prints each pair's metric, each side's median
-and quartiles, the number of pairs the change wins, each other
-end-to-end metric's medians, and the verdict of
-the gate: the change wins at least 9 of every 10 pairs, and its median
-is better than the parent's by more than the parent's interquartile
-range.  Whether lower or higher is better comes from ``BENCHMARK.json``
-in CHANGE.  Stdlib only; nothing under ``bench/`` is written.
+sides alike.  The gate metric is ``wall_s`` (lower is better).  The
+script prints each pair's ``wall_s``, each side's median and quartiles,
+the number of pairs the change wins, each end-to-end metric's medians,
+and the verdict of the gate: the change wins at least 9 of every 10
+pairs, and its median is lower than the parent's by more than the
+parent's interquartile range.  Stdlib only; nothing under ``bench/`` is
+written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 
+METRIC = "wall_s"
 WIN_SHARE = 0.9
 
 
 def parse_seeds(text):
-    """Seeds from ``401-410``, ``7`` or a comma list of both, in order."""
-    seeds = []
-    for part in text.split(","):
-        first, sep, last = part.strip().partition("-")
-        try:
-            low = int(first)
-            high = int(last) if sep else low
-        except ValueError:
-            raise ValueError("bad seed range %r" % part) from None
-        if high < low:
-            raise ValueError("empty seed range %r" % part)
-        seeds.extend(range(low, high + 1))
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("repeated seed in %r" % text)
-    return seeds
+    """Seeds from a range ``401-410`` or a single seed ``7``, in order."""
+    first, sep, last = text.strip().partition("-")
+    try:
+        low = int(first)
+        high = int(last) if sep else low
+    except ValueError:
+        raise ValueError("bad seed range %r" % text) from None
+    if high < low:
+        raise ValueError("empty seed range %r" % text)
+    return list(range(low, high + 1))
 
 
 def quartiles(values):
-    """(first quartile, median, third quartile), inclusive method."""
-    if len(values) == 1:
+    """(first quartile, median, third quartile), with the default
+    (exclusive) method of ``statistics.quantiles``, as in
+    ``bench/baseline.py``."""
+    if len(values) < 2:
         return values[0], values[0], values[0]
-    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    q1, q2, q3 = statistics.quantiles(values, n=4)
     return q1, q2, q3
 
 
-def verdict(pairs, lower_is_better):
-    """The gate on (parent, change) metric pairs: a dict with the wins,
-    both sides' quartiles, the median difference and ``passed``."""
-    sign = 1 if lower_is_better else -1
-    wins = sum(1 for parent, change in pairs if sign * (parent - change) > 0)
+def verdict(pairs):
+    """The gate on (parent, change) ``wall_s`` pairs: a dict with the
+    wins, both sides' quartiles, the median gain and ``passed``."""
+    wins = sum(1 for parent, change in pairs if change < parent)
     parent_q = quartiles([p for p, _ in pairs])
     change_q = quartiles([c for _, c in pairs])
-    gain = sign * (parent_q[1] - change_q[1])
+    gain = parent_q[1] - change_q[1]
     iqr = parent_q[2] - parent_q[0]
     return {"wins": wins, "pairs": len(pairs), "parent": parent_q,
             "change": change_q, "gain": gain, "parent_iqr": iqr,
             "passed": wins >= WIN_SHARE * len(pairs) and gain > iqr}
-
-
-def lower_is_better(checkout, metric):
-    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as handle:
-        declared = json.load(handle)["end_to_end"]
-    for entry in declared:
-        if entry["name"] == metric:
-            return entry["better"] == "lower"
-    raise ValueError("%s is not an end-to-end metric" % metric)
 
 
 def run_bench(checkout, workload, seed, seconds):
@@ -96,9 +83,7 @@ def main(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=30)
-    parser.add_argument("--metric", default="wall_s")
     args = parser.parse_args(argv)
-    lower = lower_is_better(args.change, args.metric)
 
     pairs, correct = [], True
     runs = {"parent": [], "change": []}
@@ -111,13 +96,13 @@ def main(argv=None):
             result = run_bench(checkout, args.workload, seed, args.seconds)
             correct &= result["correct"] and result["failed"] == 0
             runs[name].append(result["metrics"])
-            values[name] = result["metrics"][args.metric]["value"]
+            values[name] = result["metrics"][METRIC]["value"]
         pairs.append((values["parent"], values["change"]))
         print("seed %d (%s first): parent %.6g change %.6g (%+.1f%%)"
               % (seed, sides[0][0], values["parent"], values["change"],
                  100 * (values["change"] / values["parent"] - 1)), flush=True)
 
-    gate = verdict(pairs, lower)
+    gate = verdict(pairs)
     for metric in sorted(runs["parent"][0]):
         medians = [statistics.median(run[metric]["value"] for run in runs[side])
                    for side in ("parent", "change")]
@@ -126,7 +111,7 @@ def main(argv=None):
     for side in ("parent", "change"):
         q1, median, q3 = gate[side]
         print("%s %s: median %.6g, quartiles %.6g .. %.6g"
-              % (side, args.metric, median, q1, q3))
+              % (side, METRIC, median, q1, q3))
     print("change wins %d of %d pairs; median %s by %.6g, parent IQR %.6g"
           % (gate["wins"], gate["pairs"], "better" if gate["gain"] > 0 else "worse",
              abs(gate["gain"]), gate["parent_iqr"]))
