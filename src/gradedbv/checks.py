@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
-from .core import ArityMismatch, accumulate, _spaces_key, _trusted_element
+from .core import ArityMismatch, _spaces_key, _trusted_element
 from .expr import compile_expr, parse, permuted_head
 
 MAX_WITNESSES = 10
@@ -220,20 +220,21 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
         memo = {}
     field = ctx.field
     one = field.one
+    add_into = field.accumulate
     key = tuple(key)
     x = {key: one}
     for gi, (target, terms) in enumerate(relation.groups):
         acc = {}
         for coeff, run, head, perm in terms:
             if head is None:
-                accumulate(acc, run(x).items(), coeff, field)
+                add_into(acc, run(x).items(), coeff)
                 continue
             for image, sign in (perm(key).coeffs if perm else x).items():
                 value = memo.get((head, image))
                 if value is None:
                     value = memo[head, image] = run({image: one})
-                accumulate(acc, value.items(),
-                           coeff if sign == one else field.mul(coeff, sign), field)
+                add_into(acc, value.items(),
+                         coeff if sign == one else field.mul(coeff, sign))
         if acc:
             return gi, _trusted_element(target, field, acc)
     return None

@@ -13,12 +13,16 @@ signs are introduced: ``tensor_maps`` and tensors in expressions both
 call it.
 Permutation signs, composition of tensored maps and dualization are all
 derived from it. No floating point is used anywhere.
+
+Scalar arithmetic on linear combinations runs in one kernel per field:
+``Rationals.accumulate`` and ``PrimeField.accumulate`` add a scaled list
+of terms into a coefficient dict with the field's arithmetic written
+inline, and ``accumulate`` dispatches to them.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -52,6 +56,9 @@ class Rationals:
     that dominate the built-in models never pay for ``Fraction``
     arithmetic.  Both types compare, hash and print alike
     (``str(2) == str(Fraction(2))``).
+
+    ``accumulate`` is the field's kernel for linear combinations: the
+    loop of ``add``, ``mul`` and ``is_zero`` with that arithmetic inline.
     """
 
     name = "Q"
@@ -87,6 +94,38 @@ class Rationals:
     def fmt(self, a):
         return str(a)
 
+    def accumulate(self, acc, terms, scalar):
+        """``core.accumulate`` over Q: an integral sum or product is
+        stored as an ``int``."""
+        if scalar == 0:
+            return
+        get = acc.get
+        if scalar == 1:
+            for key, value in terms:
+                old = get(key)
+                if old is not None:
+                    value = old + value
+                    if not value:
+                        del acc[key]
+                        continue
+                    if value.__class__ is not int and value.denominator == 1:
+                        value = value.numerator
+                acc[key] = value
+            return
+        for key, value in terms:
+            value = scalar * value
+            if value.__class__ is not int and value.denominator == 1:
+                value = value.numerator
+            old = get(key)
+            if old is not None:
+                value = old + value
+                if not value:
+                    del acc[key]
+                    continue
+                if value.__class__ is not int and value.denominator == 1:
+                    value = value.numerator
+            acc[key] = value
+
     def __repr__(self):
         return "Q"
 
@@ -97,13 +136,18 @@ def _integral(value):
 
 
 class PrimeField:
-    """Integers mod an odd prime p; p = 2 erases all signs (diagnostic)."""
+    """Integers mod an odd prime p; p = 2 erases all signs (diagnostic).
+
+    The modulus must be a prime below 2^64 (``is_prime``).
+    ``accumulate`` is the field's kernel for linear combinations, with
+    the reductions mod p inline.
+    """
 
     one = 1
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
-            raise EngineError("Fp modulus must be prime, got %d" % p)
+        if not (p < MAX_MODULUS and is_prime(p)):
+            raise EngineError("Fp modulus must be a prime below 2^64, got %d" % p)
         self.p = p
         self.name = "Fp:%d" % p
 
@@ -143,19 +187,79 @@ class PrimeField:
     def fmt(self, a):
         return str(a)
 
+    def accumulate(self, acc, terms, scalar):
+        """``core.accumulate`` mod p: products and sums are reduced."""
+        if scalar == 0:
+            return
+        p = self.p
+        get = acc.get
+        if scalar == 1:
+            for key, value in terms:
+                old = get(key)
+                if old is not None:
+                    value = (old + value) % p
+                    if not value:
+                        del acc[key]
+                        continue
+                acc[key] = value
+            return
+        for key, value in terms:
+            value = scalar * value % p
+            old = get(key)
+            if old is not None:
+                value = (old + value) % p
+                if not value:
+                    del acc[key]
+                    continue
+            acc[key] = value
+
     def __repr__(self):
         return self.name
+
+
+MAX_MODULUS = 2 ** 64
+# Miller-Rabin with these bases is exact below 3.3 * 10^24 > 2^64.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin; exact for
+    n < MAX_MODULUS."""
+    if n < 2:
+        return False
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 QQ = Rationals()
 
 
 def field_by_name(name):
-    """Parse a field tag: "Q" or "Fp:<prime>"."""
+    """Parse a field tag: "Q" or "Fp:<prime>", the prime in ASCII digits
+    and below 2^64."""
     if name == "Q":
         return QQ
-    if name.startswith("Fp:") and name[3:].isdecimal():
-        return PrimeField(int(name[3:]))
+    digits = name[3:]
+    if name.startswith("Fp:") and digits.isascii() and digits.isdigit():
+        if len(digits) > len(str(MAX_MODULUS)):
+            raise EngineError("Fp modulus must be a prime below 2^64, got "
+                              "%d digits" % len(digits))
+        return PrimeField(int(digits))
     raise EngineError("unknown field %r (expected Q or Fp:<prime>)" % name)
 
 
@@ -392,22 +496,12 @@ def accumulate(acc, terms, scalar, field):
     of ``terms``, dropping keys that cancel.
 
     ``scalar`` is a field element; the multiply is skipped when it is the
-    field's one.  Values in ``terms`` must be non-zero field elements.
+    field's one, and nothing is added when it is zero.  Values in
+    ``terms`` must be non-zero field elements.  The arithmetic runs in
+    ``field.accumulate``, the field's own kernel; a hot caller binds that
+    method once and calls it directly.
     """
-    if field.is_zero(scalar):
-        return
-    scaled = not field.is_one(scalar)
-    add, mul, is_zero = field.add, field.mul, field.is_zero
-    for key, value in terms:
-        if scaled:
-            value = mul(scalar, value)
-        old = acc.get(key)
-        if old is not None:
-            value = add(old, value)
-            if is_zero(value):
-                del acc[key]
-                continue
-        acc[key] = value
+    field.accumulate(acc, terms, scalar)
 
 
 def format_element(elem):
@@ -561,8 +655,9 @@ class GradedMap:
             if field.is_one(value):
                 return on_key(key).coeffs
         acc = {}
+        add_into = field.accumulate
         for key, value in coeffs.items():
-            accumulate(acc, on_key(key).coeffs.items(), value, field)
+            add_into(acc, on_key(key).coeffs.items(), value)
         return acc
 
     def __call__(self, elem):
@@ -719,6 +814,7 @@ def tensor_apply(kernel, items, field):
     """
     arity, sign_slots, blocks = kernel
     neg, mul, one = field.neg, field.mul, field.one
+    add_into = field.accumulate
     acc = {}
     for key, coeff in items:
         if len(key) != arity:
@@ -733,8 +829,8 @@ def tensor_apply(kernel, items, field):
             (start, end, on_key), = blocks
             part = on_key(key[start:end]).coeffs
             head, tail = key[:start], key[end:]
-            accumulate(acc, [(head + k + tail, v) for k, v in part.items()],
-                       coeff, field)
+            add_into(acc, [(head + k + tail, v) for k, v in part.items()],
+                     coeff)
             continue
         terms = [((), coeff)]
         pos = 0
@@ -748,7 +844,7 @@ def tensor_apply(kernel, items, field):
             pos = end
         else:
             tail = key[pos:]
-            accumulate(acc, [(k + tail, v) for k, v in terms], one, field)
+            add_into(acc, [(k + tail, v) for k, v in terms], one)
     return acc
 
 

@@ -27,9 +27,9 @@ from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   accumulate, basis_element, permute, run_on_element,
-                   scalar_element, tensor_apply, tensor_factors, zero_element,
-                   _spaces_key, _trusted_element)
+                   basis_element, permute, run_on_element, scalar_element,
+                   tensor_apply, tensor_factors, zero_element, _spaces_key,
+                   _trusted_element)
 
 
 class ParseError(EngineError):
@@ -473,10 +473,12 @@ def _compile_sum(node, ctx, in_spaces):
 def _linear_run(terms, field):
     """The ``run`` of a linear combination: the sum of ``scalar *
     run(coeffs)`` over the (scalar, run) pairs of ``terms``."""
+    add_into = field.accumulate
+
     def run(coeffs):
         acc = {}
         for scalar, term in terms:
-            accumulate(acc, term(coeffs).items(), scalar, field)
+            add_into(acc, term(coeffs).items(), scalar)
         return acc
     return run
 

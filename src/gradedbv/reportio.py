@@ -10,6 +10,7 @@ timestamps) so identical inputs give byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 
 from .core import (Element, EngineError, FiniteSpace, accumulate, field_by_name,
                    table_map)
@@ -28,14 +29,39 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# The longest coefficient an instance file may give: a string of at most
+# this many characters, or an integer of at most this many digits.
+MAX_COEFF_CHARS = 100
+_COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
+_INT_BOUND = 10 ** MAX_COEFF_CHARS
+
+
 def _parse_coeff(raw, field, problems, where):
-    try:
-        if _is_int(raw) or isinstance(raw, str):
+    """A coefficient: an integer below 10^MAX_COEFF_CHARS in absolute
+    value, or a string of an optional sign and ASCII digits, optionally
+    followed by ``/digits`` or ``.digits``, of at most MAX_COEFF_CHARS
+    characters.  The form is checked before ``Fraction`` reads the text,
+    so exponents, spaces and underscores are bad coefficients."""
+    if _is_int(raw):
+        ok = abs(raw) < _INT_BOUND
+    else:
+        ok = (isinstance(raw, str) and len(raw) <= MAX_COEFF_CHARS
+              and _COEFF.fullmatch(raw) is not None)
+    if ok:
+        try:
             return field.coerce(raw)
-    except (EngineError, ValueError, ZeroDivisionError):
-        pass
+        except (EngineError, ZeroDivisionError):
+            pass
     problems.append("%s: bad coefficient %r" % (where, raw))
     return field.coerce(0)
+
+
+def _json_int(text):
+    """A JSON integer literal, refused above MAX_COEFF_CHARS digits
+    before ``int`` reads it."""
+    if len(text.lstrip("-")) > MAX_COEFF_CHARS:
+        raise ValueError("an integer has more than %d digits" % MAX_COEFF_CHARS)
+    return int(text)
 
 
 def _objects(container, section, problems, prefix=""):
@@ -200,11 +226,13 @@ def instance_from_dict(doc, field=None):
 def load_instance(path, field=None):
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            doc = json.load(handle, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise InstanceFileError(
             ["parse error in %s at line %d column %d: %s"
              % (path, exc.lineno, exc.colno, exc.msg)]) from None
+    except ValueError as exc:       # an over-long integer, or not UTF-8
+        raise InstanceFileError(["parse error in %s: %s" % (path, exc)]) from None
     if not isinstance(doc, dict):
         raise InstanceFileError(["%s: top level must be an object" % path])
     instance = instance_from_dict(doc, field)

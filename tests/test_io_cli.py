@@ -1,6 +1,8 @@
 """Instance files, report files, the command-line surface, exit codes."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -391,6 +393,57 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, case, command,
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+def _eta_text(coeff_text):
+    """An instance document whose eta coefficient is the JSON text
+    ``coeff_text``, written as is."""
+    text = json.dumps(_minimal_doc(eta=[{"name": "1", "coeff": 0}]))
+    return text.replace('"coeff": 0}', '"coeff": %s}' % coeff_text)
+
+
+@pytest.mark.parametrize("coeff_text,message", [
+    ("7" * 5000, "parse error in "),
+    ("-" + "7" * 101, "parse error in "),
+    ('"1e3000000"', "invalid: eta[0]: bad coefficient '1e3000000'"),
+    ('"1e30000000"', "invalid: eta[0]: bad coefficient '1e30000000'"),
+    ('"%s"' % ("7" * 101), "invalid: eta[0]: bad coefficient '777"),
+    ('"\\u0663"', "invalid: eta[0]: bad coefficient"),
+    ('" 3"', "invalid: eta[0]: bad coefficient ' 3'"),
+    ('"1_000"', "invalid: eta[0]: bad coefficient '1_000'"),
+])
+def test_oversized_or_malformed_coefficients_are_invalid(tmp_path, capsys,
+                                                         coeff_text, message):
+    path = tmp_path / "inst.json"
+    path.write_text(_eta_text(coeff_text))
+    start = time.perf_counter()
+    assert main(["check", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("coeff_text,value", [
+    ("7" * 100, 7 * (10 ** 100 - 1) // 9),
+    ('"-3/2"', Fraction(-3, 2)),
+    ('"+0.25"', Fraction(1, 4)),
+    ('"%s"' % ("1" * 100), int("1" * 100)),
+])
+def test_coefficients_within_the_bound_are_read(tmp_path, coeff_text, value):
+    path = tmp_path / "inst.json"
+    path.write_text(_eta_text(coeff_text))
+    assert load_instance(path).eta.coeffs == {("1",): value}
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_minimal_doc(name="\xe9")).replace(
+        "\\u00e9", "\xe9").encode("latin-1"))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: parse error in " in err
     assert "Traceback" not in err
 
 
