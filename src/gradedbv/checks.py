@@ -9,12 +9,16 @@ Reports are deterministic: tuples are enumerated in canonical
 (lexicographic by basis name) order and witnesses record the first
 failures in that order, so two runs produce byte-identical output.
 
-Relations are evaluated one orbit at a time.  The catalog spells the
-cyclic and twist factors out as terms ``X``, ``X . sigma``, ``X .
-sigma2`` (or ``X . tau``); on a window closed under permuting slots,
-each orbit of basis tuples computes such a shared head X once per tuple
-and every term reads it, signed by its permutation.  The report is the
-same as from evaluating every term on every tuple in canonical order.
+Relations are evaluated one orbit at a time, all relations of one
+arity in one walk of their window (check_relations).  The catalog spells
+the cyclic and twist factors out as terms ``X``, ``X . sigma``, ``X .
+sigma2`` (or ``X . tau``), and states some relations with terms of
+others (NineTerm is the first nine terms of ElevenTerm); on a window
+closed under permuting slots, each orbit of basis tuples computes such a
+shared head X once per tuple, and every term of every relation of the
+walk reads it, signed by its permutation.  Each report is the same as
+from evaluating its relation's every term on every tuple in canonical
+order, and an error is the one a check of each relation in turn raises.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ class CheckReport:
 
 
 class CompiledRelation(NamedTuple):
-    """A relation typed on its input slots, see compile_relation.
+    """A relation typed on its input slots, see compile_relations.
 
     ``groups`` holds (target, terms) per signed group, a term being
     (coefficient, run, head, perm).  ``orbit(key)`` is the orbit of a
@@ -129,19 +133,11 @@ class CompiledRelation(NamedTuple):
     orbit: Callable
 
 
-def compile_relation(spec, ctx, spaces):
-    """The signed groups of a relation with every term typed on ``spaces``
-    and every coefficient in the context's field.  The terms of a group
-    must share a target, since their values are summed.
-
-    A term ``X . P`` whose rightmost factor P is ``tau``, ``sigma`` or
-    ``sigma2`` has the head X; any other term is its own head.  Heads are
-    the context's hash-consed Plans, so two terms share a head when they
-    use the same Plan object.  A head used by one term runs that term's
-    plan: (coefficient, run, None, None).  A shared head gets an index
-    into the orbit memo of residual_on_key: (coefficient, X.run, index,
-    P's on_key, or None for X itself).
-    """
+def _typed_terms(spec, ctx, spaces):
+    """Each signed group of ``spec`` as a list of terms (coefficient,
+    plan, head, perm, slots), typed on ``spaces``; see compile_relations.
+    The terms of a group must share a target, since their values are
+    summed."""
     field = ctx.field
     typed = []
     for group in spec.groups:
@@ -155,22 +151,55 @@ def compile_relation(spec, ctx, spaces):
             raise ArityMismatch("terms of %s have different targets %s"
                                 % (spec.rid, targets))
         typed.append(terms)
+    return typed
 
-    uses = Counter(id(term[2]) for terms in typed for term in terms)
-    shared, generators, groups = {}, set(), []
-    for terms in typed:
-        compiled = []
-        for coeff, plan, head, perm, slots in terms:
-            if uses[id(head)] < 2:
-                compiled.append((coeff, plan.run, None, None))
-                continue
-            if slots is not None:
-                generators.add(slots)
-            index = shared.setdefault(id(head), len(shared))
-            compiled.append((coeff, head.run, index,
-                             None if perm is None else perm.on_key))
-        groups.append((terms[0][1].target, tuple(compiled)))
-    return CompiledRelation(tuple(groups), _orbits(generators, len(spaces)))
+
+def _link(typed, arity):
+    """One CompiledRelation per relation of ``typed`` (each a list of
+    _typed_terms groups), with one head index space and one orbit."""
+    uses = Counter(id(term[2]) for groups in typed
+                   for terms in groups for term in terms)
+    shared, generators, linked = {}, set(), []
+    for groups in typed:
+        compiled_groups = []
+        for terms in groups:
+            compiled = []
+            for coeff, plan, head, perm, slots in terms:
+                if uses[id(head)] < 2:
+                    compiled.append((coeff, plan.run, None, None))
+                    continue
+                if slots is not None:
+                    generators.add(slots)
+                index = shared.setdefault(id(head), len(shared))
+                compiled.append((coeff, head.run, index,
+                                 None if perm is None else perm.on_key))
+            compiled_groups.append((terms[0][1].target, tuple(compiled)))
+        linked.append(tuple(compiled_groups))
+    orbit = _orbits(generators, arity)
+    return [CompiledRelation(groups, orbit) for groups in linked]
+
+
+def compile_relations(specs, ctx, spaces):
+    """The relations ``specs``, all of arity ``len(spaces)``, with every
+    term typed on ``spaces`` and every coefficient in the context's
+    field.
+
+    A term ``X . P`` whose rightmost factor P is ``tau``, ``sigma`` or
+    ``sigma2`` has the head X; any other term is its own head.  Heads are
+    the context's hash-consed Plans, so two terms share a head when they
+    use the same Plan object, in one relation or in two.  A head used by
+    one term runs that term's plan: (coefficient, run, None, None).  A
+    shared head gets an index, one index space for all of ``specs``,
+    into the orbit memo of residual_on_key: (coefficient, X.run, index,
+    P's on_key, or None for X itself).  Every relation gets the same
+    ``orbit``, generated by the slot maps of all the shared heads.
+    """
+    return _link([_typed_terms(spec, ctx, spaces) for spec in specs], len(spaces))
+
+
+def compile_relation(spec, ctx, spaces):
+    """compile_relations of one relation."""
+    return compile_relations((spec,), ctx, spaces)[0]
 
 
 def _orbits(generators, arity):
@@ -201,7 +230,7 @@ def _orbits(generators, arity):
 def residual_on_key(spec, ctx, spaces, key, memo=None):
     """Evaluate each signed group on one basis tuple.
 
-    ``spec`` is a RelationSpec or its compile_relation.  Returns
+    ``spec`` is a RelationSpec or one of compile_relations.  Returns
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
@@ -240,65 +269,135 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     return None
 
 
-def relation_residual(spec, ctx, space, window, instance_name="?",
-                      applicable=True, skip_reason=""):
-    """Check one relation over a window of basis tuples of ``space``.
+class _Walk:
+    """One relation's progress through a window: its witnesses so far,
+    the least tuple that raised with its error, and the cut above which
+    no tuple can change its report."""
 
-    The window is walked one orbit of ``compile_relation``'s ``orbit`` at
-    a time: a tuple is evaluated with its orbit, when it is the orbit's
-    least member, and the orbit's tuples share one memo of their shared
-    heads' values, dropped after the orbit.  A relation without shared
-    permuted heads has one-tuple orbits.  The report is the one a walk
-    of every tuple in canonical order gives: the witnesses are the first
-    MAX_WITNESSES failures in that order, and a tuple whose evaluation
-    raises, with fewer failures before it, raises the same error.
+    __slots__ = ("relation", "witnesses", "error", "cut")
+
+    def __init__(self, relation):
+        self.relation = relation
+        self.witnesses = []
+        self.error = None
+        self.cut = None
+
+    def failed(self, member, hit):
+        witnesses = self.witnesses
+        witnesses.append((member, hit[0], hit[1]))
+        if len(witnesses) >= MAX_WITNESSES:
+            witnesses.sort(key=_first)
+            del witnesses[MAX_WITNESSES:]
+            last = witnesses[-1][0]
+            self.cut = last if self.cut is None else min(self.cut, last)
+
+
+def _walk(relations, ctx, spaces, names):
+    """Walk the window's tuples once, one orbit at a time, for relations
+    compiled together; one _Walk per relation.
+
+    A tuple is evaluated with its orbit, when it is the orbit's least
+    member, and the orbit's tuples share one memo of the shared heads'
+    values, dropped after the orbit.  A member above a relation's cut is
+    skipped for that relation, and the walk ends once every relation is
+    past its cut: every tuple below the current one has been evaluated.
     """
-    described = window.describe(space, spec.arity)
-    if not applicable:
-        return CheckReport(spec.rid, spec.description, instance_name,
-                           described, 0, "skipped", (), skip_reason)
-    names = window.names_for(space, spec.arity)
-    spaces = (space,) * spec.arity
-    if spec.arity and not names:
-        if space.is_finite() and not space.basis_names():
-            # the zero space: nothing exists to check, the relation holds
-            return CheckReport(spec.rid, spec.description, instance_name,
-                               "zero space", 0, "pass", ())
-        return CheckReport(spec.rid, spec.description, instance_name,
-                           described, 0, "skipped", (),
-                           "window enumeration is empty")
-
-    relation = compile_relation(spec, ctx, spaces)
-    witnesses = []
-    error = None        # (tuple, exception) of the least tuple that raised
-    cut = None          # no tuple above this one can change the report
-    for key in itertools.product(names, repeat=spec.arity):
-        orbit = relation.orbit(key)
+    orbit_of = relations[0].orbit
+    walks = live = [_Walk(relation) for relation in relations]
+    for key in itertools.product(names, repeat=len(spaces)):
+        orbit = orbit_of(key)
         if not orbit:
             continue    # evaluated with its orbit's least member
-        if cut is not None and key > cut:
-            break       # every tuple below key has been evaluated
+        live = [w for w in live if w.cut is None or key <= w.cut]
+        if not live:
+            break
         memo = {}
         for member in orbit:
-            if cut is not None and member > cut:
-                break
-            try:
-                hit = residual_on_key(relation, ctx, spaces, member, memo)
-            except Exception as exc:
-                error = (member, exc)
-                cut = member
-                break
-            if hit is not None:
-                witnesses.append((member, hit[0], hit[1]))
-                if len(witnesses) >= MAX_WITNESSES:
-                    witnesses.sort(key=_first)
-                    del witnesses[MAX_WITNESSES:]
-                    last = witnesses[-1][0]
-                    cut = last if cut is None else min(cut, last)
+            for w in live:
+                if w.cut is not None and member > w.cut:
+                    continue
+                try:
+                    hit = residual_on_key(w.relation, ctx, spaces, member, memo)
+                except Exception as exc:
+                    w.error, w.cut = (member, exc), member
+                    continue
+                if hit is not None:
+                    w.failed(member, hit)
+    return walks
 
-    if error is not None and error[0] == cut:
-        raise error[1]    # fewer than MAX_WITNESSES failures come before it
-    witnesses.sort(key=_first)
-    status = "pass" if not witnesses else "fail"
-    return CheckReport(spec.rid, spec.description, instance_name, described,
-                       len(names) ** spec.arity, status, tuple(witnesses))
+
+def check_relations(specs, ctx, space, window, instance_name="?",
+                    applicability=lambda spec: (True, "")):
+    """One report per relation of ``specs``, in order, over a window of
+    basis tuples of ``space``.
+
+    ``applicability(spec)`` gives (applicable, skip reason).  The
+    applicable relations are grouped by arity, one window per arity, and
+    each group is compiled together and walked once (see _walk), so a
+    head that two relations share is computed once per tuple.  Each
+    report is the one a walk of every tuple in canonical order gives for
+    its relation alone: the witnesses are the first MAX_WITNESSES
+    failures in that order, and a tuple whose evaluation raises, with
+    fewer failures before it, raises the same error.  When relations
+    raise, in applicability, typing or evaluation, the error of the first
+    in ``specs`` order is raised after every group is walked: the one a
+    check of each relation in turn would raise.
+    """
+    reports = [None] * len(specs)
+    raised = {}         # index in specs -> the error its check raises
+    by_arity = {}       # arity -> [(index in specs, typed terms)]
+    for index, spec in enumerate(specs):
+        described = window.describe(space, spec.arity)
+        try:
+            ok, reason = applicability(spec)
+            if not ok:
+                reports[index] = CheckReport(spec.rid, spec.description,
+                                             instance_name, described, 0,
+                                             "skipped", (), reason)
+                continue
+            if spec.arity and not window.names_for(space, spec.arity):
+                reports[index] = _empty_window(spec, space, instance_name,
+                                               described)
+                continue
+            typed = _typed_terms(spec, ctx, (space,) * spec.arity)
+        except Exception as exc:
+            raised[index] = exc
+            continue
+        by_arity.setdefault(spec.arity, []).append((index, typed))
+
+    for arity, members in by_arity.items():
+        spaces = (space,) * arity
+        names = window.names_for(space, arity)
+        relations = _link([typed for _, typed in members], arity)
+        walks = _walk(relations, ctx, spaces, names)
+        for (index, _), w in zip(members, walks):
+            if w.error is not None and w.error[0] == w.cut:
+                raised[index] = w.error[1]   # fewer than MAX_WITNESSES before it
+                continue
+            spec = specs[index]
+            w.witnesses.sort(key=_first)
+            reports[index] = CheckReport(
+                spec.rid, spec.description, instance_name,
+                window.describe(space, arity), len(names) ** arity,
+                "fail" if w.witnesses else "pass", tuple(w.witnesses))
+    if raised:
+        raise raised[min(raised)]
+    return reports
+
+
+def _empty_window(spec, space, instance_name, described):
+    if space.is_finite() and not space.basis_names():
+        # the zero space: nothing exists to check, the relation holds
+        return CheckReport(spec.rid, spec.description, instance_name,
+                           "zero space", 0, "pass", ())
+    return CheckReport(spec.rid, spec.description, instance_name,
+                       described, 0, "skipped", (),
+                       "window enumeration is empty")
+
+
+def relation_residual(spec, ctx, space, window, instance_name="?",
+                      applicable=True, skip_reason=""):
+    """Check one relation over a window of basis tuples of ``space``:
+    check_relations of ``spec`` alone."""
+    return check_relations((spec,), ctx, space, window, instance_name,
+                           lambda spec: (applicable, skip_reason))[0]

@@ -117,11 +117,20 @@ def tokenize(text):
     return tokens
 
 
+# Parentheses (and ``dual(...)``) nest at most this deep, and a
+# coefficient, here or in an instance file, has at most this many
+# characters; past either, parsing is a ParseError, not a RecursionError
+# or a ValueError from Fraction.
+MAX_NESTING = 100
+MAX_COEFF_CHARS = 100
+
+
 class _Parser:
     def __init__(self, text):
         self.text = text
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -192,17 +201,11 @@ class _Parser:
     def parse_atom(self):
         kind, value, _ = self.peek()
         if kind == "lpar":
-            self.next()
-            node = self.parse_sum()
-            self.expect("rpar")
-            return node
+            return self.parse_group()
         if kind == "name":
             self.next()
             if value == "dual" and self.peek()[0] == "lpar":
-                self.next()
-                node = self.parse_sum()
-                self.expect("rpar")
-                return Dual(node)
+                return Dual(self.parse_group())
             return Gen(value)
         if kind == "number":
             # bare numbers occur in element literals ("1" is a basis name)
@@ -210,9 +213,24 @@ class _Parser:
             return Gen(value)
         self.fail("expected a generator, '(' or a coefficient")
 
+    # group := '(' sum ')'
+    def parse_group(self):
+        if self.depth >= MAX_NESTING:
+            self.fail("parentheses nest deeper than %d" % MAX_NESTING)
+        self.depth += 1
+        self.expect("lpar")
+        node = self.parse_sum()
+        self.expect("rpar")
+        self.depth -= 1
+        return node
+
 
 def _coefficient(text):
-    """A rational coefficient token such as ``2`` or ``1/2``."""
+    """A rational coefficient token such as ``2`` or ``1/2``, of at most
+    MAX_COEFF_CHARS characters."""
+    if len(text) > MAX_COEFF_CHARS:
+        raise ParseError("coefficient of %d characters, the most is %d"
+                         % (len(text), MAX_COEFF_CHARS))
     try:
         return Fraction(text)
     except ZeroDivisionError:

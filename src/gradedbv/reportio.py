@@ -14,6 +14,7 @@ import re
 
 from .core import (Element, EngineError, FiniteSpace, accumulate, field_by_name,
                    table_map)
+from .expr import MAX_COEFF_CHARS
 from .gysin import GysinData
 from .structures import BVUIInstance, FrobeniusInstance, ValidationError
 
@@ -29,9 +30,6 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# The longest coefficient an instance file may give: a string of at most
-# this many characters, or an integer of at most this many digits.
-MAX_COEFF_CHARS = 100
 _COEFF = re.compile(r"[+-]?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 _INT_BOUND = 10 ** MAX_COEFF_CHARS
 
@@ -233,6 +231,9 @@ def load_instance(path, field=None):
              % (path, exc.lineno, exc.colno, exc.msg)]) from None
     except ValueError as exc:       # an over-long integer, or not UTF-8
         raise InstanceFileError(["parse error in %s: %s" % (path, exc)]) from None
+    except RecursionError:
+        raise InstanceFileError(["parse error in %s: arrays or objects nest "
+                                 "too deeply" % path]) from None
     if not isinstance(doc, dict):
         raise InstanceFileError(["%s: top level must be an object" % path])
     instance = instance_from_dict(doc, field)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .core import (DegreeError, Element, EngineError, GradedMap, compose,
                    scalar_element)
-from .checks import Window, make_relation, relation_residual
+from .checks import Window, check_relations, make_relation
 from .expr import OpContext, as_map, parse
 
 
@@ -358,15 +358,12 @@ def evaluate_closed(expr, instance):
 
 
 def check_structure(instance, suite, window=Window()):
-    """One report per relation id, in suite order."""
-    reports = []
-    for rid in suite:
-        spec = builtin_relation(rid)
-        ok, reason = is_applicable(spec, instance)
-        reports.append(relation_residual(
-            spec, instance.context(), instance.space, window,
-            instance_name=instance.name, applicable=ok, skip_reason=reason))
-    return reports
+    """One report per relation id, in suite order; the relations of one
+    arity are walked together (see checks.check_relations)."""
+    return check_relations(
+        [builtin_relation(rid) for rid in suite], instance.context(),
+        instance.space, window, instance_name=instance.name,
+        applicability=lambda spec: is_applicable(spec, instance))
 
 
 def check_consequences(instance, window=Window()):

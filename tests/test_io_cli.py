@@ -233,6 +233,33 @@ def test_zero_denominator_is_a_parse_error(capsys, expr, value):
     assert "Traceback" not in err
 
 
+_LONG = "7" * 5000
+_NESTED = "(" * 300 + "%s" + ")" * 300
+
+
+@pytest.mark.parametrize("expr,value,message", [
+    (_LONG + "*mu", "U(x)U", "coefficient of 5000 characters"),
+    ("mu", _LONG + "*U(x)U", "coefficient of 5000 characters"),
+    ("mu", "1/" + _LONG + "*U(x)U", "coefficient of 5002 characters"),
+    (_NESTED % "mu", "U(x)U", "nest deeper than 100 at position 100"),
+    ("mu", _NESTED % "U(x)U", "nest deeper than 100 at position 100"),
+    ("dual(" * 300 + "mu" + ")" * 300, "U(x)U", "nest deeper than 100"),
+])
+def test_long_numbers_and_deep_nesting_are_parse_errors(capsys, expr, value,
+                                                        message):
+    assert main(["eval", "sphere:3", "--expr", expr, "--input", value]) == 64
+    err = capsys.readouterr().err
+    assert "parse error: " in err and message in err
+    assert "Traceback" not in err
+
+
+def test_coefficients_and_nesting_within_the_bounds_parse():
+    coeff = "7" * g.expr.MAX_COEFF_CHARS
+    assert g.parse(coeff + "*mu") == g.expr.Scal(Fraction(coeff), g.expr.Gen("mu"))
+    depth = g.expr.MAX_NESTING
+    assert g.parse("(" * depth + "mu" + ")" * depth) == g.expr.Gen("mu")
+
+
 def test_reports_byte_identical_across_runs_and_threads(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
@@ -444,6 +471,15 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
     assert "invalid: parse error in " in err
+    assert "Traceback" not in err
+
+
+def test_a_deeply_nested_file_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "nested.json"
+    path.write_text('{"name": "x", "basis": %s%s}' % ("[" * 100000, "]" * 100000))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid: parse error in " in err and "nest too deeply" in err
     assert "Traceback" not in err
 
 

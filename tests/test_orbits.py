@@ -126,41 +126,79 @@ def test_a_relation_without_shared_heads_has_one_tuple_orbits():
                    for _, _, head, _ in terms)
 
 
-def _shared_heads(relation):
-    return len({head for _, terms in relation.groups
-                for _, _, head, _ in terms if head is not None})
-
-
 def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     from gradedbv import cli
-    compile_original, residual_original = checks.compile_relation, checks.residual_on_key
-    relations = {}      # id of a compiled relation -> [rid, relation, largest memo]
+    link_original, residual_original = checks._link, checks.residual_on_key
+    groups = {}     # id of a compiled relation -> its group's entry
+    entries = []    # [arity, relations, shared heads, largest memo] per group
 
-    def compiling(spec, ctx, spaces):
-        relation = compile_original(spec, ctx, spaces)
-        relations[id(relation)] = [spec.rid, relation, 0]
-        return relation
+    def linking(typed, arity):
+        relations = link_original(typed, arity)
+        heads = set().union(*map(_head_indices, relations))
+        entry = [arity, len(relations), len(heads), 0]
+        entries.append(entry)
+        groups.update((id(relation), entry) for relation in relations)
+        return relations
 
     def watched(relation, ctx, spaces, key, memo=None):
         hit = residual_original(relation, ctx, spaces, key, memo)
         orbit = _orbit_of(relation, key)
-        # only this orbit's tuples, at most one value per shared head each
+        entry = groups[id(relation)]
+        # only this orbit's tuples, at most one value per shared head of
+        # the group each
         assert {image for _, image in memo} <= set(orbit), key
-        assert len(memo) <= _shared_heads(relation) * len(orbit)
-        entry = relations[id(relation)]
-        entry[2] = max(entry[2], len(memo))
+        assert len(memo) <= entry[2] * len(orbit)
+        entry[3] = max(entry[3], len(memo))
         return hit
 
-    monkeypatch.setattr(checks, "compile_relation", compiling)
+    monkeypatch.setattr(checks, "_link", linking)
     monkeypatch.setattr(checks, "residual_on_key", watched)
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "6"]) == 0
-    largest = {rid: size for rid, _, size in relations.values()}
-    # two heads on orbits of three tuples; three heads under tau; one head
-    assert largest["SevenTermMu"] == 6
-    assert largest["ElevenTerm"] == 6 and largest["NineTerm"] == 4
-    assert largest["Jacobi"] == largest["PermMu"] == 3
-    assert largest["Assoc"] == largest["Poisson"] == 0
+    # one group per arity: (arity, relations, shared heads, largest memo);
+    # the binary group's heads are read by two relations or more each, on
+    # orbits of two tuples, the ternary group's on orbits of three
+    assert sorted(map(tuple, entries)) == [
+        (0, 2, 0, 0), (1, 8, 2, 2), (2, 5, 9, 18), (3, 5, 4, 12)]
+
+    inst = g.sphere_model(3)
+
+    def largest(rid):
+        entries.clear()
+        relation_residual(builtin_relation(rid), inst.context(), inst.space,
+                          Window(6))
+        (entry,) = entries
+        return entry[3]
+
+    # checked alone: two heads on orbits of three tuples; three heads
+    # under tau; one head
+    assert largest("SevenTermMu") == 6
+    assert largest("ElevenTerm") == 6 and largest("NineTerm") == 4
+    assert largest("Jacobi") == largest("PermMu") == 3
+    assert largest("Assoc") == largest("Poisson") == 0
+
+
+def _head_indices(relation):
+    return {head for _, terms in relation.groups
+            for _, _, head, _ in terms if head is not None}
+
+
+def test_relations_of_one_arity_share_their_heads():
+    inst = g.sphere_model(3)
+    ctx, spaces = inst.context(), (inst.space,) * 2
+    eleven, nine, comm = checks.compile_relations(
+        [builtin_relation(rid) for rid in ("ElevenTerm", "NineTerm", "Comm")],
+        ctx, spaces)
+    # NineTerm is the first nine terms of ElevenTerm: each of its terms
+    # reads a head ElevenTerm computes into the orbit memo
+    assert _head_indices(nine) <= _head_indices(eleven)
+    assert all(head is not None for _, terms in nine.groups
+               for _, _, head, _ in terms)
+    assert _head_indices(comm).isdisjoint(_head_indices(eleven))
+    assert eleven.orbit is nine.orbit is comm.orbit
+    # alone, NineTerm's untwisted terms are their own unshared heads
+    alone = compile_relation(builtin_relation("NineTerm"), ctx, spaces)
+    assert len(_head_indices(alone)) < len(_head_indices(nine))
 
 
 def _raising_context(bad_f=None, bad_g=None):
@@ -189,7 +227,7 @@ def _raising_context(bad_f=None, bad_g=None):
 def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
     space, ctx, spec, calls = _raising_context(bad_f=("a1", "a0"))
     relation = compile_relation(spec, ctx, (space, space))
-    assert _shared_heads(relation) == 1
+    assert len(_head_indices(relation)) == 1
     memo = {}
     for attempt in range(1, 4):
         with pytest.raises(EngineError, match="f fails on"):

@@ -432,11 +432,15 @@ def test_huge_window_is_a_usage_error(monkeypatch, capsys, argv):
     def no_relation(*args, **kwargs):
         raise AssertionError("a relation ran")
 
-    monkeypatch.setattr(structures, "relation_residual", no_relation)
+    monkeypatch.setattr(structures, "check_relations", no_relation)
+    monkeypatch.setattr(checks, "check_relations", no_relation)
     with pytest.raises(SystemExit) as err:
         cli.main(["check", "sphere:3", "--suite", "bvui"] + argv)
     assert err.value.code == 64
     assert "from 0 to %d" % g.models.MAX_INPUT_U_POWER in capsys.readouterr().err
+    # the patched walker is the one a valid check runs
+    with pytest.raises(AssertionError, match="a relation ran"):
+        cli.main(["check", "sphere:3", "--suite", "bvui", "--window", "2"])
 
 
 # -- plans exchange coefficient dicts ----------------------------------------
