@@ -8,9 +8,15 @@ Koszul sign convention
 
     (f (x) g)(a (x) b) = (-1)^{|g||a|} f(a) (x) g(b).
 
-That single rule, the kernel ``tensor_apply``, is the only place tensor
-signs are introduced: ``tensor_maps`` and tensors in expressions both
-call it.
+That single rule is the only place tensor signs are introduced.
+``tensor_factors`` lays out each tensor product once, and ``tensor_run``
+compiles it over a field to one loop fixed to that layout: a single
+non-identity block at the start (the whole key or a prefix), at the end
+(a suffix) or in the middle has its slices fixed ahead of time, and
+several blocks multiply their outputs out.  The parity of a basis name
+in a sign slot is read from a per-kernel dict, filled the first time the
+name is seen.  ``tensor_maps`` and tensors in expressions both run such
+a compiled loop, and ``tensor_apply`` runs one on a list of items.
 Permutation signs, composition of tensored maps and dualization are all
 derived from it. No floating point is used anywhere.
 
@@ -764,15 +770,16 @@ def compose(f, g):
 
 
 class TensorKernel(NamedTuple):
-    """A tensor product f_1 (x) ... (x) f_k of maps, prepared once by
-    ``tensor_factors`` for ``tensor_apply``.
+    """A tensor product f_1 (x) ... (x) f_k of maps, laid out once by
+    ``tensor_factors`` for ``tensor_run``.
 
-    ``sign_slots`` holds ``(i, degree)`` for each input slot i whose
-    degree enters the Koszul sign: slot i of block j counts once for
-    every odd f_l with l > j, so only slots counted an odd number of
-    times are kept, with their space's ``degree`` function.  ``blocks``
-    holds ``(start, end, on_key)`` for each factor that is not an
-    identity; identity blocks are copied from the input key.
+    ``sign_slots`` holds ``(i, degree, parity)`` for each input slot i
+    whose degree enters the Koszul sign: slot i of block j counts once
+    for every odd f_l with l > j, so only slots counted an odd number of
+    times are kept, with their space's ``degree`` function and a dict
+    from basis name to degree mod 2.  ``blocks`` holds ``(start, end,
+    on_key)`` for each factor that is not an identity; identity blocks
+    (degree 0) are copied from the input key.
     """
 
     arity: int
@@ -781,19 +788,19 @@ class TensorKernel(NamedTuple):
 
 
 def tensor_factors(factors, spaces):
-    """Prepare a TensorKernel from (arity, degree, on_key) triples, one
-    per factor in order; ``on_key`` is None for an identity block.
-    ``spaces`` are the input slot spaces."""
+    """Lay out a TensorKernel from (arity, degree, on_key) triples, one
+    per factor in order; ``on_key`` is None for an identity block, whose
+    degree is taken as 0.  ``spaces`` are the input slot spaces."""
     sign_slots, blocks = [], []
     later_odd = 0
     pos = len(spaces)
     for arity, degree, on_key in reversed(factors):
         start = pos - arity
         if later_odd % 2:
-            sign_slots.extend((i, spaces[i].degree) for i in range(start, pos))
+            sign_slots.extend((i, spaces[i].degree, {}) for i in range(start, pos))
         if on_key is not None:
             blocks.append((start, pos, on_key))
-        later_odd += degree % 2
+            later_odd += degree % 2
         pos = start
     if pos != 0:
         raise ArityMismatch("tensor factors consume %d slots, not %d"
@@ -802,55 +809,142 @@ def tensor_factors(factors, spaces):
                         tuple(reversed(blocks)))
 
 
-def tensor_apply(kernel, items, field):
-    """Apply a tensor product of maps, with the Koszul rule, to the
-    (key, coefficient) items of an element; returns the coefficient
-    dict of the result (see ``accumulate``).
+def tensor_run(kernel, field):
+    """The compiled loop of a tensor product over ``field``: it maps the
+    coefficient dict of an element to that of its image (see
+    ``accumulate``), and does not mutate its input.
 
     Key x = x_1 (x) ... (x) x_k, block j feeding f_j, goes to
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
-    f_k(x_k); nothing is added when some f_j(x_j) vanishes.  This is the
-    only place tensor signs are introduced.
+    f_k(x_k); nothing is added when some f_j(x_j) vanishes.  The loop is
+    picked here, once per kernel.  A single non-identity block is the
+    whole key or a prefix of it, which has no sign slots, or a suffix or
+    the middle of it, whose sign slots all lie before it; its loop copies
+    the identity slots around the block's output with slices fixed ahead
+    of time, skips a vanishing output and adds a one-term output without
+    building a list (on the sphere model about a third of the block
+    outputs vanish and over half have one term).  Several blocks (or
+    none) multiply their outputs out.
+    The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
-    neg, mul, one = field.neg, field.mul, field.one
-    add_into = field.accumulate
-    acc = {}
-    for key, coeff in items:
-        if len(key) != arity:
-            raise ArityMismatch("key %r does not match arity %d" % (key, arity))
-        odd = False
-        for i, degree in sign_slots:
-            if degree(key[i]) % 2:
-                odd = not odd
-        if odd:
-            coeff = neg(coeff)
-        if len(blocks) == 1:
-            (start, end, on_key), = blocks
-            part = on_key(key[start:end]).coeffs
-            head, tail = key[:start], key[end:]
-            add_into(acc, [(head + k + tail, v) for k, v in part.items()],
-                     coeff)
-            continue
-        terms = [((), coeff)]
-        pos = 0
-        for start, end, on_key in blocks:
-            part = on_key(key[start:end]).coeffs
-            if not part:
-                break
-            gap = key[pos:start]
-            terms = [(k1 + gap + k2, mul(v1, v2))
-                     for k1, v1 in terms for k2, v2 in part.items()]
-            pos = end
-        else:
-            tail = key[pos:]
-            add_into(acc, [(k + tail, v) for k, v in terms], one)
-    return acc
+    neg, add_into = field.neg, field.accumulate
+    if len(blocks) != 1:
+        return _product_run(kernel, field)
+    (start, end, on_key), = blocks
+    if start == 0:
+        def run(coeffs):
+            acc = {}
+            for key, coeff in coeffs.items():
+                if len(key) != arity:
+                    raise _arity_error(key, arity)
+                part = on_key(key[:end]).coeffs
+                if len(part) == 1:
+                    (k, v), = part.items()
+                    add_into(acc, ((k + key[end:], v),), coeff)
+                elif part:
+                    tail = key[end:]
+                    add_into(acc, [(k + tail, v) for k, v in part.items()],
+                             coeff)
+            return acc
+    elif end == arity:
+        def run(coeffs):
+            acc = {}
+            for key, coeff in coeffs.items():
+                if len(key) != arity:
+                    raise _arity_error(key, arity)
+                if sign_slots and _odd(sign_slots, key):
+                    coeff = neg(coeff)
+                part = on_key(key[start:]).coeffs
+                if len(part) == 1:
+                    (k, v), = part.items()
+                    add_into(acc, ((key[:start] + k, v),), coeff)
+                elif part:
+                    head = key[:start]
+                    add_into(acc, [(head + k, v) for k, v in part.items()],
+                             coeff)
+            return acc
+    else:
+        def run(coeffs):
+            acc = {}
+            for key, coeff in coeffs.items():
+                if len(key) != arity:
+                    raise _arity_error(key, arity)
+                if sign_slots and _odd(sign_slots, key):
+                    coeff = neg(coeff)
+                part = on_key(key[start:end]).coeffs
+                if len(part) == 1:
+                    (k, v), = part.items()
+                    add_into(acc, ((key[:start] + k + key[end:], v),), coeff)
+                elif part:
+                    head, tail = key[:start], key[end:]
+                    add_into(acc, [(head + k + tail, v) for k, v in
+                                   part.items()], coeff)
+            return acc
+    return run
+
+
+def _product_run(kernel, field):
+    """``tensor_run``'s loop for several non-identity blocks, or none:
+    the block outputs are multiplied out, identity gaps copied between
+    them."""
+    arity, sign_slots, blocks = kernel
+    neg, mul, one, add_into = field.neg, field.mul, field.one, field.accumulate
+
+    def run(coeffs):
+        acc = {}
+        for key, coeff in coeffs.items():
+            if len(key) != arity:
+                raise _arity_error(key, arity)
+            if sign_slots and _odd(sign_slots, key):
+                coeff = neg(coeff)
+            terms = [((), coeff)]
+            pos = 0
+            for start, end, on_key in blocks:
+                part = on_key(key[start:end]).coeffs
+                if not part:
+                    break
+                gap = key[pos:start]
+                terms = [(k1 + gap + k2, mul(v1, v2))
+                         for k1, v1 in terms for k2, v2 in part.items()]
+                pos = end
+            else:
+                tail = key[pos:]
+                add_into(acc, [(k + tail, v) for k, v in terms], one)
+        return acc
+    return run
+
+
+def _odd(sign_slots, key):
+    """Whether the degrees of ``key``'s names in ``sign_slots`` add up
+    to an odd number.  A name's parity is read from its slot's dict, and
+    stored there the first time the name is seen; a name whose degree
+    lookup raises is not stored, so it raises again."""
+    odd = 0
+    for i, degree, parity in sign_slots:
+        name = key[i]
+        bit = parity.get(name)
+        if bit is None:
+            bit = parity[name] = degree(name) % 2
+        odd ^= bit
+    return odd
+
+
+def _arity_error(key, arity):
+    return ArityMismatch("key %r does not match arity %d" % (key, arity))
+
+
+def tensor_apply(kernel, items, field):
+    """``tensor_run`` of ``kernel`` on (key, coefficient) items, summed
+    first; returns the coefficient dict of the result."""
+    coeffs = {}
+    field.accumulate(coeffs, items, field.one)
+    return tensor_run(kernel, field)(coeffs)
 
 
 def tensor_maps(*factors):
     """Tensor product of maps with the global Koszul sign rule
-    (see tensor_apply)."""
+    (see tensor_run)."""
     if not factors:
         raise EngineError("empty tensor product of maps")
     if len(factors) == 1:
@@ -859,12 +953,11 @@ def tensor_maps(*factors):
     source = tuple(s for f in factors for s in f.source)
     target = tuple(t for f in factors for t in f.target)
     degree = sum(f.degree for f in factors)
-    kernel = tensor_factors([(f.source_arity, f.degree, f.on_key)
-                             for f in factors], source)
+    run = tensor_run(tensor_factors([(f.source_arity, f.degree, f.on_key)
+                                     for f in factors], source), field)
 
     def rule(key):
-        return _trusted_element(
-            target, field, tensor_apply(kernel, ((key, field.one),), field))
+        return _trusted_element(target, field, run({key: field.one}))
 
     name = "(" + " (x) ".join(f.name for f in factors) + ")"
     return GradedMap(source, target, degree, field, name=name, rule=rule)

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
                    basis_element, permute, run_on_element, scalar_element,
-                   tensor_apply, tensor_factors, zero_element, _spaces_key,
+                   tensor_factors, tensor_run, zero_element, _spaces_key,
                    _trusted_element)
 
 
@@ -550,7 +550,7 @@ def _compile_tensor(node, ctx, in_spaces):
     kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
                              for p in plans], source)
     return _composite(source, target, sum(p.degree for p in plans), field,
-                      lambda coeffs: tensor_apply(kernel, coeffs.items(), field))
+                      tensor_run(kernel, field))
 
 
 def _factor_on_key(plan, field):

@@ -19,8 +19,8 @@ from __future__ import annotations
 from .core import (EngineError, FiniteSpace, GradedMap, GradedSpace,
                    UnknownBasisName, accumulate, basis_element, table_map,
                    zero_element)
-from .checks import (CheckReport, RelationSpec, Window, make_relation,
-                     relation_residual)
+from .checks import (CheckReport, RelationSpec, Window, check_relations,
+                     make_relation)
 from .expr import Compose, Gen, OpContext, Tensor, as_map
 from .models import SphereSpace, sphere_key, sphere_name
 from .structures import builtin_relation
@@ -69,28 +69,40 @@ class GysinData:
 
 class SphereClassSpace(GradedSpace):
     """Classes [AU^k], k >= 1: the quotient of the sphere model by the
-    kernel of its operator."""
+    kernel of its operator.
+
+    As in ``SphereSpace``, a class name must be spelled canonically
+    (``[AU]``, not ``[AU^1]`` or ``[AU^01]``), and its degree is memoized
+    once the name has passed that check.
+    """
 
     def __init__(self, n):
         self.n = n
         self.name = "sphere:%d/kerDelta" % n
+        self._degrees = {}
 
     def _key(self, name):
-        if name.startswith("[") and name.endswith("]"):
-            got = sphere_key(name[1:-1])
-            if got is not None and got[0] and got[1] >= 1:
-                return got
-        return None
+        """(a_flag, u_power) of a class name; UnknownBasisName unless
+        it is spelled canonically."""
+        got = sphere_key(name[1:-1])
+        if (got is None or not got[0] or got[1] < 1
+                or "[%s]" % sphere_name(*got) != name):
+            raise UnknownBasisName("%r is not a class of %s" % (name, self.name))
+        return got
 
     def degree(self, basis_name):
-        key = self._key(basis_name)
-        if key is None:
-            raise UnknownBasisName("%r is not a class of %s"
-                                   % (basis_name, self.name))
-        return key[1] * (self.n - 1) - self.n
+        degree = self._degrees.get(basis_name)
+        if degree is None:
+            k = self._key(basis_name)[1]
+            degree = self._degrees[basis_name] = k * (self.n - 1) - self.n
+        return degree
 
     def contains(self, basis_name):
-        return self._key(basis_name) is not None
+        try:
+            self.degree(basis_name)
+        except UnknownBasisName:
+            return False
+        return True
 
     def window_names(self, k):
         return tuple(sorted("[%s]" % sphere_name(True, i)
@@ -265,8 +277,8 @@ def check_lie_bialgebra(instance, data, window=Window()):
     seven = RelationSpec("GysinSevenTerm", 3,
                          "seven-term identity transported to classes",
                          _transported("SevenTermMu", mmm, Gen("E")))
-    reports = [relation_residual(spec, ctx, b, window, instance_name=name)
-               for spec in (jacobi, cojacobi, drinfeld, nine, seven)]
+    reports = check_relations((jacobi, cojacobi, drinfeld, nine, seven), ctx,
+                              b, window, instance_name=name)
 
     routes = (reports[0].status, reports[4].status)
     if "skipped" in routes:

@@ -54,3 +54,21 @@ def test_verdict_fails_with_eight_wins_or_a_gain_inside_the_iqr():
     gate = bench_pairs.verdict(_pairs(parent, small))
     assert gate["wins"] == 10 and gate["gain"] < gate["parent_iqr"]
     assert not gate["passed"]
+
+
+@pytest.mark.parametrize("better,parent,change,beyond", [
+    ("lower", 0.20, 0.25, True),      # 25% slower, bound 20%
+    ("lower", 0.20, 0.23, False),     # 15% slower
+    ("lower", 0.20, 0.10, False),     # better
+    ("higher", 100.0, 70.0, True),    # 30% fewer per second
+    ("higher", 100.0, 85.0, False),
+])
+def test_end_to_end_flag_beyond_the_bound(better, parent, change, beyond):
+    assert bench_pairs.beyond_bound(parent, change, better, 0.2) is beyond
+
+
+def test_end_to_end_bounds_are_read_from_the_benchmark():
+    bounds = bench_pairs.end_to_end_bounds(str(TOOL.parent.parent))
+    assert bounds["wall_s"] == ("lower", 0.2)
+    assert bounds["tuples_per_s"] == ("higher", 0.2)
+    assert set(bounds) == {"wall_s", "tuples_per_s", "setup_s", "peak_rss_mb"}

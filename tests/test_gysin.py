@@ -32,6 +32,20 @@ def test_canonical_sphere_classes(sphere, sphere_gysin):
     assert data.erase(sphere.eta).is_zero()
 
 
+@pytest.mark.parametrize("name", ["[AU^1]", "[AU^01]"])
+def test_sphere_classes_reject_non_canonical_names(sphere_gysin, name):
+    from gradedbv.core import UnknownBasisName
+    b = sphere_gysin.space_b
+    assert b.contains("[AU]") and b.degree("[AU]") == -1
+    assert not b.contains(name)
+    for _ in range(2):      # rejected again once "[AU]" is memoized
+        with pytest.raises(UnknownBasisName):
+            b.degree(name)
+    y = basis_element((b,), sphere_gysin.mark.field, (name,))
+    with pytest.raises(UnknownBasisName):
+        sphere_gysin.mark(y)
+
+
 def test_canonical_sphere_validates_on_window(sphere, sphere_gysin):
     assert sphere_gysin.validate(sphere, Window(5))
 

@@ -3,6 +3,8 @@
 import itertools
 import random
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -234,3 +236,105 @@ def test_tensor_kernel_rejects_keys_of_the_wrong_length():
         g.tensor_maps(sphere.delta, sphere.delta).on_key(("AU",))
     with pytest.raises(ArityMismatch):
         tensor_factors([(1, 1, sphere.delta.on_key)], (sp, sp))
+
+
+# (layout, factors): each layout with an odd and an even non-identity factor
+_KERNEL_LAYOUTS = [
+    ("whole key", ("lambda",)), ("whole key", ("mu",)),
+    ("prefix", ("lambda", "id")), ("prefix", ("mu", "id", "id")),
+    ("suffix", ("id", "Delta")), ("suffix", ("id", "id", "lambda")),
+    ("suffix", ("id", "mu")),
+    ("middle", ("id", "lambda", "id")), ("middle", ("id", "mu", "id")),
+    ("gap", ("lambda", "id", "Delta")), ("gap", ("mu", "id", "lambda")),
+    ("three blocks", ("lambda", "lambda", "Delta")),
+    ("three blocks", ("mu", "tau", "lambda")),
+]
+
+
+def _layout(kernel):
+    """The name of a kernel's block layout, as in ``_KERNEL_LAYOUTS``."""
+    spans = [(start, end) for start, end, _ in kernel.blocks]
+    if len(spans) != 1:
+        return {2: "gap", 3: "three blocks"}[len(spans)]
+    (start, end), = spans
+    return {(True, True): "whole key", (True, False): "prefix",
+            (False, True): "suffix",
+            (False, False): "middle"}[start == 0, end == kernel.arity]
+
+
+def _koszul_reference(factors, key, space, field):
+    """(sign, f_1 (x) ... (x) f_k on one basis key) by the Koszul formula,
+    written out; ``factors`` are (arity, degree, on_key) with on_key None
+    for an identity, and nothing of the tensor kernel is called."""
+    blocks, pos = [], 0
+    for arity, _, _ in factors:
+        blocks.append(key[pos:pos + arity])
+        pos += arity
+    sign = _block_sign(blocks, [degree for _, degree, _ in factors], space)
+    out = {(): field.coerce(sign)}
+    for (_, _, on_key), block in zip(factors, blocks):
+        part = {block: field.one} if on_key is None else on_key(block).coeffs
+        out = {k1 + k2: field.mul(v1, v2)
+               for k1, v1 in out.items() for k2, v2 in part.items()}
+    return sign, out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+@pytest.mark.parametrize("model", ["sphere:3", "three-dim"])
+def test_every_kernel_layout_matches_the_koszul_formula(model, field_name):
+    from gradedbv.checks import Window
+    from gradedbv.core import tensor_apply, tensor_factors, tensor_run
+    field = g.field_by_name(field_name)
+    inst = g.builtin_model(model, field)
+    sp = inst.space
+    factor = {name: (len(m.source), m.degree, m.on_key) for name, m in (
+        ("mu", inst.mu), ("lambda", inst.lam), ("Delta", inst.delta),
+        ("tau", g.permute((1, 0), (sp, sp), field)))}
+    factor["id"] = (1, 0, None)
+    negative = 0
+    for layout, names in _KERNEL_LAYOUTS:
+        factors = [factor[name] for name in names]
+        arity = sum(f[0] for f in factors)
+        kernel = tensor_factors(factors, (sp,) * arity)
+        assert _layout(kernel) == layout
+        run = tensor_run(kernel, field)
+        element, expected = {}, {}
+        for index, key in enumerate(itertools.product(
+                Window(3, 2).names_for(sp, arity), repeat=arity)):
+            sign, want = _koszul_reference(factors, key, sp, field)
+            assert run({key: field.one}) == want, (names, key)
+            assert tensor_apply(kernel, [(key, field.one)], field) == want
+            negative += sign == -1 and bool(want)
+            coeff = field.coerce(index % 5 - 2)
+            if not field.is_zero(coeff):
+                element[key] = coeff
+                for okey, value in want.items():
+                    expected[okey] = field.add(expected.get(okey, 0),
+                                               field.mul(coeff, value))
+        expected = {k: v for k, v in expected.items() if not field.is_zero(v)}
+        assert run(element) == expected, names
+    assert negative > 0
+
+
+def test_failed_parity_lookups_are_not_cached():
+    from gradedbv.core import (UnknownBasisName, tensor_apply, tensor_factors,
+                               tensor_run)
+    from gradedbv.expr import compile_expr
+    sphere = g.sphere_model(3)
+    sp, field = sphere.space, sphere.field
+    kernel = tensor_factors([(1, 0, None), (1, 1, sphere.delta.on_key)],
+                            (sp, sp))
+    (_, _, parity), = kernel.sign_slots
+    run = tensor_run(kernel, field)
+    plan = compile_expr(g.parse("id (x) Delta"), sphere.context(), (sp, sp))
+    for _ in range(2):
+        with pytest.raises(UnknownBasisName):
+            run({("B", "AU"): 1})
+        with pytest.raises(UnknownBasisName):
+            tensor_apply(kernel, [(("B", "AU"), 1)], field)
+        with pytest.raises(UnknownBasisName):
+            plan.run({("B", "AU"): 1})
+        assert "B" not in parity
+    # Delta(AU) = 1, with the sign (-1)^{|Delta| |AU|} = -1
+    assert run({("AU", "AU"): 1}) == {("AU", "1"): -1}
+    assert parity == {"AU": 1}

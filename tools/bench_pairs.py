@@ -9,17 +9,23 @@ PARENT and CHANGE are two checkouts of the repository (for example two
 alternates from seed to seed, so drift in the host's load falls on both
 sides alike.  The gate metric is ``wall_s`` (lower is better).  The
 script prints each pair's ``wall_s``, each side's median and quartiles,
-the number of pairs the change wins, each end-to-end metric's medians,
-and the verdict of the gate: the change wins at least 9 of every 10
-pairs, and its median is lower than the parent's by more than the
-parent's interquartile range.  Stdlib only; nothing under ``bench/`` is
-written.
+the number of pairs the change wins, each metric's medians, and the
+verdict of the gate: the change wins at least 9 of every 10 pairs, and
+its median is lower than the parent's by more than the parent's
+interquartile range.  Each end-to-end metric that PARENT's
+``BENCHMARK.json`` lists is flagged ``beyond bound`` when the change's
+median is worse than the parent's, in the metric's ``better``
+direction, by more than ``bound`` times the parent's median, else
+``within bound``; the flags do not enter the verdict.  Stdlib only;
+nothing under ``bench/`` is written, and ``BENCHMARK.json`` is only
+read.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -64,6 +70,22 @@ def verdict(pairs):
             "passed": wins >= WIN_SHARE * len(pairs) and gain > iqr}
 
 
+def beyond_bound(parent, change, better, bound):
+    """Whether the median ``change`` is worse than the median ``parent``
+    in the ``better`` direction ("lower" or "higher") by more than
+    ``bound`` times ``parent``."""
+    worse = change - parent if better == "lower" else parent - change
+    return worse > bound * abs(parent)
+
+
+def end_to_end_bounds(checkout):
+    """{metric: (better, bound)} for the end-to-end metrics of the
+    checkout's ``BENCHMARK.json``."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    return {m["name"]: (m["better"], m["bound"]) for m in spec["end_to_end"]}
+
+
 def run_bench(checkout, workload, seed, seconds):
     """bench/run.py's result object for one run in ``checkout``."""
     argv = [sys.executable, "bench/run.py", "--workload", workload,
@@ -103,11 +125,18 @@ def main(argv=None):
                  100 * (values["change"] / values["parent"] - 1)), flush=True)
 
     gate = verdict(pairs)
+    bounds = end_to_end_bounds(args.parent)
     for metric in sorted(runs["parent"][0]):
         medians = [statistics.median(run[metric]["value"] for run in runs[side])
                    for side in ("parent", "change")]
-        print("%s median: parent %.6g change %.6g (%+.1f%%)"
-              % (metric, medians[0], medians[1], 100 * (medians[1] / medians[0] - 1)))
+        flag = ""
+        if metric in bounds:
+            better, bound = bounds[metric]
+            flag = "; %s bound %g" % ("beyond" if beyond_bound(*medians, better, bound)
+                                      else "within", bound)
+        print("%s median: parent %.6g change %.6g (%+.1f%%)%s"
+              % (metric, medians[0], medians[1],
+                 100 * (medians[1] / medians[0] - 1), flag))
     for side in ("parent", "change"):
         q1, median, q3 = gate[side]
         print("%s %s: median %.6g, quartiles %.6g .. %.6g"
