@@ -17,9 +17,12 @@ layout: a single non-identity block at the start (the whole key or a
 prefix), at the end (a suffix) or in the middle has its slices fixed
 ahead of time, and several blocks multiply their outputs out.  The
 parity of a basis name in a sign slot is read from a per-kernel dict,
-filled the first time the name is seen.  Permutation signs are
-``koszul_sign``'s; dualization (``double.dual_map``) carries its own
-sign.  No floating point is used anywhere.
+filled the first time the name is seen.  ``permute`` compiles each
+permutation map alike, to a fixed slot move and a sign from the
+parities of its inverted slot pairs, read from per-slot dicts;
+``koszul_sign`` computes that sign from scratch and is the tests'
+oracle.  Dualization (``double.dual_map``) carries its own sign.  No
+floating point is used anywhere.
 
 Scalar arithmetic on linear combinations runs in one kernel per field:
 ``Rationals.accumulate`` and ``PrimeField.accumulate`` add a scaled list
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple
 
 
@@ -893,23 +897,41 @@ def _arity_error(key, arity):
 def permute(perm, spaces, field):
     """Signed permutation map; perm[i] is the 0-indexed target slot of
     factor i.  tau = permute((1, 0), ...), sigma = permute((1, 2, 0), ...).
+
+    The map is compiled once: the key's names move to their target slots
+    by a fixed ``itemgetter`` of the inverse permutation, and the sign is
+    the parity of the inverted pairs (i < j, perm[i] > perm[j]) whose two
+    names are odd, those index pairs being fixed here too.  Each name's
+    parity is read from its slot's dict as in ``_odd``; ``koszul_sign``
+    and ``apply_permutation_key`` compute the same sign and key from
+    scratch.  ``GradedMap.on_key`` checks each output once, as it does
+    any rule's.
     """
     perm = tuple(perm)
-    if len(perm) != len(spaces):
+    n = len(perm)
+    if n != len(spaces):
         raise ArityMismatch("permutation %r does not match arity %d"
                             % (perm, len(spaces)))
-    if sorted(perm) != list(range(len(perm))):
+    if sorted(perm) != list(range(n)):
         raise EngineError("%r is not a permutation" % (perm,))
-    target = [None] * len(spaces)
-    for i, space in enumerate(spaces):
-        target[perm[i]] = space
+    move = itemgetter(*map(perm.index, range(n))) if n > 1 else tuple
+    target = move(tuple(spaces))    # the slot spaces move like a key
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]]
+    slots = [(i, spaces[i].degree, {}) for i in sorted({i for p in pairs for i in p})]
+    signs = (field.one, field.coerce(-1))
 
     def rule(key):
-        degrees = [s.degree(n) for s, n in zip(spaces, key)]
-        sign = koszul_sign(perm, degrees)
-        return basis_element(tuple(target), field,
-                             apply_permutation_key(perm, key), sign)
+        bits = {}
+        for i, degree, parity in slots:
+            name = key[i]
+            bit = parity.get(name)
+            if bit is None:
+                bit = parity[name] = degree(name) % 2
+            bits[i] = bit
+        odd = 0
+        for i, j in pairs:
+            odd ^= bits[i] & bits[j]
+        return _trusted_element(target, field, {move(key): signs[odd]})
 
-    return GradedMap(spaces, tuple(target), 0, field,
-                     name="perm%s" % (perm,), rule=rule)
+    return GradedMap(spaces, target, 0, field, name="perm%s" % (perm,), rule=rule)
 

@@ -22,7 +22,7 @@ The same tokenizer parses element literals (``AU^1 (x) U^1``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -40,12 +40,34 @@ class ParseError(EngineError):
 # AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _node(cls):
+    """An AST node class: a frozen, slotted dataclass whose hash, the
+    dataclass's own, is computed once per node and kept in its ``_hash``
+    field, which equality, hashing and ``repr`` leave out.  So looking a
+    tree up in ``OpContext.plans`` hashes its root's fields, not its
+    whole subtree again."""
+    cls.__annotations__["_hash"] = "int | None"
+    cls._hash = dataclass_field(default=None, init=False, repr=False, compare=False)
+    cls = dataclass(frozen=True, slots=True)(cls)
+    tree_hash = cls.__hash__
+
+    def __hash__(self):
+        value = self._hash
+        if value is None:
+            value = tree_hash(self)
+            object.__setattr__(self, "_hash", value)
+        return value
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Gen:
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Compose:
     children: tuple  # applied right to left
 
@@ -53,7 +75,7 @@ class Compose:
         assert len(self.children) >= 2
 
 
-@dataclass(frozen=True)
+@_node
 class Tensor:
     children: tuple
 
@@ -61,13 +83,13 @@ class Tensor:
         assert len(self.children) >= 2
 
 
-@dataclass(frozen=True)
+@_node
 class Scal:
     coeff: Fraction
     child: object
 
 
-@dataclass(frozen=True)
+@_node
 class Sum:
     terms: tuple
 
@@ -75,7 +97,7 @@ class Sum:
         assert len(self.terms) >= 2
 
 
-@dataclass(frozen=True)
+@_node
 class Dual:
     child: object
 
@@ -382,10 +404,12 @@ class Plan(NamedTuple):
     for witnesses, and as the per-key outputs that maps cache (a composite
     tensor factor's value on one block is wrapped too).
 
-    Only GradedMaps keep per-key results: the generators' own maps, and
-    the map a Sum compiles to, so a shared subexpression such as the
-    derived bracket is summed once per basis key in a context.  No other
-    composite plan caches its outputs.
+    Only GradedMaps keep per-key results: the generators' own maps, the
+    map a Sum compiles to, so a shared subexpression such as the derived
+    bracket is summed once per basis key in a context, and the map each
+    composite tensor factor gets in its tensor plan, so a block such as
+    ``lambda . eta`` on ``()`` runs its plan once.  No other composite
+    plan caches its outputs.
     """
 
     source: tuple
@@ -547,26 +571,34 @@ def _compile_tensor(node, ctx, in_spaces):
     field = ctx.field
     source = tuple(s for p in plans for s in p.source)
     target = tuple(t for p in plans for t in p.target)
-    kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, field))
-                             for p in plans], source)
+    kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, c, field))
+                             for p, c in zip(plans, node.children)], source)
     return _composite(source, target, sum(p.degree for p in plans), field,
                       tensor_run(kernel, field))
 
 
-def _factor_on_key(plan, field):
-    """A tensor factor's on_key for tensor_factors: None for ``id``, the
-    generator's memoized on_key, or the whole plan applied to one key."""
+def _factor_on_key(plan, node, field):
+    """A tensor factor's on_key for tensor_factors: None for ``id``, else
+    the memoized on_key of the factor's map (``_plan_map``)."""
     if plan.apply is _identity:
         return None
+    return _plan_map(plan, node, field).on_key
+
+
+def _plan_map(plan, node, field, name=None):
+    """The plan of ``node`` as a GradedMap: a generator's or Sum's own
+    map, else a new map (named ``name``, or the printed node) whose rule
+    runs the plan on one key, so each key's output is computed and
+    checked once."""
     if isinstance(plan.apply, GradedMap):
-        return plan.apply.on_key
-    return _on_key(plan, field)
+        return plan.apply
+    return GradedMap(plan.source, plan.target, plan.degree, field,
+                     name=name or print_expr(node), rule=_on_key(plan, field))
 
 
 def _on_key(plan, field):
-    """The plan as a function of one source basis key.  Its callers have
-    checked the key's arity: the tensor kernel for a factor's block, and
-    ``GradedMap.on_key`` for ``as_map``."""
+    """The plan as a function of one source basis key, the rule of
+    ``_plan_map``'s maps, whose ``on_key`` has checked the key's arity."""
     target, run, one = plan.target, plan.run, field.one
     return lambda key: _trusted_element(target, field, run({key: one}))
 
@@ -598,11 +630,7 @@ def as_map(node, ctx, in_spaces, name=None):
     generator or a Sum is returned as the plan's own map, and ``name``
     is then ignored; any other expression gets a new map.
     """
-    plan = compile_expr(node, ctx, in_spaces)
-    if isinstance(plan.apply, GradedMap):
-        return plan.apply
-    return GradedMap(plan.source, plan.target, plan.degree, ctx.field,
-                     name=name or print_expr(node), rule=_on_key(plan, ctx.field))
+    return _plan_map(compile_expr(node, ctx, in_spaces), node, ctx.field, name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,62 @@
+"""tools/ab_inproc.py: in-process A/B timing of two checkouts."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "ab_inproc.py"
+_spec = importlib.util.spec_from_file_location("ab_inproc", TOOL)
+ab_inproc = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab_inproc)
+
+REPO = str(TOOL.parent.parent)
+
+
+def test_summary_of_pairs():
+    parent, change, relative, wins = ab_inproc.summary(
+        [(1.0, 0.8), (2.0, 2.5), (3.0, 2.4)])
+    assert (parent, change, wins) == (2.0, 2.4, 2)
+    assert abs(relative - 0.2) < 1e-12
+
+
+def test_workload_commands_write_their_reports_and_keep_the_saved_doubles():
+    commands = ab_inproc.workload_commands(REPO, "finite-negative", 5)
+    assert all(argv[-2:] == ["--out", "report-%d.json" % index]
+               for index, (argv, _) in enumerate(commands))
+    argvs = [" ".join(argv) for argv, _ in commands]
+    assert any(a.startswith("double trivial --save D-trivial.json") for a in argvs)
+    assert any(a.startswith("check D-three-dim.json") for a in argvs)
+    assert any("sphere:5" in a for a in argvs)
+    assert not any("{n}" in a for a in argvs)
+
+
+def test_each_side_is_its_own_set_of_modules():
+    before = dict(sys.modules)
+    path = list(sys.path)
+    first, second = ab_inproc.load_side(REPO), ab_inproc.load_side(REPO)
+    assert sys.modules == before and sys.path == path
+    assert {"gradedbv", "gradedbv.cli", "gradedbv.core", "gradedbv.double"} <= set(first)
+    assert set(first) == set(second)
+    assert all(first[name] is not second[name] for name in first)
+    assert first["gradedbv.expr"].permute is first["gradedbv.core"].permute
+
+
+def test_a_checkout_against_itself(monkeypatch, capsys):
+    monkeypatch.setattr(ab_inproc, "workload_commands", lambda *args: [
+        (["check", "sphere:3", "--suite", "all", "--window", "2",
+          "--out", "report-0.json"], 0)])
+    assert ab_inproc.main([REPO, REPO, "--workload", "sphere-wide",
+                           "--runs", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "run 2 (change first)" in out
+    assert "of 2 runs" in out and "not correct" not in out
+
+
+def test_an_unexpected_exit_code_is_not_correct(monkeypatch, capsys):
+    monkeypatch.setattr(ab_inproc, "workload_commands", lambda *args: [
+        (["check", "sphere:x", "--out", "report-0.json"], 0)])
+    assert ab_inproc.main([REPO, REPO, "--workload", "sphere-wide",
+                           "--runs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "parent exit codes [64], expected [0]" in out
+    assert "a run was not correct" in out

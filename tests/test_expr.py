@@ -241,3 +241,42 @@ def test_roundtrip_random_expressions():
         assert parse(print_expr(normalized)) == normalized
 
     run()
+
+
+def test_equal_parses_hash_and_compare_equal():
+    from dataclasses import fields
+    texts = ("mu . (id (x) mu) - 2*lambda . tau",
+             "dual(mu) . (Delta (x) id) + mu",
+             "(lambda . eta) (x) ((id (x) mu) . sigma)")
+    for text in texts:
+        first, second = parse(text), parse(text)
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        # the kept hash is the dataclass's hash of the node's fields
+        fields_hash = hash(tuple(getattr(first, f.name) for f in fields(first)
+                                 if f.compare))
+        assert hash(first) == hash(first) == fields_hash
+    assert parse(texts[0]) != parse(texts[1])
+    plans = {(parse(text), None): text for text in texts}
+    assert all(plans[parse(text), None] == text for text in texts)
+
+
+def test_composite_tensor_factors_run_once_per_key(monkeypatch, tmp_path):
+    from gradedbv import expr
+    from gradedbv.cli import main
+    runs = {}
+    on_key = expr._on_key
+
+    def counted(plan, field):
+        rule = on_key(plan, field)
+
+        def count(key):
+            runs[count, key] = runs.get((count, key), 0) + 1
+            return rule(key)
+        return count
+
+    monkeypatch.setattr(expr, "_on_key", counted)
+    assert main(["check", "sphere:3", "--suite", "all", "--window", "6",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    assert any(key == () for _, key in runs)     # e.g. lambda . eta
+    assert max(runs.values()) == 1

@@ -341,3 +341,81 @@ def test_failed_parity_lookups_are_not_cached():
     # Delta(AU) = 1, with the sign (-1)^{|Delta| |AU|} = -1
     assert run({("AU", "AU"): 1}) == {("AU", "1"): -1}
     assert parity == {"AU": 1}
+
+
+def _slot_space(model, field):
+    """The slot space of a built-in model, or of the double of one for
+    ``D(<model>)``."""
+    from gradedbv.double import build_double
+    if model.startswith("D("):
+        return build_double(g.builtin_model(model[2:-1], field)).space
+    return g.builtin_model(model, field).space
+
+
+def _parity_dicts(gmap):
+    """The per-slot parity dicts a permutation map's rule has filled."""
+    cells = dict(zip(gmap._rule.__code__.co_freevars,
+                     (cell.cell_contents for cell in gmap._rule.__closure__)))
+    return [parity for _, _, parity in cells["slots"]]
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+@pytest.mark.parametrize("model", ["sphere:3", "three-dim", "D(three-dim)"])
+def test_every_permutation_matches_the_sign_oracle(model, field_name):
+    from gradedbv.checks import Window
+    field = g.field_by_name(field_name)
+    space = _slot_space(model, field)
+    negative = 0
+    for arity in (1, 2, 3):
+        spaces = (space,) * arity
+        names = Window(3, 2).names_for(space, arity)
+        for perm in itertools.permutations(range(arity)):
+            gmap = g.permute(perm, spaces, field)
+            for key in itertools.product(names, repeat=arity):
+                sign = g.koszul_sign(perm, [space.degree(n) for n in key])
+                want = basis_element(spaces, field,
+                                     apply_permutation_key(perm, key), sign)
+                assert gmap.on_key(key) == want, (perm, key)
+                negative += sign == -1
+    assert negative > 0
+
+
+def test_permutation_keys_of_unknown_names_or_the_wrong_arity_raise():
+    from gradedbv.core import ArityMismatch, UnknownBasisName
+    sphere = g.sphere_model(3)
+    sp, field = sphere.space, sphere.field
+    for arity in (1, 2, 3):
+        for perm in itertools.permutations(range(arity)):
+            gmap = g.permute(perm, (sp,) * arity, field)
+            for slot in range(arity):
+                key = ("A",) * slot + ("B",) + ("AU",) * (arity - slot - 1)
+                for _ in range(2):
+                    with pytest.raises(UnknownBasisName):
+                        gmap.on_key(key)
+                assert key not in gmap._cache
+                assert all("B" not in parity for parity in _parity_dicts(gmap))
+            for key in (("A",) * (arity - 1), ("A",) * (arity + 1)):
+                with pytest.raises(ArityMismatch):
+                    gmap.on_key(key)
+                assert key not in gmap._cache
+            gmap.on_key(("A",) * arity)
+            assert any(_parity_dicts(gmap)) or perm == tuple(range(arity))
+
+
+def test_a_permutation_cache_miss_builds_no_element(monkeypatch):
+    from gradedbv import core
+    sphere = g.sphere_model(3)
+    sp, field = sphere.space, sphere.field
+    sigma = g.permute((1, 2, 0), (sp,) * 3, field)
+    want = basis_element((sp,) * 3, field, ("AU", "A", "U"), -1)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on a permutation cache miss")
+
+    for name in ("koszul_sign", "apply_permutation_key", "basis_element"):
+        monkeypatch.setattr(core, name, forbidden)
+    monkeypatch.setattr(core.Element, "__init__", forbidden)
+    out = sigma.on_key(("A", "U", "AU"))
+    monkeypatch.undo()
+    assert out == want and out.spaces is sigma.target
+    assert sigma._cache == {("A", "U", "AU"): out}

@@ -1,0 +1,190 @@
+"""In-process A/B timing of a benchmark workload in two checkouts.
+
+    python3 tools/ab_inproc.py PARENT CHANGE --workload sphere-deep \\
+        --runs 20 --n 3
+
+PARENT and CHANGE are two checkouts of the repository.  Each checkout's
+``src/gradedbv`` is imported as its own set of modules into this one
+process, and swapped into ``sys.modules`` while that side runs, so both
+sides share the interpreter and meet the host's load at the same
+moments.  A run executes the commands of PARENT's
+``bench/workloads/W.json`` (only read; ``{n}`` is the sphere dimension
+``--n``), as PARENT's ``bench/run.py`` builds them, each with ``--out``,
+through the side's ``gradedbv.cli.main`` in the side's own temporary
+working directory: finite-negative's
+``check D-*.json`` commands read the files its ``double`` commands save
+there.  Each side runs once untimed first, so module-level caches are
+warm in every timed run.  Then each of ``--runs`` rounds runs both
+sides, the side that goes first alternating from round to round.  A
+run's time is the CPU seconds of the process (``time.process_time``)
+over its commands, after a garbage collection.
+
+The script prints each round, each side's median seconds, the relative
+change of the medians and the number of rounds the change wins.  It
+exits 1 when a command's exit code differs from the workload's, or when
+the two sides' ``--out`` reports differ, else 0.  Stdlib only; nothing
+in either checkout is written but Python's bytecode caches.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import hashlib
+import importlib
+import importlib.util
+import io
+import os
+import pkgutil
+import statistics
+import sys
+import tempfile
+import time
+
+PACKAGE = "gradedbv"
+
+
+def workload_commands(checkout, workload, n):
+    """(argv, expected exit code) of each command of the workload in
+    ``checkout``: the argv, with ``{n}`` replaced and ``--out`` appended,
+    is the one that checkout's ``bench/run.py`` builds."""
+    path = os.path.join(checkout, "bench", "run.py")
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    commands = bench.load_workload(workload)
+    return list(zip(bench.command_lines(commands, n),
+                    (command["exit"] for command in commands["commands"])))
+
+
+def _package_modules():
+    return {name: module for name, module in sys.modules.items()
+            if name == PACKAGE or name.startswith(PACKAGE + ".")}
+
+
+@contextlib.contextmanager
+def _swapped(modules):
+    """``sys.modules`` with ``modules`` in place of the package's
+    current modules, restored on exit."""
+    saved = _package_modules()
+    for name in saved:
+        del sys.modules[name]
+    sys.modules.update(modules)
+    try:
+        yield
+    finally:
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+
+
+def load_side(checkout):
+    """{module name: module} of ``checkout``'s package, every submodule
+    imported; ``sys.modules`` and ``sys.path`` are left as they were."""
+    src = os.path.join(os.path.abspath(checkout), "src")
+    sys.path.insert(0, src)
+    try:
+        with _swapped({}):
+            package = importlib.import_module(PACKAGE)
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(PACKAGE + "." + info.name)
+            return _package_modules()
+    finally:
+        sys.path.remove(src)
+
+
+def run_once(modules, commands, workdir):
+    """(CPU seconds, exit codes) of one run of ``commands`` through the
+    side's ``cli.main`` in ``workdir``."""
+    main = modules[PACKAGE + ".cli"].main
+    codes = []
+    cwd = os.getcwd()
+    gc.collect()
+    with _swapped(modules), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        os.chdir(workdir)
+        try:
+            start = time.process_time()
+            for argv, _ in commands:
+                try:
+                    codes.append(main(list(argv)))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+            seconds = time.process_time() - start
+        finally:
+            os.chdir(cwd)
+    return seconds, codes
+
+
+def report_digests(commands, workdir):
+    """The SHA-256 of each command's ``--out`` file (None when absent)."""
+    digests = []
+    for argv, _ in commands:
+        try:
+            with open(os.path.join(workdir, argv[-1]), "rb") as handle:
+                digests.append(hashlib.sha256(handle.read()).hexdigest())
+        except FileNotFoundError:
+            digests.append(None)
+    return digests
+
+
+def summary(pairs):
+    """(parent median, change median, relative change, change wins) of
+    (parent, change) seconds pairs."""
+    parent = statistics.median(p for p, _ in pairs)
+    change = statistics.median(c for _, c in pairs)
+    return parent, change, change / parent - 1, sum(c < p for p, c in pairs)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent")
+    parser.add_argument("change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--runs", type=int, required=True)
+    parser.add_argument("--n", type=int, default=3)
+    args = parser.parse_args(argv)
+
+    commands = workload_commands(args.parent, args.workload, args.n)
+    expected = [code for _, code in commands]
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {}
+        for name in ("parent", "change"):
+            workdir = os.path.join(tmp, name)
+            os.mkdir(workdir)
+            sides[name] = (load_side(getattr(args, name)), workdir)
+        correct = True
+        for name, (modules, workdir) in sides.items():
+            _, codes = run_once(modules, commands, workdir)
+            if codes != expected:
+                print("%s exit codes %s, expected %s" % (name, codes, expected))
+                correct = False
+        if report_digests(commands, sides["parent"][1]) != report_digests(
+                commands, sides["change"][1]):
+            print("the two sides' reports differ")
+            correct = False
+        pairs = []
+        for index in range(args.runs):
+            order = ["parent", "change"][::-1 if index % 2 else 1]
+            seconds = {}
+            for name in order:
+                modules, workdir = sides[name]
+                seconds[name], codes = run_once(modules, commands, workdir)
+                correct &= codes == expected
+            pairs.append((seconds["parent"], seconds["change"]))
+            print("run %d (%s first): parent %.4f s change %.4f s (%+.1f%%)"
+                  % (index + 1, order[0], seconds["parent"], seconds["change"],
+                     100 * (seconds["change"] / seconds["parent"] - 1)),
+                  flush=True)
+    parent, change, relative, wins = summary(pairs)
+    print("median CPU seconds: parent %.4f change %.4f (%+.1f%%); change "
+          "wins %d of %d runs" % (parent, change, 100 * relative, wins,
+                                  len(pairs)))
+    if not correct:
+        print("a run was not correct")
+    return 0 if correct else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
