@@ -135,7 +135,8 @@ class CompiledRelation(NamedTuple):
 
 def _typed_terms(spec, ctx, spaces):
     """Each signed group of ``spec`` as a list of terms (coefficient,
-    plan, head, perm, slots), typed on ``spaces``; see compile_relations.
+    term map, head, perm, slots), typed on ``spaces``; see
+    compile_relations.
     The terms of a group must share a target, since their values are
     summed."""
     field = ctx.field
@@ -143,9 +144,9 @@ def _typed_terms(spec, ctx, spaces):
     for group in spec.groups:
         terms = []
         for coeff, expr in group:
-            plan = compile_expr(expr, ctx, spaces)
-            head, perm, slots = permuted_head(expr, ctx, spaces) or (plan, None, None)
-            terms.append((field.coerce(coeff), plan, head, perm, slots))
+            gmap = compile_expr(expr, ctx, spaces)
+            head, perm, slots = permuted_head(expr, ctx, spaces) or (gmap, None, None)
+            terms.append((field.coerce(coeff), gmap, head, perm, slots))
         targets = sorted({_spaces_key(term[1].target) for term in terms})
         if len(targets) > 1:
             raise ArityMismatch("terms of %s have different targets %s"
@@ -164,9 +165,9 @@ def _link(typed, arity):
         compiled_groups = []
         for terms in groups:
             compiled = []
-            for coeff, plan, head, perm, slots in terms:
+            for coeff, gmap, head, perm, slots in terms:
                 if uses[id(head)] < 2:
-                    compiled.append((coeff, plan.run, None, None))
+                    compiled.append((coeff, gmap.run, None, None))
                     continue
                 if slots is not None:
                     generators.add(slots)
@@ -185,10 +186,12 @@ def compile_relations(specs, ctx, spaces):
     field.
 
     A term ``X . P`` whose rightmost factor P is ``tau``, ``sigma`` or
-    ``sigma2`` has the head X; any other term is its own head.  Heads are
-    the context's hash-consed Plans, so two terms share a head when they
-    use the same Plan object, in one relation or in two.  A head used by
-    one term runs that term's plan: (coefficient, run, None, None).  A
+    ``sigma2`` has the head X; any other term is its own head.  Terms and
+    heads are the context's hash-consed GradedMaps (``compile_expr``), so
+    two terms share a head when they use the same map object, in one
+    relation or in two; a term reads only a map's ``run``, ``target``
+    and, for P, ``on_key``.  A head used by one term runs that term's
+    map: (coefficient, run, None, None).  A
     shared head gets an index, one index space for all of ``specs``,
     into the orbit memo of residual_on_key: (coefficient, X.run, index,
     P's on_key, or None for X itself).  Every relation gets the same

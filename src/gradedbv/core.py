@@ -384,10 +384,9 @@ class Element:
     The engine's own arithmetic fills one dict with ``accumulate`` and
     wraps it with ``_trusted_element``, without the per-key checks made
     here.  Inside a relation check no Element is built per stage:
-    compiled plans pass bare coefficient dicts (``GradedMap.run``,
-    ``expr.Plan.run``), and Elements appear only as map outputs cached
-    by ``on_key``, at ``GradedMap.__call__``/``Plan.apply``, and for
-    witnesses.
+    compiled expressions pass bare coefficient dicts to each other
+    (``GradedMap.run``), and Elements appear only as map outputs cached
+    by ``on_key``, at ``GradedMap.__call__``, and for witnesses.
     """
 
     __slots__ = ("spaces", "field", "coeffs")
@@ -592,10 +591,12 @@ class GradedMap:
     every later application raises again.
 
     ``run`` applies the map to a bare coefficient dict; it is how
-    compiled expression plans call the map, and its result may be a
-    cached output's own dict, so callers only read it.  ``__call__``
-    is the Element boundary: it checks the element's spaces once and
-    wraps ``run``'s dict.
+    compiled expressions call each other, and its result may be a
+    cached output's own dict, so callers only read it.  A composite
+    compiled by ``expr`` replaces ``run`` with its own loop, which does
+    not use the cache, and its rule runs that loop on one key.
+    ``__call__`` is the Element boundary: it checks the element's spaces
+    once and wraps ``run``'s dict.
     """
 
     def __init__(self, source, target, degree, field, name="?",
@@ -672,8 +673,11 @@ class GradedMap:
         return acc
 
     def __call__(self, elem):
-        return run_on_element("map " + self.name, self.source, self.target,
-                              self.field, self.run, elem)
+        if not _same_spaces(elem.spaces, self.source):
+            raise ArityMismatch(
+                "map %s defined on %s applied to element of %s"
+                % (self.name, _spaces_key(self.source), _spaces_key(elem.spaces)))
+        return _trusted_element(self.target, self.field, self.run(elem.coeffs))
 
     def as_table(self):
         """Materialize the action on a finite source basis."""
@@ -687,17 +691,6 @@ class GradedMap:
     def __repr__(self):
         return "<map %s: %s -> %s deg %d>" % (
             self.name, _spaces_key(self.source), _spaces_key(self.target), self.degree)
-
-
-def run_on_element(name, source, target, field, run, elem):
-    """The Element boundary of a dict-level ``run``: ``elem`` must lie in
-    the ``source`` spaces, and ``run``'s dict is wrapped as an element of
-    ``target``."""
-    if not _same_spaces(elem.spaces, source):
-        raise ArityMismatch(
-            "%s defined on %s applied to element of %s"
-            % (name, _spaces_key(source), _spaces_key(elem.spaces)))
-    return _trusted_element(target, field, run(elem.coeffs))
 
 
 def table_map(source, target, degree, field, entries, name="?"):

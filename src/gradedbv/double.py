@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .core import (Element, EngineError, FiniteSpace, GradedMap,
                    basis_element, source_basis_keys, table_map)
-from .expr import OpContext, as_map, parse
+from .expr import OpContext, compile_expr, parse
 from .structures import BVUIInstance, FrobeniusInstance
 
 
@@ -224,8 +224,8 @@ def build_double_data(instance):
 
     def components(texts, arity):
         """Each text compiled on the spaces of its ``arity`` input parts."""
-        return {parts: as_map(parse(text), ctx,
-                              [part_space[p] for p in parts[:arity]])
+        return {parts: compile_expr(parse(text), ctx,
+                                    [part_space[p] for p in parts[:arity]])
                 for parts, text in texts.items()}
 
     def assemble(arity, target, degree, name, comps):

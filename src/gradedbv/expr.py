@@ -11,9 +11,9 @@ Expressions are evaluated sign-exactly against a context of named
 GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
 they resolve against whatever tensor slots flow into them, so the same
 relation text works on the base space and on derived spaces.  An
-expression is typed once on concrete input slots by ``compile_expr``,
-which returns a Plan shared by every use in the same context;
-``evaluate`` and ``as_map`` compile, then apply.
+expression is typed once on concrete input slots by ``compile_expr``
+(also spelled ``as_map``), which returns a GradedMap shared by every use
+in the same context; ``evaluate`` compiles, then applies the map.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -24,10 +24,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
-from typing import Callable, NamedTuple
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   basis_element, permute, run_on_element, scalar_element,
+                   basis_element, permute, scalar_element,
                    tensor_factors, tensor_run, zero_element, _spaces_key,
                    _trusted_element)
 
@@ -324,9 +323,10 @@ class OpContext:
 
     ``plans`` hash-conses compiled expressions: ``compile_expr`` keys it
     on ``(node, in_spaces)``, so one node typed on the same slot spaces
-    (compared by identity) is one Plan for every term, group and
-    relation compiled in this context.  Names are only added to ``maps``
-    before expressions using them are compiled.
+    (compared by identity) is one GradedMap, with one cache, for every
+    term, group, relation and caller compiling it in this context.
+    Names are only added to ``maps`` before expressions using them are
+    compiled.
     """
 
     def __init__(self, maps, field):
@@ -391,77 +391,67 @@ def infer_degree(node, ctx):
     return _shape(node, ctx)[2]
 
 
-class Plan(NamedTuple):
-    """An expression typed on concrete input slots.
-
-    ``run`` maps a coefficient dict over the ``source`` slots to one over
-    the ``target`` slots; compiled plans call each other only through it,
-    so stages exchange bare dicts.  ``run`` never mutates its input, and
-    its result may be a cached map output's own dict, which callers only
-    read.  ``apply`` is the Element boundary: for generators and Sums it
-    is the GradedMap itself, for other composites one space check and one
-    wrap of ``run`` (``core.run_on_element``).  Elements are built only there,
-    for witnesses, and as the per-key outputs that maps cache (a composite
-    tensor factor's value on one block is wrapped too).
-
-    Only GradedMaps keep per-key results: the generators' own maps, the
-    map a Sum compiles to, so a shared subexpression such as the derived
-    bracket is summed once per basis key in a context, and the map each
-    composite tensor factor gets in its tensor plan, so a block such as
-    ``lambda . eta`` on ``()`` runs its plan once.  No other composite
-    plan caches its outputs.
-    """
-
-    source: tuple
-    target: tuple
-    degree: int
-    apply: Callable
-    run: Callable
-
-
 def compile_expr(node, ctx, in_spaces):
-    """Type the expression once on the given input slots.
+    """The expression typed once on the given input slots, as a GradedMap.
 
     ``in_spaces`` may be None when the expression determines its own
-    source (leftmost composition/tensor of concrete generators).  Plans
+    source (leftmost composition/tensor of concrete generators).  Maps
     are looked up in ``ctx.plans`` first; a failed compile is not stored.
+
+    A generator, ``dual(f)`` or a permutation is its own map, and a Sum
+    a map whose rule adds its summands; both cache each key's checked
+    output.  Any other composite (a composition, tensor, scalar multiple
+    or ``id``) is a map whose ``run`` is its compiled loop, which does
+    not use the cache, while its ``on_key`` runs that loop on one key
+    and caches the checked output.  So a shared subexpression such as
+    the derived bracket is summed once per basis key in a context, and a
+    composite tensor factor such as ``lambda . eta`` on ``()`` runs once
+    for every tensor that uses it.  Composites are all named
+    ``"expression"``; printing each one would slow compiling down.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
     key = (node, in_spaces)
-    plan = ctx.plans.get(key)
-    if plan is None:
-        plan = ctx.plans[key] = _compile(node, ctx, in_spaces)
-    return plan
+    gmap = ctx.plans.get(key)
+    if gmap is None:
+        gmap = ctx.plans[key] = _compile(node, ctx, in_spaces)
+    return gmap
+
+
+as_map = compile_expr
 
 
 def permuted_head(node, ctx, in_spaces):
-    """(X's plan, P's map, P's slot map) for a term ``X . P`` whose
+    """(X's map, P's map, P's slot map) for a term ``X . P`` whose
     rightmost factor P is a polymorphic ``tau``, ``sigma`` or ``sigma2``;
-    None for any other term.  Both plans come from ``compile_expr``, so a
-    head X that is also a term of its own is that term's Plan object."""
+    None for any other term.  Both maps come from ``compile_expr``, so a
+    head X that is also a term of its own is that term's map."""
     if not (isinstance(node, Compose) and isinstance(node.children[-1], Gen)
             and node.children[-1].name in PERMS):
         return None
     *rest, perm = node.children
-    perm_plan = compile_expr(perm, ctx, in_spaces)
+    perm_map = compile_expr(perm, ctx, in_spaces)
     head = rest[0] if len(rest) == 1 else Compose(tuple(rest))
-    return (compile_expr(head, ctx, perm_plan.target), perm_plan.apply,
-            PERMS[perm.name])
+    return compile_expr(head, ctx, perm_map.target), perm_map, PERMS[perm.name]
 
 
 def _compile(node, ctx, in_spaces):
-    if isinstance(node, Gen):
-        return _compile_gen(node.name, ctx, in_spaces)
-    if isinstance(node, Dual):
-        return _map_plan(_dual_of(node, ctx), in_spaces)
     field = ctx.field
+    if isinstance(node, Gen) and node.name in POLYMORPHIC_ARITY:
+        return _compile_polymorphic(node.name, field, in_spaces)
+    if isinstance(node, (Gen, Dual)):
+        gmap = ctx.lookup(node.name) if isinstance(node, Gen) else _dual_of(node, ctx)
+        if in_spaces is not None and _spaces_key(gmap.source) != _spaces_key(in_spaces):
+            raise ArityMismatch(
+                "generator %s defined on %s fed with %s"
+                % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
+        return gmap
     if isinstance(node, Compose):
-        plans = []
+        maps = []
         for child in reversed(node.children):
-            plans.append(compile_expr(child, ctx, in_spaces))
-            in_spaces = plans[-1].target
-        stages = tuple(p.run for p in plans)
+            maps.append(compile_expr(child, ctx, in_spaces))
+            in_spaces = maps[-1].target
+        stages = tuple(m.run for m in maps)
 
         def run(coeffs):
             for stage in stages:
@@ -470,17 +460,27 @@ def _compile(node, ctx, in_spaces):
                 coeffs = stage(coeffs)
             return coeffs
 
-        return _composite(plans[0].source, in_spaces,
-                          sum(p.degree for p in plans), field, run)
+        return _compiled(maps[0].source, in_spaces, sum(m.degree for m in maps),
+                         field, run)
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces)
     if isinstance(node, Scal):
         child = compile_expr(node.child, ctx, in_spaces)
         run = _linear_run(((field.coerce(node.coeff), child.run),), field)
-        return _composite(child.source, child.target, child.degree, field, run)
+        return _compiled(child.source, child.target, child.degree, field, run)
     if isinstance(node, Sum):
         return _compile_sum(node, ctx, in_spaces)
     raise EngineError("unknown node %r" % (node,))
+
+
+def _compiled(source, target, degree, field, run):
+    """A composite's GradedMap: ``run`` is its compiled loop, and its
+    rule runs that loop on the one key ``on_key`` has checked."""
+    one = field.one
+    gmap = GradedMap(source, target, degree, field, name="expression",
+                     rule=lambda key: _trusted_element(target, field, run({key: one})))
+    gmap.run = run
+    return gmap
 
 
 def _compile_sum(node, ctx, in_spaces):
@@ -488,28 +488,28 @@ def _compile_sum(node, ctx, in_spaces):
     source basis key, and the output is checked and memoized like a
     generator's (a failing output is not cached)."""
     field = ctx.field
-    scalars, plans = [], []
+    scalars, maps = [], []
     for term in node.terms:
         # a summand's own coefficient becomes its accumulation scalar
         scalar = field.one
         if isinstance(term, Scal):
             scalar, term = field.coerce(term.coeff), term.child
         scalars.append(scalar)
-        plans.append(compile_expr(term, ctx, in_spaces))
-        in_spaces = plans[0].source     # later summands take the first's slots
-    targets = {_spaces_key(p.target) for p in plans}
+        maps.append(compile_expr(term, ctx, in_spaces))
+        in_spaces = maps[0].source     # later summands take the first's slots
+    targets = {_spaces_key(m.target) for m in maps}
     if len(targets) != 1:
         raise ArityMismatch("summands have different targets %s" % targets)
-    _check_degrees(p.degree for p in plans)
-    run = _linear_run(tuple(zip(scalars, (p.run for p in plans))), field)
-    source, target, degree = plans[0].source, plans[0].target, plans[0].degree
+    _check_degrees(m.degree for m in maps)
+    run = _linear_run(tuple(zip(scalars, (m.run for m in maps))), field)
+    source, target, degree = maps[0].source, maps[0].target, maps[0].degree
     one = field.one
 
     def rule(key):
         return _trusted_element(target, field, run({key: one}))
 
-    return _map_plan(GradedMap(source, target, degree, field,
-                               name=print_expr(node), rule=rule), None)
+    return GradedMap(source, target, degree, field, name=print_expr(node),
+                     rule=rule)
 
 
 def _linear_run(terms, field):
@@ -525,82 +525,41 @@ def _linear_run(terms, field):
     return run
 
 
-def _compile_gen(name, ctx, in_spaces):
-    if name in POLYMORPHIC_ARITY:
-        if in_spaces is None:
-            raise EngineError("cannot infer source spaces of polymorphic %r" % name)
-        if name == "id":
-            if len(in_spaces) != 1:
-                raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-            return Plan(in_spaces, in_spaces, 0, _identity, _identity)
-        return _map_plan(permute(PERMS[name], in_spaces, ctx.field), None)
-    return _map_plan(ctx.lookup(name), in_spaces)
+def _compile_polymorphic(name, field, in_spaces):
+    if in_spaces is None:
+        raise EngineError("cannot infer source spaces of polymorphic %r" % name)
+    if name == "id":
+        if len(in_spaces) != 1:
+            raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
+        return _compiled(in_spaces, in_spaces, 0, field, _identity)
+    return permute(PERMS[name], in_spaces, field)
 
 
 def _identity(value):
     return value
 
 
-def _map_plan(gmap, in_spaces):
-    if in_spaces is not None and _spaces_key(gmap.source) != _spaces_key(in_spaces):
-        raise ArityMismatch(
-            "generator %s defined on %s fed with %s"
-            % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
-    return Plan(gmap.source, gmap.target, gmap.degree, gmap, gmap.run)
-
-
-def _composite(source, target, degree, field, run):
-    """A plan that is not a GradedMap; its ``apply`` checks the element's
-    spaces once and wraps ``run``'s dict (``core.run_on_element``)."""
-    return Plan(source, target, degree, lambda elem: run_on_element(
-        "expression", source, target, field, run, elem), run)
-
-
 def _compile_tensor(node, ctx, in_spaces):
-    plans = []
+    maps = []
     pos = 0
     for child in node.children:
         if in_spaces is None:
-            plans.append(compile_expr(child, ctx, None))
+            maps.append(compile_expr(child, ctx, None))
         else:
             arity = source_arity(child, ctx)
-            plans.append(compile_expr(child, ctx, in_spaces[pos:pos + arity]))
-        pos += len(plans[-1].source)
+            maps.append(compile_expr(child, ctx, in_spaces[pos:pos + arity]))
+        pos += len(maps[-1].source)
     if in_spaces is not None and pos != len(in_spaces):
         raise ArityMismatch("tensor consumed %d of %d slots" % (pos, len(in_spaces)))
     field = ctx.field
-    source = tuple(s for p in plans for s in p.source)
-    target = tuple(t for p in plans for t in p.target)
-    kernel = tensor_factors([(len(p.source), p.degree, _factor_on_key(p, c, field))
-                             for p, c in zip(plans, node.children)], source)
-    return _composite(source, target, sum(p.degree for p in plans), field,
-                      tensor_run(kernel, field))
-
-
-def _factor_on_key(plan, node, field):
-    """A tensor factor's on_key for tensor_factors: None for ``id``, else
-    the memoized on_key of the factor's map (``_plan_map``)."""
-    if plan.apply is _identity:
-        return None
-    return _plan_map(plan, node, field).on_key
-
-
-def _plan_map(plan, node, field, name=None):
-    """The plan of ``node`` as a GradedMap: a generator's or Sum's own
-    map, else a new map (named ``name``, or the printed node) whose rule
-    runs the plan on one key, so each key's output is computed and
-    checked once."""
-    if isinstance(plan.apply, GradedMap):
-        return plan.apply
-    return GradedMap(plan.source, plan.target, plan.degree, field,
-                     name=name or print_expr(node), rule=_on_key(plan, field))
-
-
-def _on_key(plan, field):
-    """The plan as a function of one source basis key, the rule of
-    ``_plan_map``'s maps, whose ``on_key`` has checked the key's arity."""
-    target, run, one = plan.target, plan.run, field.one
-    return lambda key: _trusted_element(target, field, run({key: one}))
+    source = tuple(s for m in maps for s in m.source)
+    target = tuple(t for m in maps for t in m.target)
+    # an ``id`` factor is an identity block, any other reads its on_key
+    kernel = tensor_factors([(len(m.source), m.degree,
+                              None if m.run is _identity else m.on_key)
+                             for m in maps], source)
+    return _compiled(source, target, sum(m.degree for m in maps), field,
+                     tensor_run(kernel, field))
 
 
 def resolve_spaces(node, ctx, in_spaces):
@@ -614,23 +573,12 @@ def _infer_source_spaces(node, ctx):
 
 def _dual_of(node, ctx):
     from .double import dual_map  # deferred: double builds on core only
-    return dual_map(as_map(node.child, ctx, None), name="dual")
+    return dual_map(compile_expr(node.child, ctx, None), name="dual")
 
 
 def evaluate(node, ctx, elem):
     """Apply the expression to an element, exactly and linearly."""
-    return compile_expr(node, ctx, elem.spaces).apply(elem)
-
-
-def as_map(node, ctx, in_spaces, name=None):
-    """Materialize an expression as a GradedMap.
-
-    ``in_spaces`` may be None when the expression determines its own
-    source (leftmost composition/tensor of concrete generators).  A
-    generator or a Sum is returned as the plan's own map, and ``name``
-    is then ignored; any other expression gets a new map.
-    """
-    return _plan_map(compile_expr(node, ctx, in_spaces), node, ctx.field, name)
+    return compile_expr(node, ctx, elem.spaces)(elem)
 
 
 # ---------------------------------------------------------------------------
@@ -696,4 +644,5 @@ def _flatten_key(n):
         for c in n.children:
             out.extend(_flatten_key(c))
         return tuple(out)
-    raise ParseError("element literals are tensors of basis names, got %r" % (n,))
+    raise ParseError("element literals are tensors of basis names, got %s"
+                     % print_expr(n))

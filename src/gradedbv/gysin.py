@@ -21,7 +21,7 @@ from .core import (EngineError, FiniteSpace, GradedMap, GradedSpace,
                    zero_element)
 from .checks import (CheckReport, RelationSpec, Window, check_relations,
                      make_relation)
-from .expr import Compose, OpContext, as_map, parse
+from .expr import Compose, OpContext, compile_expr, parse
 from .models import SphereSpace, sphere_key, sphere_name
 from .structures import builtin_relation
 
@@ -204,27 +204,23 @@ def _finite_gysin(instance, window):
 
 def string_bracket(instance, data):
     """E . mu . (M (x) M) on classes; degree 2."""
-    b = data.space_b
-    ctx = _gysin_context(instance, data)
-    return as_map(parse("E . mu . (M (x) M)"), ctx, (b, b), name="bracket")
+    return _gysin_context(instance, data).maps["bracket"]
 
 
 def string_cobracket(instance, data):
     """(E (x) E) . lambda . M on classes; degree |lambda| + 1."""
+    return _gysin_context(instance, data).maps["cobracket"]
+
+
+def _gysin_context(instance, data):
+    """The instance's generators with E and M, and the string bracket and
+    cobracket compiled once in this context."""
+    ctx = OpContext(dict(instance.generator_maps(), E=data.erase, M=data.mark),
+                    instance.field)
     b = data.space_b
-    ctx = _gysin_context(instance, data)
-    return as_map(parse("(E (x) E) . lambda . M"), ctx, (b,),
-                  name="cobracket")
-
-
-def _gysin_context(instance, data, with_brackets=False):
-    maps = instance.generator_maps()
-    maps["E"] = data.erase
-    maps["M"] = data.mark
-    ctx = OpContext(maps, instance.field)
-    if with_brackets:
-        ctx.maps["bracket"] = string_bracket(instance, data)
-        ctx.maps["cobracket"] = string_cobracket(instance, data)
+    ctx.maps["bracket"] = compile_expr(parse("E . mu . (M (x) M)"), ctx, (b, b))
+    ctx.maps["cobracket"] = compile_expr(parse("(E (x) E) . lambda . M"), ctx,
+                                         (b,))
     return ctx
 
 
@@ -242,7 +238,7 @@ def check_lie_bialgebra(instance, data, window=Window()):
     classes, plus the transported nine-term and seven-term identities
     and an agreement report between the two Jacobi routes."""
     b = data.space_b
-    ctx = _gysin_context(instance, data, with_brackets=True)
+    ctx = _gysin_context(instance, data)
     name = instance.name
 
     jacobi = make_relation("GysinJacobi", 3,

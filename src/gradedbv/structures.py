@@ -13,7 +13,7 @@ from __future__ import annotations
 from .core import (DegreeError, Element, EngineError, GradedMap,
                    scalar_element)
 from .checks import Window, check_relations, make_relation
-from .expr import OpContext, as_map, parse
+from .expr import OpContext, compile_expr, parse
 
 
 class ValidationError(EngineError):
@@ -67,8 +67,11 @@ class BVUIInstance:
     gysin_section = None
 
     def eta_map(self):
+        # the rule holds the unit, not the instance, whose context holds
+        # this map: no reference cycle keeps a context alive
+        eta = self.eta
         return GradedMap((), (self.space,), 0, self.field, name="eta",
-                         rule=lambda key: self.eta)
+                         rule=lambda key: eta)
 
     def generator_maps(self):
         return {
@@ -121,8 +124,7 @@ class FrobeniusInstance(BVUIInstance):
     def pairing(self):
         """(-1)^{|lambda|} epsilon . mu, a map from the square to scalars:
         -(epsilon . mu), as |lambda| is odd."""
-        return as_map(parse("-(epsilon . mu)"), self.context(), None,
-                      name="pairing")
+        return compile_expr(parse("-(epsilon . mu)"), self.context(), None)
 
 
 def forget_frobenius_to_bvui(instance):
@@ -365,11 +367,11 @@ def derived_bracket(instance):
     """[Delta, mu] with the operator extended as Delta(x)1 + 1(x)Delta:
     the context's memoized map of the BETA Sum, shared with every
     relation that uses it."""
-    return as_map(parse(BETA), instance.context(),
-                  (instance.space, instance.space))
+    return compile_expr(parse(BETA), instance.context(),
+                        (instance.space, instance.space))
 
 
 def derived_cobracket(instance):
     """[Delta, lambda]; degree |lambda| + 1.  The context's memoized map
     of the GAMMA Sum."""
-    return as_map(parse(GAMMA), instance.context(), (instance.space,))
+    return compile_expr(parse(GAMMA), instance.context(), (instance.space,))

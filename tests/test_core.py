@@ -125,7 +125,7 @@ def test_arity_is_checked_for_keys_of_composite_maps(sphere):
     plan = compile_expr(parse("Delta (x) id"), sphere.context(),
                         (sphere.space, sphere.space))
     with pytest.raises(ArityMismatch):
-        plan.apply(basis_element((sphere.space,), sphere.field, ("AU",)))
+        plan(basis_element((sphere.space,), sphere.field, ("AU",)))
 
 
 @pytest.mark.parametrize("wrong", ["arity", "space"])

@@ -261,22 +261,60 @@ def test_equal_parses_hash_and_compare_equal():
     assert all(plans[parse(text), None] == text for text in texts)
 
 
+def _counted_rule_runs(monkeypatch):
+    """Count each rule run per (map, key) of the GradedMaps built from
+    now on; maps are told apart by identity."""
+    from collections import Counter
+    from gradedbv.core import GradedMap
+    runs, init = Counter(), GradedMap.__init__
+
+    def counted_init(gmap, *args, **kwargs):
+        init(gmap, *args, **kwargs)
+        rule = gmap._rule
+        if rule is not None:
+            def count(key):
+                runs[gmap, key] += 1
+                return rule(key)
+            gmap._rule = count
+
+    monkeypatch.setattr(GradedMap, "__init__", counted_init)
+    return runs
+
+
+def _captured_models(monkeypatch):
+    from gradedbv import cli
+    builtin_model, built = cli.builtin_model, []
+
+    def capture(name, field):
+        built.append(builtin_model(name, field))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "builtin_model", capture)
+    return built
+
+
 def test_composite_tensor_factors_run_once_per_key(monkeypatch, tmp_path):
-    from gradedbv import expr
     from gradedbv.cli import main
-    runs = {}
-    on_key = expr._on_key
-
-    def counted(plan, field):
-        rule = on_key(plan, field)
-
-        def count(key):
-            runs[count, key] = runs.get((count, key), 0) + 1
-            return rule(key)
-        return count
-
-    monkeypatch.setattr(expr, "_on_key", counted)
+    runs = _counted_rule_runs(monkeypatch)
     assert main(["check", "sphere:3", "--suite", "all", "--window", "6",
                  "--out", str(tmp_path / "report.json")]) == 0
-    assert any(key == () for _, key in runs)     # e.g. lambda . eta
+    # lambda . eta, a composite tensor factor, maps () to the square
+    assert any(key == () and len(gmap.target) == 2 for gmap, key in runs)
     assert max(runs.values()) == 1
+
+
+def test_shared_tensor_factors_are_one_map_each(monkeypatch, tmp_path):
+    # each factor is a factor of several tensors in the suite, and each
+    # runs once per key in all of them
+    from gradedbv.cli import main
+    runs, built = _counted_rule_runs(monkeypatch), _captured_models(monkeypatch)
+    assert main(["check", "sphere-frob:3", "--suite", "all",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    plans = built[0].context().plans
+    tensors = [node for node, _ in plans if isinstance(node, Tensor)]
+    for text in ("lambda . eta", "epsilon . mu"):
+        node = parse(text)
+        assert sum(node in t.children for t in tensors) >= 2, text
+        (gmap,) = [m for (n, _), m in plans.items() if n == node]
+        keys = [key for m, key in runs if m is gmap]
+        assert keys and all(runs[gmap, key] == 1 for key in keys), text

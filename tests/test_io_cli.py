@@ -233,6 +233,19 @@ def test_zero_denominator_is_a_parse_error(capsys, expr, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value,shown", [
+    ("dual(U) (x) U", "got dual(U)"),
+    ("(U . AU) (x) U", "got U . AU"),
+])
+def test_a_literal_that_is_no_tensor_of_names_is_printed_as_parsed(
+        capsys, value, shown):
+    assert main(["eval", "sphere:3", "--expr", "mu", "--input", value]) == 64
+    err = capsys.readouterr().err
+    assert "parse error: element literals are tensors of basis names, " in err
+    assert shown in err
+    assert "Gen(" not in err and "Traceback" not in err
+
+
 _LONG = "7" * 5000
 _NESTED = "(" * 300 + "%s" + ")" * 300
 

@@ -183,13 +183,13 @@ def test_tensor_kernel_with_identity_blocks_between_and_after():
                     f.on_key(block) if f else basis_element((sp,), field, block))
             expected = expected.scale(sign)
             x = basis_element((sp,) * arity, field, key)
-            assert plan.apply(x) == expected, (text, key)
+            assert plan(x) == expected, (text, key)
             assert tensored.on_key(key) == expected, (text, key)
             negative += sign == -1 and not expected.is_zero()
     assert negative > 0     # the sign is live on these windows
     # only identity blocks: the key passes through unchanged
     x = basis_element((sp, sp), field, ("AU", "A"), 3)
-    assert compile_expr(g.parse("id (x) id"), ctx, (sp, sp)).apply(x) == x
+    assert compile_expr(g.parse("id (x) id"), ctx, (sp, sp))(x) == x
 
 
 def test_vanishing_tensor_factor_adds_nothing():

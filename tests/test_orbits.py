@@ -257,9 +257,11 @@ def test_an_error_is_raised_only_where_the_canonical_walk_meets_it(bad, raises):
 
 
 def _cached_keys(ctx):
-    maps = list(ctx.maps.values()) + [plan.apply for plan in ctx.plans.values()
-                                      if isinstance(plan.apply, GradedMap)]
-    return {(m.name, len(m.source)): set(m._cache) for m in maps}
+    # composites are all named "expression": a compiled map is told
+    # apart by its node
+    maps = list(ctx.maps.items())
+    maps += [(node, m) for (node, _), m in ctx.plans.items()]
+    return {(name, len(m.source)): set(m._cache) for name, m in maps}
 
 
 def test_orbits_add_no_plan_and_no_cached_output():

@@ -9,7 +9,7 @@ import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
 from gradedbv.core import ArityMismatch, FiniteSpace, GradedMap, basis_element
-from gradedbv.expr import Gen, Sum, compile_expr, parse, print_expr
+from gradedbv.expr import Gen, Sum, Tensor, compile_expr, parse, print_expr
 from gradedbv.models import normalize_sphere_name
 from gradedbv.reportio import report_document
 from gradedbv.structures import (BETA, GAMMA, BVUIInstance, builtin_relation,
@@ -319,7 +319,7 @@ def test_bracket_is_one_memoized_map_per_context(text, arity, rids):
     inst = g.sphere_model(3)
     ctx, sp = inst.context(), inst.space
     node = parse(text)
-    shared = compile_expr(node, ctx, (sp,) * arity).apply
+    shared = compile_expr(node, ctx, (sp,) * arity)
     assert isinstance(shared, GradedMap)
     assert shared.name == print_expr(node)
 
@@ -338,7 +338,7 @@ def test_bracket_is_one_memoized_map_per_context(text, arity, rids):
     for rid in rids:
         spec = builtin_relation(rid)
         checks.compile_relation(spec, ctx, (sp,) * spec.arity)
-        assert compile_expr(node, ctx, (sp,) * arity).apply is shared
+        assert compile_expr(node, ctx, (sp,) * arity) is shared
         report = relation_residual(spec, ctx, sp, Window(2))
         assert report.status == "pass", rid
         assert used[rid] > 0, rid
@@ -358,10 +358,10 @@ def test_plans_are_keyed_on_space_identity():
         assert compile_expr(node, ctx, [a, a]) is on_a
         on_b = compile_expr(node, ctx, (b, b))
         assert on_b is not on_a
-        assert on_b.apply is not on_a.apply
         assert on_b.source == (b, b) and on_a.source == (a, a)
         x = basis_element((a, a), field, ("x", "x"))
-        assert on_a.apply(x).coeffs == {("x", "x"): -1 if text == "tau" else 2}
+        assert on_a(x).coeffs == {("x", "x"): -1 if text == "tau" else 2}
+        assert on_a._cache and not on_b._cache
 
 
 def test_failing_summand_raises_on_every_application():
@@ -378,20 +378,23 @@ def test_failing_summand_raises_on_every_application():
     f = GradedMap((space,), (space,), 0, field, name="f", rule=rule)
     ctx = g.OpContext({"f": f}, field)
     plan = compile_expr(parse("f - 2*id"), ctx, (space,))
-    assert isinstance(plan.apply, GradedMap)
+    assert isinstance(plan, GradedMap)
     x = basis_element((space,), field, ("x",))
     y = basis_element((space,), field, ("y",))
-    assert plan.apply(x).coeffs == {("x",): -1}
+    assert plan(x).coeffs == {("x",): -1}
     for _ in range(3):
         with pytest.raises(g.core.EngineError, match="no value on y"):
-            plan.apply(y)
+            plan(y)
         with pytest.raises(g.core.EngineError, match="no value on y"):
-            plan.apply(x + y)
+            plan(x + y)
     assert calls.count(("y",)) == 6 and calls.count(("x",)) == 1
-    assert set(plan.apply._cache) == {("x",)}
+    assert set(plan._cache) == {("x",)}
 
 
-def test_only_generators_and_sums_memoize_after_a_full_check(monkeypatch):
+def test_only_generators_sums_and_tensor_factors_memoize_after_a_full_check(
+        monkeypatch):
+    # every compiled expression is a GradedMap, but a composite's run does
+    # not use its cache: only its on_key, which a tensor reads, fills it
     from gradedbv import cli
     builtin_model, built = cli.builtin_model, []
 
@@ -403,14 +406,16 @@ def test_only_generators_and_sums_memoize_after_a_full_check(monkeypatch):
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "2"]) == 0
     plans = built[0].context().plans
-    memoized = [node for (node, _), plan in plans.items()
-                if isinstance(plan.apply, GradedMap)]
+    assert all(isinstance(gmap, GradedMap) for gmap in plans.values())
+    factors = {child for node, _ in plans if isinstance(node, Tensor)
+               for child in node.children}
+    memoized = [node for (node, _), gmap in plans.items() if gmap._cache]
     assert any(isinstance(node, Sum) for node in memoized)
-    assert all(isinstance(node, (Gen, Sum)) for node in memoized), \
+    assert any(not isinstance(node, (Gen, Sum)) for node in memoized)
+    assert all(isinstance(node, (Gen, Sum)) or node in factors
+               for node in memoized), \
         sorted({print_expr(n) for n in memoized
-                if not isinstance(n, (Gen, Sum))})
-    assert all(isinstance(plan.apply, GradedMap)
-               for (node, _), plan in plans.items() if isinstance(node, Sum))
+                if not isinstance(n, (Gen, Sum)) and n not in factors})
 
 
 def test_tuples_checked_counts_the_whole_window_after_early_stop(sphere):
@@ -445,6 +450,28 @@ def test_huge_window_is_a_usage_error(monkeypatch, capsys, argv):
 
 # -- plans exchange coefficient dicts ----------------------------------------
 
+@pytest.mark.parametrize("build", [
+    lambda: g.sphere_model(3),
+    lambda: g.build_double(g.builtin_model("three-dim")),
+], ids=["sphere:3", "D(three-dim)"])
+def test_a_checked_instance_is_freed_without_the_cyclic_collector(build):
+    # no reference cycle runs through an instance's context: once the
+    # instance is dropped, its context, maps and caches go with it
+    import gc
+    import weakref
+    from gradedbv.structures import relation_ids
+    gc.disable()
+    try:
+        inst = build()
+        reports = g.check_structure(inst, relation_ids(), Window(2))
+        context = weakref.ref(inst.context())
+        del inst
+        assert context() is None
+    finally:
+        gc.enable()
+    assert "pass" in {report.status for report in reports}
+
+
 @pytest.mark.parametrize("text,arity,derived", [
     (BETA, 2, g.derived_bracket),
     (GAMMA, 1, g.derived_cobracket),
@@ -453,7 +480,7 @@ def test_derived_maps_are_the_contexts_sum_map(text, arity, derived):
     inst = g.sphere_model(3)
     sp = inst.space
     gmap = derived(inst)
-    assert gmap is compile_expr(parse(text), inst.context(), (sp,) * arity).apply
+    assert gmap is compile_expr(parse(text), inst.context(), (sp,) * arity)
     keys = [("U", "AU^2", "AU", "U")[i:i + arity] for i in range(3)]
     for key in keys:
         gmap.on_key(key)
@@ -493,17 +520,15 @@ def test_shared_output_dicts_stay_intact(monkeypatch):
     for inst, tables, eta in built:
         ctx = inst.context()
         maps = {id(m): m for m in ctx.maps.values()}
-        maps.update((id(p.apply), p.apply) for p in ctx.plans.values()
-                    if isinstance(p.apply, GradedMap))
+        maps.update((id(m), m) for m in ctx.plans.values())
         for gmap in maps.values():
             for key, out in gmap._cache.items():
                 assert out.coeffs == _fresh_output(gmap, key, tables), \
                     (inst.name, gmap.name, key)
                 checked[inst.name, gmap._table is not None] += 1
         assert inst.eta.coeffs == eta
-    sums = [p.apply for p in built[0][0].context().plans.values()
-            if isinstance(p.apply, GradedMap) and p.apply.name in (
-                print_expr(parse(BETA)), print_expr(parse(GAMMA)))]
+    sums = [m for m in built[0][0].context().plans.values()
+            if m.name in (print_expr(parse(BETA)), print_expr(parse(GAMMA)))]
     assert len(sums) == 2 and all(m._cache for m in sums)
     assert checked["sphere:3", False] and checked["D(three-dim)", True]
 
@@ -521,7 +546,7 @@ def test_plan_run_leaves_its_input_intact(sphere, text, arity):
         out = plan.run(coeffs)
         assert coeffs == before
         x = g.Element(plan.source, sphere.field, coeffs)
-        assert out == plan.apply(x).coeffs
+        assert out == plan(x).coeffs
         assert plan.run(coeffs) == out and coeffs == before
 
 
@@ -538,12 +563,12 @@ def test_residual_on_key_checks_the_key_arity(sphere):
 @pytest.mark.parametrize("text", [
     "mu", "mu . (Delta (x) id)", "Delta (x) id", "2*mu", "-(id (x) id)"])
 def test_plans_check_the_spaces_of_their_input(sphere, text):
-    # a generator's plan applies the GradedMap itself; the others share
-    # one boundary.  Same-arity elements of other spaces reach no kernel
-    # or on_key check, so the boundary is what rejects them.
+    # every compiled expression is a GradedMap, whose __call__ is the one
+    # boundary.  Same-arity elements of other spaces reach no kernel or
+    # on_key check, so the boundary is what rejects them.
     plan = compile_expr(parse(text), sphere.context(), (sphere.space,) * 2)
     other = g.sphere_model(5)
     for spaces in ((other.space,) * 2, (sphere.space,)):
         x = g.Element(spaces, sphere.field, {("U", "AU")[:len(spaces)]: 1})
         with pytest.raises(ArityMismatch):
-            plan.apply(x)
+            plan(x)

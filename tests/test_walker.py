@@ -166,9 +166,11 @@ def test_an_error_above_a_relations_cut_is_not_raised(bad, raises):
 
 
 def _cached_keys(ctx):
-    maps = list(ctx.maps.values()) + [plan.apply for plan in ctx.plans.values()
-                                      if isinstance(plan.apply, GradedMap)]
-    return {(m.name, len(m.source)): set(m._cache) for m in maps}
+    # composites are all named "expression": a compiled map is told
+    # apart by its node
+    maps = list(ctx.maps.items())
+    maps += [(node, m) for (node, _), m in ctx.plans.items()]
+    return {(name, len(m.source)): set(m._cache) for name, m in maps}
 
 
 @pytest.mark.parametrize("model,window", [
