@@ -16,8 +16,7 @@ from .double import DoubleError, build_double
 from .expr import ParseError, evaluate, parse, parse_element, source_arity
 from .gysin import GysinError, canonical_gysin, check_lie_bialgebra
 from .models import (BUILTIN_MODEL_NAMES, MAX_INPUT_U_POWER, MUTATIONS,
-                     SphereSpace, builtin_model, mutate,
-                     normalize_sphere_name)
+                     builtin_model, mutate)
 from .reportio import (InstanceFileError, gysin_from_section, load_instance,
                        render_document, report_document, save_instance,
                        write_report)
@@ -121,10 +120,7 @@ def cmd_eval(args):
     ctx = instance.context()
     expr = parse(args.expr)
     arity = source_arity(expr, ctx)
-    spaces = (instance.space,) * arity
-    normalize = (normalize_sphere_name
-                 if isinstance(instance.space, SphereSpace) else None)
-    value = parse_element(args.input, spaces, field, normalize=normalize)
+    value = parse_element(args.input, (instance.space,) * arity, field)
     result = evaluate(expr, ctx, value)
     print(result)
     return EXIT_OK

@@ -292,7 +292,16 @@ class GradedSpace:
         raise NotImplementedError
 
     def contains(self, basis_name):
-        raise NotImplementedError
+        try:
+            self.degree(basis_name)
+        except UnknownBasisName:
+            return False
+        return True
+
+    def canonical_name(self, raw):
+        """The basis name that ``raw``, as read from input, spells, or
+        None when it spells none."""
+        return raw if self.contains(raw) else None
 
     def is_finite(self):
         return False
@@ -332,30 +341,6 @@ class FiniteSpace(GradedSpace):
 
     def window_names(self, k):
         return tuple(sorted(self._degrees))
-
-    def dim(self):
-        return len(self._degrees)
-
-
-class ScalarSpace(GradedSpace):
-    """The ground field as a graded space (the empty tensor factor)."""
-
-    name = "k"
-
-    def degree(self, basis_name):
-        raise UnknownBasisName("the scalar space has no basis names")
-
-    def contains(self, basis_name):
-        return False
-
-    def is_finite(self):
-        return True
-
-    def basis_names(self):
-        return ()
-
-    def window_names(self, k):
-        return ()
 
 
 # ---------------------------------------------------------------------------
@@ -605,12 +590,18 @@ class GradedMap:
         self.target = tuple(target)
         self.degree = degree
         self.field = field
-        self.name = name
+        self._name = name
         self._table = table
         self._rule = rule
         self._cache = {}
         if table is None and rule is None:
             raise EngineError("map %s has neither table nor rule" % name)
+
+    @property
+    def name(self):
+        """``str`` of the name given: a compiled composite is given its
+        expression, printed only when an error or ``repr`` reads it."""
+        return str(self._name)
 
     @property
     def source_arity(self):

@@ -44,7 +44,7 @@ def _node(cls):
     dataclass's own, is computed once per node and kept in its ``_hash``
     field, which equality, hashing and ``repr`` leave out.  So looking a
     tree up in ``OpContext.plans`` hashes its root's fields, not its
-    whole subtree again."""
+    whole subtree again.  ``str`` of a node is ``print_expr``."""
     cls.__annotations__["_hash"] = "int | None"
     cls._hash = dataclass_field(default=None, init=False, repr=False, compare=False)
     cls = dataclass(frozen=True, slots=True)(cls)
@@ -58,6 +58,7 @@ def _node(cls):
         return value
 
     cls.__hash__ = __hash__
+    cls.__str__ = lambda self: print_expr(self)
     return cls
 
 
@@ -406,8 +407,8 @@ def compile_expr(node, ctx, in_spaces):
     and caches the checked output.  So a shared subexpression such as
     the derived bracket is summed once per basis key in a context, and a
     composite tensor factor such as ``lambda . eta`` on ``()`` runs once
-    for every tensor that uses it.  Composites are all named
-    ``"expression"``; printing each one would slow compiling down.
+    for every tensor that uses it.  A composite is named by its node,
+    which is printed only when the name is read.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
@@ -438,7 +439,7 @@ def permuted_head(node, ctx, in_spaces):
 def _compile(node, ctx, in_spaces):
     field = ctx.field
     if isinstance(node, Gen) and node.name in POLYMORPHIC_ARITY:
-        return _compile_polymorphic(node.name, field, in_spaces)
+        return _compile_polymorphic(node, field, in_spaces)
     if isinstance(node, (Gen, Dual)):
         gmap = ctx.lookup(node.name) if isinstance(node, Gen) else _dual_of(node, ctx)
         if in_spaces is not None and _spaces_key(gmap.source) != _spaces_key(in_spaces):
@@ -460,24 +461,26 @@ def _compile(node, ctx, in_spaces):
                 coeffs = stage(coeffs)
             return coeffs
 
-        return _compiled(maps[0].source, in_spaces, sum(m.degree for m in maps),
-                         field, run)
+        return _compiled(node, maps[0].source, in_spaces,
+                         sum(m.degree for m in maps), field, run)
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces)
     if isinstance(node, Scal):
         child = compile_expr(node.child, ctx, in_spaces)
         run = _linear_run(((field.coerce(node.coeff), child.run),), field)
-        return _compiled(child.source, child.target, child.degree, field, run)
+        return _compiled(node, child.source, child.target, child.degree,
+                         field, run)
     if isinstance(node, Sum):
         return _compile_sum(node, ctx, in_spaces)
     raise EngineError("unknown node %r" % (node,))
 
 
-def _compiled(source, target, degree, field, run):
-    """A composite's GradedMap: ``run`` is its compiled loop, and its
-    rule runs that loop on the one key ``on_key`` has checked."""
+def _compiled(node, source, target, degree, field, run):
+    """The GradedMap of the composite ``node``, named by it: ``run`` is its
+    compiled loop, and its rule runs that loop on the one key ``on_key``
+    has checked."""
     one = field.one
-    gmap = GradedMap(source, target, degree, field, name="expression",
+    gmap = GradedMap(source, target, degree, field, name=node,
                      rule=lambda key: _trusted_element(target, field, run({key: one})))
     gmap.run = run
     return gmap
@@ -508,8 +511,7 @@ def _compile_sum(node, ctx, in_spaces):
     def rule(key):
         return _trusted_element(target, field, run({key: one}))
 
-    return GradedMap(source, target, degree, field, name=print_expr(node),
-                     rule=rule)
+    return GradedMap(source, target, degree, field, name=node, rule=rule)
 
 
 def _linear_run(terms, field):
@@ -525,13 +527,14 @@ def _linear_run(terms, field):
     return run
 
 
-def _compile_polymorphic(name, field, in_spaces):
+def _compile_polymorphic(node, field, in_spaces):
+    name = node.name
     if in_spaces is None:
         raise EngineError("cannot infer source spaces of polymorphic %r" % name)
     if name == "id":
         if len(in_spaces) != 1:
             raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-        return _compiled(in_spaces, in_spaces, 0, field, _identity)
+        return _compiled(node, in_spaces, in_spaces, 0, field, _identity)
     return permute(PERMS[name], in_spaces, field)
 
 
@@ -558,7 +561,7 @@ def _compile_tensor(node, ctx, in_spaces):
     kernel = tensor_factors([(len(m.source), m.degree,
                               None if m.run is _identity else m.on_key)
                              for m in maps], source)
-    return _compiled(source, target, sum(m.degree for m in maps), field,
+    return _compiled(node, source, target, sum(m.degree for m in maps), field,
                      tensor_run(kernel, field))
 
 
@@ -585,12 +588,12 @@ def evaluate(node, ctx, elem):
 # element literals
 # ---------------------------------------------------------------------------
 
-def parse_element(text, spaces, field, normalize=None):
+def parse_element(text, spaces, field):
     """Parse an element literal like ``2*A(x)1 - 2*1(x)A``.
 
     ``spaces`` is the tuple of slot spaces; arity 0 parses a bare scalar.
-    ``normalize`` optionally canonicalizes basis names (the sphere model
-    accepts U^0, U^1, AU^0, AU^1 for 1, U, A, AU).
+    Each basis name is read by its space's ``canonical_name`` (the sphere
+    model accepts U^0, U^1, AU^0, AU^1 for 1, U, A, AU).
     """
     spaces = tuple(spaces)
     out = zero_element(spaces, field)
@@ -606,8 +609,8 @@ def parse_element(text, spaces, field, normalize=None):
                 % (text, len(key), len(spaces)))
         names = []
         for space, raw in zip(spaces, key):
-            name = normalize(raw) if normalize else raw
-            if name is None or not space.contains(name):
+            name = space.canonical_name(raw)
+            if name is None:
                 raise UnknownName(raw, space)
             names.append(name)
         out = out + basis_element(spaces, field, names, field.coerce(coeff))

@@ -23,11 +23,25 @@ from .checks import (CheckReport, RelationSpec, Window, check_relations,
                      make_relation)
 from .expr import Compose, OpContext, compile_expr, parse
 from .models import SphereSpace, sphere_key, sphere_name
-from .structures import builtin_relation
+from .structures import builtin_relation, check_structure
 
 
 class GysinError(EngineError):
     pass
+
+
+def _identity(name, terms, rhs="0"):
+    """The identity ``name = rhs`` on one input, as a relation whose
+    signed terms are ``terms``, with the text that names its failure."""
+    return (make_relation(name, 1, "%s = %s" % (name, rhs), [terms]),
+            "%s != %s" % (name, rhs))
+
+
+# the identities of Gysin data, checked on A and on B
+_ON_A = (_identity("M.E", [(1, "M . E"), (-1, "Delta")], "Delta"),
+         _identity("E.Delta", [(1, "E . Delta")]))
+_ON_B = (_identity("E.M", [(1, "E . M")]),
+         _identity("Delta.M", [(1, "Delta . M")]))
 
 
 class GysinData:
@@ -43,25 +57,19 @@ class GysinData:
         self.mark = mark
 
     def validate(self, instance, window=Window()):
-        """Assert the four composite identities on the window; the two
-        derived ones (Delta.M = 0, E.Delta = 0) are checked, not assumed.
-        """
+        """Assert the four composite identities on the window, walked as
+        relations by ``check_relations``; the two derived ones (Delta.M =
+        0, E.Delta = 0) are checked, not assumed.  A GysinError names
+        each identity's first failures in canonical order."""
+        ctx = _erase_mark_context(instance, self)
         problems = []
-        a_names = window.names_for(instance.space, 1)
-        b_names = window.names_for(self.space_b, 1)
-        field = instance.field
-        for name in a_names:
-            x = basis_element((instance.space,), field, (name,))
-            if self.mark(self.erase(x)) != instance.delta(x):
-                problems.append("M.E != Delta at %s" % name)
-            if not self.erase(instance.delta(x)).is_zero():
-                problems.append("E.Delta != 0 at %s" % name)
-        for name in b_names:
-            y = basis_element((self.space_b,), field, (name,))
-            if not self.erase(self.mark(y)).is_zero():
-                problems.append("E.M != 0 at %s" % name)
-            if not instance.delta(self.mark(y)).is_zero():
-                problems.append("Delta.M != 0 at %s" % name)
+        for space, identities in ((instance.space, _ON_A),
+                                  (self.space_b, _ON_B)):
+            reports = check_relations([spec for spec, _ in identities], ctx,
+                                      space, window)
+            for (_, failure), report in zip(identities, reports):
+                problems += ["%s at %s" % (failure, key[0])
+                             for key, _, _ in report.witnesses]
         if problems:
             raise GysinError("; ".join(problems))
         return True
@@ -69,40 +77,23 @@ class GysinData:
 
 class SphereClassSpace(GradedSpace):
     """Classes [AU^k], k >= 1: the quotient of the sphere model by the
-    kernel of its operator.
-
-    As in ``SphereSpace``, a class name must be spelled canonically
-    (``[AU]``, not ``[AU^1]`` or ``[AU^01]``), and its degree is memoized
-    once the name has passed that check.
+    kernel of its operator, read off the sphere space: ``[X]`` is a class
+    when X starts with ``AU`` and is a basis name of ``sphere`` (spelled
+    canonically, so ``[AU]``, not ``[AU^1]``), and has X's degree.
     """
 
-    def __init__(self, n):
-        self.n = n
-        self.name = "sphere:%d/kerDelta" % n
-        self._degrees = {}
-
-    def _key(self, name):
-        """(a_flag, u_power) of a class name; UnknownBasisName unless
-        it is spelled canonically."""
-        got = sphere_key(name[1:-1])
-        if (got is None or not got[0] or got[1] < 1
-                or "[%s]" % sphere_name(*got) != name):
-            raise UnknownBasisName("%r is not a class of %s" % (name, self.name))
-        return got
+    def __init__(self, sphere):
+        self.sphere = sphere
+        self.name = sphere.name + "/kerDelta"
 
     def degree(self, basis_name):
-        degree = self._degrees.get(basis_name)
-        if degree is None:
-            k = self._key(basis_name)[1]
-            degree = self._degrees[basis_name] = k * (self.n - 1) - self.n
-        return degree
-
-    def contains(self, basis_name):
-        try:
-            self.degree(basis_name)
-        except UnknownBasisName:
-            return False
-        return True
+        if basis_name.startswith("[AU") and basis_name.endswith("]"):
+            try:
+                return self.sphere.degree(basis_name[1:-1])
+            except UnknownBasisName:
+                pass
+        raise UnknownBasisName("%r is not a class of %s"
+                               % (basis_name, self.name))
 
     def window_names(self, k):
         return tuple(sorted("[%s]" % sphere_name(True, i)
@@ -114,15 +105,14 @@ def canonical_gysin(instance, window=Window()):
     map induced by Delta on classes."""
     field = instance.field
     space = instance.space
-    for name in window.names_for(space, 1):
-        x = basis_element((space,), field, (name,))
-        ddx = instance.delta(instance.delta(x))
-        if not ddx.is_zero():
-            raise GysinError("operator does not square to zero at %s: %s"
-                             % (name, ddx))
+    squared, = check_structure(instance, ("DeltaSquared",), window)
+    if squared.witnesses:
+        key, _, residual = squared.witnesses[0]
+        raise GysinError("operator does not square to zero at %s: %s"
+                         % (key[0], residual))
 
     if isinstance(space, SphereSpace):
-        b_space = SphereClassSpace(space.n)
+        b_space = SphereClassSpace(space)
 
         def erase_rule(key):
             a, k = sphere_key(key[0])
@@ -132,7 +122,8 @@ def canonical_gysin(instance, window=Window()):
             return zero_element((b_space,), field)
 
         def mark_rule(key):
-            a, k = b_space._key(key[0])
+            b_space.degree(key[0])      # UnknownBasisName unless a class
+            k = sphere_key(key[0][1:-1])[1]
             return basis_element((space,), field, (sphere_name(False, k - 1),), k)
 
         erase = GradedMap((space,), (b_space,), 0, field, name="E",
@@ -212,11 +203,16 @@ def string_cobracket(instance, data):
     return _gysin_context(instance, data).maps["cobracket"]
 
 
+def _erase_mark_context(instance, data):
+    """The instance's generators with E and M."""
+    return OpContext(dict(instance.generator_maps(), E=data.erase,
+                          M=data.mark), instance.field)
+
+
 def _gysin_context(instance, data):
     """The instance's generators with E and M, and the string bracket and
     cobracket compiled once in this context."""
-    ctx = OpContext(dict(instance.generator_maps(), E=data.erase, M=data.mark),
-                    instance.field)
+    ctx = _erase_mark_context(instance, data)
     b = data.space_b
     ctx.maps["bracket"] = compile_expr(parse("E . mu . (M (x) M)"), ctx, (b, b))
     ctx.maps["cobracket"] = compile_expr(parse("(E (x) E) . lambda . M"), ctx,

@@ -61,7 +61,8 @@ class SphereSpace(GradedSpace):
     Degrees are looked up in a dict from canonical name to degree; a
     name enters it once it has passed the spelling check of
     ``sphere_key``/``sphere_name``, so ``U^1``, ``AU^0`` or ``U^01`` are
-    rejected on every call.
+    rejected on every call.  Input is read more freely: its
+    ``canonical_name`` is ``normalize_sphere_name``'s.
     """
 
     def __init__(self, n):
@@ -83,9 +84,8 @@ class SphereSpace(GradedSpace):
         self._degrees[basis_name] = degree
         return degree
 
-    def contains(self, basis_name):
-        key = sphere_key(basis_name)
-        return key is not None and sphere_name(*key) == basis_name
+    def canonical_name(self, raw):
+        return normalize_sphere_name(raw)
 
     def window_names(self, k):
         names = [sphere_name(a, i) for a in (False, True) for i in range(k + 1)]

@@ -8,7 +8,6 @@ import pytest
 import gradedbv as g
 from gradedbv.expr import (Compose, ParseError, Scal, Sum, Tensor,
                            parse, print_expr, source_arity, target_arity)
-from gradedbv.models import normalize_sphere_name
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
 
@@ -86,8 +85,7 @@ def test_sum_degree_mismatch_rejected(sphere):
 def _elem(sphere, text):
     from gradedbv.expr import literal_slots
     arity = literal_slots(text)
-    return g.parse_element(text, (sphere.space,) * arity, sphere.field,
-                           normalize=normalize_sphere_name)
+    return g.parse_element(text, (sphere.space,) * arity, sphere.field)
 
 
 def test_evaluate_triple_composition(sphere):
@@ -113,6 +111,17 @@ def test_element_literal_normalization(sphere):
     assert _elem(sphere, "U^1 (x) AU^1") == _elem(sphere, "U (x) AU")
     with pytest.raises(ParseError):
         _elem(sphere, "W^2")
+
+
+def test_a_composite_is_named_by_its_expression(sphere):
+    from gradedbv.core import ArityMismatch
+    from gradedbv.expr import as_map
+    text = "(lambda (x) id) . lambda"
+    gmap = as_map(parse(text), sphere.context(), (sphere.space,))
+    assert gmap.name == text and str(parse(text)) == print_expr(parse(text))
+    with pytest.raises(ArityMismatch) as err:
+        gmap.on_key(("U", "U"))
+    assert str(err.value).startswith("map %s expects arity 1" % text)
 
 
 def _random_catalog_exprs(arity):

@@ -32,11 +32,13 @@ def test_canonical_sphere_classes(sphere, sphere_gysin):
     assert data.erase(sphere.eta).is_zero()
 
 
-@pytest.mark.parametrize("name", ["[AU^1]", "[AU^01]"])
+@pytest.mark.parametrize("name", ["[AU^1]", "[AU^01]", "[A]", "[AU^0]",
+                                  "[U^2]", "AU", "[AU"])
 def test_sphere_classes_reject_non_canonical_names(sphere_gysin, name):
     from gradedbv.core import UnknownBasisName
     b = sphere_gysin.space_b
     assert b.contains("[AU]") and b.degree("[AU]") == -1
+    assert b.degree("[AU^2]") == b.sphere.degree("AU^2") == 1
     assert not b.contains(name)
     for _ in range(2):      # rejected again once "[AU]" is memoized
         with pytest.raises(UnknownBasisName):
@@ -177,3 +179,85 @@ def test_transported_nine_term_is_zero_tuple_by_tuple(sphere, sphere_gysin):
     for a in b.window_names(3):
         for c in b.window_names(3):
             assert residual_on_key(spec, ctx, (b, b), (a, c)) is None
+
+
+def _zw_instance(extra=None):
+    """Basis {1, z, w} with Delta z = w, and ``extra`` Delta rows."""
+    from gradedbv.core import table_map
+    field = g.QQ
+    degrees = {"1": 0, "z": -2, "w": -1, "v": 0}
+    rows = [(("z",), ("w",), 1)] + (extra or [])
+    names = ("1", "z", "w") + (("v",) if extra else ())
+    space = FiniteSpace("zw", {n: degrees[n] for n in names})
+    s1, s2 = (space,), (space, space)
+    mu = table_map(s2, s1, 0, field, [(("1", n), (n,), 1) for n in names]
+                   + [((n, "1"), (n,), 1) for n in names if n != "1"], "mu")
+    return BVUIInstance("zw", space, field, mu,
+                        basis_element(s1, field, ("1",)),
+                        table_map(s1, s2, -1, field, [], "lambda"),
+                        table_map(s1, s1, 1, field, rows, "Delta"), -1)
+
+
+def _zw_data(inst, b_degrees, erase_rows, mark_rows):
+    from gradedbv.core import table_map
+    b = FiniteSpace("zw/classes", b_degrees)
+    return GysinData(b, table_map((inst.space,), (b,), 0, inst.field,
+                                  erase_rows, "E"),
+                     table_map((b,), (inst.space,), 1, inst.field,
+                               mark_rows, "M"))
+
+
+@pytest.mark.parametrize("b_degrees,erase_rows,mark_rows,message", [
+    # M(c) = 2w, so M.E(z) = 2w while Delta z = w
+    ({"c": -2}, [(("z",), ("c",), 1)], [(("c",), ("w",), 2)],
+     "M.E != Delta at z"),
+    # E(w) = d: E.Delta(z) = d, and E.M(c) = d
+    ({"c": -2, "d": -1}, [(("z",), ("c",), 1), (("w",), ("d",), 1)],
+     [(("c",), ("w",), 1)], "E.Delta != 0 at z; E.M != 0 at c"),
+    # M(d) = 1 and E(1) = e: only E.M fails
+    ({"c": -2, "d": -1, "e": 0}, [(("z",), ("c",), 1), (("1",), ("e",), 1)],
+     [(("c",), ("w",), 1), (("d",), ("1",), 1)], "E.M != 0 at d"),
+    # M(d) = z: Delta.M(d) = w, and E.M(d) = E(z) = c
+    ({"c": -2, "d": -3}, [(("z",), ("c",), 1)],
+     [(("c",), ("w",), 1), (("d",), ("z",), 1)],
+     "E.M != 0 at d; Delta.M != 0 at d"),
+])
+def test_each_broken_identity_is_named_with_its_witness(
+        b_degrees, erase_rows, mark_rows, message):
+    inst = _zw_instance()
+    good = _zw_data(inst, {"c": -2}, [(("z",), ("c",), 1)],
+                    [(("c",), ("w",), 1)])
+    assert good.validate(inst, Window())
+    data = _zw_data(inst, b_degrees, erase_rows, mark_rows)
+    with pytest.raises(GysinError) as err:
+        data.validate(inst, Window())
+    assert str(err.value) == message
+
+
+def test_operator_that_does_not_square_to_zero_is_named():
+    inst = _zw_instance([(("w",), ("v",), 3)])
+    with pytest.raises(GysinError) as err:
+        canonical_gysin(inst, Window())
+    assert str(err.value) == "operator does not square to zero at z: 3*v"
+
+
+def test_more_than_ten_failures_report_the_first_ten(sphere):
+    # E = identity and M = Delta break E.Delta and E.M at every AU^k
+    sp, field = sphere.space, sphere.field
+    erase = GradedMap((sp,), (sp,), 0, field, name="E",
+                      rule=lambda key: basis_element((sp,), field, key))
+    mark = GradedMap((sp,), (sp,), 1, field, name="M",
+                     rule=lambda key: sphere.delta.on_key(key))
+    window = Window(12)
+    with pytest.raises(GysinError) as err:
+        GysinData(sp, erase, mark).validate(sphere, window)
+    failing = [n for n in window.names_for(sp, 1) if n.startswith("AU")]
+    assert len(failing) == 12
+    assert str(err.value).split("; ") == (
+        ["E.Delta != 0 at %s" % n for n in failing[:10]]
+        + ["E.M != 0 at %s" % n for n in failing[:10]])
+
+
+def test_string_bracket_is_named_by_its_expression(sphere, sphere_gysin):
+    bracket = g.string_bracket(sphere, sphere_gysin)
+    assert repr(bracket).startswith("<map E . mu . (M (x) M): ")

@@ -521,6 +521,16 @@ def test_user_supplied_gysin_data_rejected_when_inconsistent(tmp_path):
     assert main(["gysin", str(path)]) == 2
 
 
+def test_gysin_file_breaking_mark_erase_names_the_identity(tmp_path, capsys):
+    doc = _gysin_doc()
+    doc["gysin"]["M"] = []          # M.E(z) = 0, but Delta z = w
+    path = _write(tmp_path, doc, "gy-me.json")
+    assert main(["gysin", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "gysin data invalid: M.E != Delta at z\n"
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
 def test_builtin_gysin_ignores_a_file_of_the_same_name(tmp_path, monkeypatch,
                                                        capsys):
     doc = _gysin_doc()

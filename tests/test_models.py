@@ -17,8 +17,7 @@ def sphere():
 def _elem(inst, text, arity=None):
     from gradedbv.expr import literal_slots
     arity = literal_slots(text) if arity is None else arity
-    return g.parse_element(text, (inst.space,) * arity, inst.field,
-                           normalize=normalize_sphere_name)
+    return g.parse_element(text, (inst.space,) * arity, inst.field)
 
 
 def test_sphere_parameter_validation():
@@ -34,6 +33,15 @@ def test_sphere_names_roundtrip():
     assert normalize_sphere_name("AU^1") == "AU"
     assert normalize_sphere_name("U^0") == "1"
     assert normalize_sphere_name("W") is None
+
+
+def test_sphere_space_reads_input_names_canonically(sphere):
+    from gradedbv.core import EngineError
+    assert g.parse_element("U^1", (sphere.space,), g.QQ) == _elem(sphere, "U")
+    assert sphere.space.canonical_name("AU^01") == "AU"
+    assert sphere.space.canonical_name("W") is None
+    with pytest.raises(EngineError, match="exceeds the input bound 1000"):
+        g.parse_element("U^1001", (sphere.space,), g.QQ)
 
 
 def test_sphere_operator_value(sphere):

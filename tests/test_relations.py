@@ -10,7 +10,6 @@ from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
 from gradedbv.core import ArityMismatch, FiniteSpace, GradedMap, basis_element
 from gradedbv.expr import Gen, Sum, Tensor, compile_expr, parse, print_expr
-from gradedbv.models import normalize_sphere_name
 from gradedbv.reportio import report_document
 from gradedbv.structures import (BETA, GAMMA, BVUIInstance, builtin_relation,
                                  check_consequences, is_applicable)
@@ -24,8 +23,7 @@ def sphere():
 def _elem(inst, text, arity=None):
     from gradedbv.expr import literal_slots
     arity = literal_slots(text) if arity is None else arity
-    return g.parse_element(text, (inst.space,) * arity, inst.field,
-                           normalize=normalize_sphere_name)
+    return g.parse_element(text, (inst.space,) * arity, inst.field)
 
 
 # -- catalog shape ----------------------------------------------------------

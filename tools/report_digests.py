@@ -29,6 +29,8 @@ COMMANDS = (
     "mutate sphere:3 --mutation delta-au-doubled --window 3",
     "check three-dim --suite all --field Fp:101",
     "gysin sphere:3",
+    "gysin sphere:3 --window 6",
+    "gysin three-dim",
     "double three-dim",
 )
 
