@@ -7,7 +7,7 @@ from .core import (Element, EngineError, FiniteSpace, GradedMap, GradedSpace,
                    PrimeField, QQ, Rationals, basis_element, field_by_name,
                    koszul_sign, permute, scalar_element, zero_element)
 from .checks import CheckReport, RelationSpec, Window, sign_mutations
-from .expr import (OpContext, as_map, evaluate, infer_degree, parse,
+from .expr import (OpContext, compile_expr, evaluate, infer_degree, parse,
                    parse_element, print_expr)
 from .structures import (BVUI_FULL, BVUIInstance, CONSEQUENCES,
                          FROBENIUS_FULL, FrobeniusInstance, builtin_relation,

@@ -10,10 +10,12 @@ ASCII is canonical on output; print . parse is a fixed point.
 Expressions are evaluated sign-exactly against a context of named
 GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
 they resolve against whatever tensor slots flow into them, so the same
-relation text works on the base space and on derived spaces.  An
-expression is typed once on concrete input slots by ``compile_expr``
-(also spelled ``as_map``), which returns a GradedMap shared by every use
-in the same context; ``evaluate`` compiles, then applies the map.
+relation text works on the base space and on derived spaces.  Each
+node is typed once per context: the typing pass (``_shape``) decides its
+arities and degree and rejects any mismatch.  ``compile_expr`` then
+walks it on concrete input slots, for their spaces and loops, into a
+GradedMap shared by every use in the same context; ``evaluate``
+compiles, then applies the map.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -322,17 +324,20 @@ def print_expr(node):
 class OpContext:
     """Named GradedMaps an expression can reference, over one field.
 
+    ``shapes`` memoizes the typing pass: each node's (source arity,
+    target arity, degree), decided once per context by ``_shape``.
     ``plans`` hash-conses compiled expressions: ``compile_expr`` keys it
     on ``(node, in_spaces)``, so one node typed on the same slot spaces
     (compared by identity) is one GradedMap, with one cache, for every
     term, group, relation and caller compiling it in this context.
     Names are only added to ``maps`` before expressions using them are
-    compiled.
+    typed.
     """
 
     def __init__(self, maps, field):
         self.maps = dict(maps)
         self.field = field
+        self.shapes = {}
         self.plans = {}
 
     def lookup(self, name):
@@ -343,39 +348,50 @@ class OpContext:
 
 
 def _shape(node, ctx):
-    """(source arity, target arity, degree) of an expression; summands
-    must agree in source arity and degree."""
+    """(source arity, target arity, degree) of an expression, typed by
+    ``_type`` once per context; a node that fails to type is not stored."""
+    shape = ctx.shapes.get(node)
+    if shape is None:
+        shape = ctx.shapes[node] = _type(node, ctx)
+    return shape
+
+
+def _type(node, ctx):
+    """The typing rule: a node's shape from its children's.  Adjacent
+    composition stages and summands must agree in arity (ArityMismatch),
+    summands also in degree (DegreeError)."""
     if isinstance(node, Gen):
-        if node.name in POLYMORPHIC_ARITY:
-            arity = POLYMORPHIC_ARITY[node.name]
+        arity = POLYMORPHIC_ARITY.get(node.name)
+        if arity is not None:
             return arity, arity, 0
         gmap = ctx.lookup(node.name)
         return gmap.source_arity, gmap.target_arity, gmap.degree
+    if isinstance(node, Scal):
+        return _shape(node.child, ctx)
     if isinstance(node, Dual):
         source, target, degree = _shape(node.child, ctx)
         return target, source, degree
-    if isinstance(node, Scal):
-        return _shape(node.child, ctx)
-    if isinstance(node, Compose):
-        sources, targets, degrees = zip(*(_shape(c, ctx) for c in node.children))
-        return sources[-1], targets[0], sum(degrees)
-    if isinstance(node, Tensor):
-        sources, targets, degrees = zip(*(_shape(c, ctx) for c in node.children))
-        return sum(sources), sum(targets), sum(degrees)
     if isinstance(node, Sum):
-        shapes = [_shape(t, ctx) for t in node.terms]
-        arities = {s[0] for s in shapes}
-        if len(arities) != 1:
-            raise ArityMismatch("summands have different source arities %s" % arities)
-        _check_degrees(s[2] for s in shapes)
-        return shapes[0]
-    raise EngineError("unknown node %r" % (node,))
-
-
-def _check_degrees(degrees):
-    degrees = set(degrees)
-    if len(degrees) != 1:
-        raise DegreeError("summands have different degrees %s" % sorted(degrees))
+        shapes = {_shape(t, ctx) for t in node.terms}
+        for i, error, what in ((0, ArityMismatch, "source arities"),
+                               (1, ArityMismatch, "target arities"),
+                               (2, DegreeError, "degrees")):
+            values = sorted({s[i] for s in shapes})
+            if len(values) != 1:
+                raise error("summands have different %s %s" % (what, values))
+        return shapes.pop()
+    if not isinstance(node, (Compose, Tensor)):
+        raise EngineError("unknown node %r" % (node,))
+    sources, targets, degrees = zip(*[_shape(c, ctx) for c in node.children])
+    if isinstance(node, Tensor):
+        return sum(sources), sum(targets), sum(degrees)
+    # applied right to left: each stage consumes what the next one makes
+    for i, (consumed, made) in enumerate(zip(sources, targets[1:])):
+        if consumed != made:
+            raise ArityMismatch("%s consumes %d slots, but %s makes %d"
+                                % (node.children[i], consumed,
+                                   node.children[i + 1], made))
+    return sources[-1], targets[0], sum(degrees)
 
 
 def source_arity(node, ctx):
@@ -398,6 +414,10 @@ def compile_expr(node, ctx, in_spaces):
     ``in_spaces`` may be None when the expression determines its own
     source (leftmost composition/tensor of concrete generators).  Maps
     are looked up in ``ctx.plans`` first; a failed compile is not stored.
+    Arities and the degree come from the typing pass (``_shape``): the
+    slot count of ``in_spaces`` is checked against the typed source
+    arity here, once, and the compile walk below checks only what needs
+    the concrete spaces.
 
     A generator, ``dual(f)`` or a permutation is its own map, and a Sum
     a map whose rule adds its summands; both cache each key's checked
@@ -415,11 +435,12 @@ def compile_expr(node, ctx, in_spaces):
     key = (node, in_spaces)
     gmap = ctx.plans.get(key)
     if gmap is None:
-        gmap = ctx.plans[key] = _compile(node, ctx, in_spaces)
+        source, _, degree = _shape(node, ctx)
+        if in_spaces is not None and len(in_spaces) != source:
+            raise ArityMismatch("%s consumes %d slots, given %d"
+                                % (node, source, len(in_spaces)))
+        gmap = ctx.plans[key] = _compile(node, ctx, in_spaces, degree)
     return gmap
-
-
-as_map = compile_expr
 
 
 def permuted_head(node, ctx, in_spaces):
@@ -436,10 +457,17 @@ def permuted_head(node, ctx, in_spaces):
     return compile_expr(head, ctx, perm_map.target), perm_map, PERMS[perm.name]
 
 
-def _compile(node, ctx, in_spaces):
+def _compile(node, ctx, in_spaces, degree):
+    """The compile walk of a typed node of the given degree: slot spaces
+    and loops."""
     field = ctx.field
     if isinstance(node, Gen) and node.name in POLYMORPHIC_ARITY:
-        return _compile_polymorphic(node, field, in_spaces)
+        if in_spaces is None:
+            raise EngineError("cannot infer source spaces of polymorphic %r"
+                              % node.name)
+        if node.name == "id":
+            return _compiled(node, in_spaces, in_spaces, degree, field, _identity)
+        return permute(PERMS[node.name], in_spaces, field)
     if isinstance(node, (Gen, Dual)):
         gmap = ctx.lookup(node.name) if isinstance(node, Gen) else _dual_of(node, ctx)
         if in_spaces is not None and _spaces_key(gmap.source) != _spaces_key(in_spaces):
@@ -461,18 +489,14 @@ def _compile(node, ctx, in_spaces):
                 coeffs = stage(coeffs)
             return coeffs
 
-        return _compiled(node, maps[0].source, in_spaces,
-                         sum(m.degree for m in maps), field, run)
+        return _compiled(node, maps[0].source, in_spaces, degree, field, run)
     if isinstance(node, Tensor):
-        return _compile_tensor(node, ctx, in_spaces)
+        return _compile_tensor(node, ctx, in_spaces, degree)
     if isinstance(node, Scal):
         child = compile_expr(node.child, ctx, in_spaces)
         run = _linear_run(((field.coerce(node.coeff), child.run),), field)
-        return _compiled(node, child.source, child.target, child.degree,
-                         field, run)
-    if isinstance(node, Sum):
-        return _compile_sum(node, ctx, in_spaces)
-    raise EngineError("unknown node %r" % (node,))
+        return _compiled(node, child.source, child.target, degree, field, run)
+    return _compile_sum(node, ctx, in_spaces, degree)
 
 
 def _compiled(node, source, target, degree, field, run):
@@ -486,10 +510,11 @@ def _compiled(node, source, target, degree, field, run):
     return gmap
 
 
-def _compile_sum(node, ctx, in_spaces):
+def _compile_sum(node, ctx, in_spaces, degree):
     """A Sum compiles to a GradedMap: its summands are added once per
     source basis key, and the output is checked and memoized like a
-    generator's (a failing output is not cached)."""
+    generator's (a failing output is not cached).  Typing has matched
+    the summands' arities and degrees; their target spaces must agree."""
     field = ctx.field
     scalars, maps = [], []
     for term in node.terms:
@@ -503,9 +528,8 @@ def _compile_sum(node, ctx, in_spaces):
     targets = {_spaces_key(m.target) for m in maps}
     if len(targets) != 1:
         raise ArityMismatch("summands have different targets %s" % targets)
-    _check_degrees(m.degree for m in maps)
     run = _linear_run(tuple(zip(scalars, (m.run for m in maps))), field)
-    source, target, degree = maps[0].source, maps[0].target, maps[0].degree
+    source, target = maps[0].source, maps[0].target
     one = field.one
 
     def rule(key):
@@ -527,33 +551,19 @@ def _linear_run(terms, field):
     return run
 
 
-def _compile_polymorphic(node, field, in_spaces):
-    name = node.name
-    if in_spaces is None:
-        raise EngineError("cannot infer source spaces of polymorphic %r" % name)
-    if name == "id":
-        if len(in_spaces) != 1:
-            raise ArityMismatch("id consumes one slot, got %d" % len(in_spaces))
-        return _compiled(node, in_spaces, in_spaces, 0, field, _identity)
-    return permute(PERMS[name], in_spaces, field)
-
-
 def _identity(value):
     return value
 
 
-def _compile_tensor(node, ctx, in_spaces):
-    maps = []
-    pos = 0
+def _compile_tensor(node, ctx, in_spaces, degree):
+    """Each factor compiled on its typed share of the input slots (on
+    None when the tensor determines its own source), then laid out as
+    one kernel."""
+    maps, pos = [], 0
     for child in node.children:
-        if in_spaces is None:
-            maps.append(compile_expr(child, ctx, None))
-        else:
-            arity = source_arity(child, ctx)
-            maps.append(compile_expr(child, ctx, in_spaces[pos:pos + arity]))
-        pos += len(maps[-1].source)
-    if in_spaces is not None and pos != len(in_spaces):
-        raise ArityMismatch("tensor consumed %d of %d slots" % (pos, len(in_spaces)))
+        arity = source_arity(child, ctx)
+        maps.append(compile_expr(child, ctx, in_spaces and in_spaces[pos:pos + arity]))
+        pos += arity
     field = ctx.field
     source = tuple(s for m in maps for s in m.source)
     target = tuple(t for m in maps for t in m.target)
@@ -561,7 +571,7 @@ def _compile_tensor(node, ctx, in_spaces):
     kernel = tensor_factors([(len(m.source), m.degree,
                               None if m.run is _identity else m.on_key)
                              for m in maps], source)
-    return _compiled(node, source, target, sum(m.degree for m in maps), field,
+    return _compiled(node, source, target, degree, field,
                      tensor_run(kernel, field))
 
 

@@ -211,12 +211,17 @@ def _erase_mark_context(instance, data):
 
 def _gysin_context(instance, data):
     """The instance's generators with E and M, and the string bracket and
-    cobracket compiled once in this context."""
+    cobracket compiled once in this context.  Each is installed as a
+    generator: a map that runs the composite's compiled loop on one key
+    and caches the output, so the stages that apply it read that cache."""
     ctx = _erase_mark_context(instance, data)
     b = data.space_b
-    ctx.maps["bracket"] = compile_expr(parse("E . mu . (M (x) M)"), ctx, (b, b))
-    ctx.maps["cobracket"] = compile_expr(parse("(E (x) E) . lambda . M"), ctx,
-                                         (b,))
+    for name, text, spaces in (("bracket", "E . mu . (M (x) M)", (b, b)),
+                               ("cobracket", "(E (x) E) . lambda . M", (b,))):
+        node = parse(text)
+        composite = compile_expr(node, ctx, spaces)
+        ctx.maps[name] = GradedMap(spaces, composite.target, composite.degree,
+                                   ctx.field, name=node, rule=composite._rule)
     return ctx
 
 

@@ -1,13 +1,13 @@
 """Shared test oracles, independent of the engine's sign machinery, and
 a builder of expression maps over named maps."""
 
-from gradedbv.expr import OpContext, as_map, parse
+from gradedbv.expr import OpContext, compile_expr, parse
 
 
 def expr_map(text, maps, field, in_spaces=None):
     """The map of expression ``text`` in a fresh context of ``maps`` (a
     dict from generator name to GradedMap) over ``field``."""
-    return as_map(parse(text), OpContext(maps, field), in_spaces)
+    return compile_expr(parse(text), OpContext(maps, field), in_spaces)
 
 
 # The four zig-zag identities of ev and coev, by the space they are the

@@ -18,7 +18,7 @@ from gradedbv.core import (GradedMap, basis_element, permute, scalar_element,
 from gradedbv.double import (DoubleError, build_double, build_double_data,
                              build_ev_coev, build_shifts, double_dual_identification,
                              dual_map, dual_name, dual_space, shift_space)
-from gradedbv.expr import as_map, parse
+from gradedbv.expr import compile_expr, parse
 from gradedbv.structures import BVUIInstance, forget_frobenius_to_bvui
 
 from helpers import ZIGZAGS, expr_map
@@ -374,8 +374,8 @@ def test_component_table_degrees_and_parts(model, field_name):
                                  (DELTA_COMPONENTS, 1, 1)):
         for parts, text in table.items():
             inputs, outputs = parts[:arity], parts[arity:]
-            comp = as_map(parse(text), dd.context,
-                          [part_space[p] for p in inputs])
+            comp = compile_expr(parse(text), dd.context,
+                                [part_space[p] for p in inputs])
             assert comp.degree == degree, text
             assert [t.name for t in comp.target] == \
                 [part_space[p].name for p in outputs], text

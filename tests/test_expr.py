@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import gradedbv as g
-from gradedbv.expr import (Compose, ParseError, Scal, Sum, Tensor,
+from gradedbv.expr import (Compose, Dual, ParseError, Scal, Sum, Tensor,
                            parse, print_expr, source_arity, target_arity)
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
@@ -115,9 +115,9 @@ def test_element_literal_normalization(sphere):
 
 def test_a_composite_is_named_by_its_expression(sphere):
     from gradedbv.core import ArityMismatch
-    from gradedbv.expr import as_map
+    from gradedbv.expr import compile_expr
     text = "(lambda (x) id) . lambda"
-    gmap = as_map(parse(text), sphere.context(), (sphere.space,))
+    gmap = compile_expr(parse(text), sphere.context(), (sphere.space,))
     assert gmap.name == text and str(parse(text)) == print_expr(parse(text))
     with pytest.raises(ArityMismatch) as err:
         gmap.on_key(("U", "U"))
@@ -327,3 +327,69 @@ def test_shared_tensor_factors_are_one_map_each(monkeypatch, tmp_path):
         (gmap,) = [m for (n, _), m in plans.items() if n == node]
         keys = [key for m, key in runs if m is gmap]
         assert keys and all(runs[gmap, key] == 1 for key in keys), text
+
+
+# stages or summands whose arities disagree; the typing pass rejects each
+ILL_TYPED = ("mu . mu", "lambda . lambda", "tau . mu", "(mu (x) id) . lambda",
+             "Delta . mu + (Delta (x) id)")
+
+
+@pytest.mark.parametrize("text", ILL_TYPED)
+def test_ill_typed_expressions_have_no_shape(sphere, text):
+    from gradedbv.core import ArityMismatch
+    for read in (source_arity, target_arity, g.infer_degree):
+        with pytest.raises(ArityMismatch):
+            read(parse(text), sphere.context())
+
+
+@pytest.mark.parametrize("text", ILL_TYPED)
+def test_ill_typed_expressions_are_usage_errors(capsys, text):
+    from gradedbv.cli import main
+    assert main(["eval", "sphere:3", "--expr", text, "--input", "U"]) == 64
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _subnodes(node):
+    yield node
+    if isinstance(node, (Scal, Dual)):
+        yield from _subnodes(node.child)
+    for child in getattr(node, "children", ()) + getattr(node, "terms", ()):
+        yield from _subnodes(child)
+
+
+def test_each_node_is_typed_once_per_context(monkeypatch):
+    from collections import Counter
+    from gradedbv import expr
+    from gradedbv.checks import compile_relation
+    runs, rule = Counter(), expr._type
+
+    def counted(node, ctx):
+        runs[node] += 1
+        return rule(node, ctx)
+
+    monkeypatch.setattr(expr, "_type", counted)
+    inst = g.sphere_frobenius_model(3)
+    ctx = inst.context()
+    specs = [builtin_relation(rid) for rid in _CATALOG_SOURCE]
+    exprs = [e for spec in specs for group in spec.groups for _, e in group]
+    for e in exprs:
+        source_arity(e, ctx)
+        g.infer_degree(e, ctx)
+    # compiling reads the types, it does not type again
+    for spec in specs:
+        compile_relation(spec, ctx, (inst.space,) * spec.arity)
+    assert {n for e in exprs for n in _subnodes(e)} <= set(runs)
+    assert set(runs.values()) == {1}
+
+
+@pytest.mark.parametrize("text,slots", [
+    ("mu", 1), ("id", 2), ("tau", 1), ("Delta . mu", 1), ("Delta (x) id", 3),
+    ("2*mu", 1), ("mu + mu . tau", 3), ("dual(mu)", 2)])
+def test_a_wrong_slot_count_is_an_arity_mismatch(sphere, text, slots):
+    # the count is checked against the typed source arity, before any space
+    from gradedbv.core import ArityMismatch
+    with pytest.raises(ArityMismatch, match="consumes %d slots, given %d"
+                       % (source_arity(parse(text), sphere.context()), slots)):
+        g.compile_expr(parse(text), sphere.context(), (sphere.space,) * slots)

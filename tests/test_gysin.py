@@ -261,3 +261,28 @@ def test_more_than_ten_failures_report_the_first_ten(sphere):
 def test_string_bracket_is_named_by_its_expression(sphere, sphere_gysin):
     bracket = g.string_bracket(sphere, sphere_gysin)
     assert repr(bracket).startswith("<map E . mu . (M (x) M): ")
+
+
+def test_each_bracket_key_runs_its_compiled_loop_once(sphere, sphere_gysin,
+                                                      monkeypatch):
+    # the Gysin relations apply the string bracket and cobracket as
+    # generators, whose stages read each key's cached output, so in one
+    # context each composite loop runs once per key
+    from collections import Counter
+    from gradedbv import expr
+    loops = {expr.parse("E . mu . (M (x) M)"),
+             expr.parse("(E (x) E) . lambda . M")}
+    runs, compiled = Counter(), expr._compiled
+
+    def counted(node, source, target, degree, field, run):
+        def count(coeffs):
+            runs.update((node, key) for key in coeffs)
+            return run(coeffs)
+        return compiled(node, source, target, degree, field,
+                        count if node in loops else run)
+
+    monkeypatch.setattr(expr, "_compiled", counted)
+    reports = g.check_lie_bialgebra(sphere, sphere_gysin, Window(5, 3))
+    assert all(r.status == "pass" for r in reports)
+    assert {node for node, _ in runs} == loops
+    assert max(runs.values()) == 1

@@ -61,7 +61,7 @@ def test_tau_examples_on_sphere():
 def test_sigma_example_stepwise():
     # (tau (x) 1)(1 (x) tau) applied by hand to A (x) A (x) U
     inst, sp, field = _sphere_ctx()
-    sigma_two_step = g.as_map(g.parse("(tau (x) id) . (id (x) tau)"),
+    sigma_two_step = g.compile_expr(g.parse("(tau (x) id) . (id (x) tau)"),
                               inst.context(), (sp, sp, sp))
     sigma = g.permute((1, 2, 0), (sp, sp, sp), field)
     key = ("A", "A", "U")
@@ -172,7 +172,6 @@ def test_tensor_kernel_with_identity_blocks_between_and_after():
         arity = len(factors)
         names = Window(3 if arity == 3 else 2).names_for(sp, arity)
         plan = compile_expr(g.parse(text), ctx, (sp,) * arity)
-        tensored = g.as_map(g.parse(text), ctx, (sp,) * arity)
         for key in itertools.product(names, repeat=arity):
             blocks = [(name,) for name in key]
             sign = _block_sign(blocks, [f.degree if f else 0
@@ -184,7 +183,7 @@ def test_tensor_kernel_with_identity_blocks_between_and_after():
             expected = expected.scale(sign)
             x = basis_element((sp,) * arity, field, key)
             assert plan(x) == expected, (text, key)
-            assert tensored.on_key(key) == expected, (text, key)
+            assert plan.on_key(key) == expected, (text, key)
             negative += sign == -1 and not expected.is_zero()
     assert negative > 0     # the sign is live on these windows
     # only identity blocks: the key passes through unchanged
@@ -235,8 +234,8 @@ def test_tensor_kernel_rejects_keys_of_the_wrong_length():
             with pytest.raises(ArityMismatch):
                 tensor_run(kernel, field)({key: 1})
     with pytest.raises(ArityMismatch):
-        g.as_map(g.parse("Delta (x) Delta"), sphere.context(),
-                 (sp, sp)).on_key(("AU",))
+        g.compile_expr(g.parse("Delta (x) Delta"), sphere.context(),
+                       (sp, sp)).on_key(("AU",))
     with pytest.raises(ArityMismatch):
         tensor_factors([(1, 1, sphere.delta.on_key)], (sp, sp))
 

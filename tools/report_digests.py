@@ -28,6 +28,8 @@ COMMANDS = (
     "mutate sphere:3 --mutation lambda-u-flip --window 3",
     "mutate sphere:3 --mutation delta-au-doubled --window 3",
     "check three-dim --suite all --field Fp:101",
+    "check sphere-frob:3 --suite all",
+    "check sphere:3 --suite all --window 10 --window3 2 --field Fp:101",
     "gysin sphere:3",
     "gysin sphere:3 --window 6",
     "gysin three-dim",
