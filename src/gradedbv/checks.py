@@ -24,11 +24,9 @@ order, and an error is the one a check of each relation in turn raises.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple
 
 from .core import ArityMismatch, _spaces_key, _trusted_element
 from .expr import compile_expr, parse, permuted_head
@@ -37,13 +35,13 @@ MAX_WITNESSES = 10
 _first = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class RelationSpec:
-    rid: str
-    arity: int
-    description: str
-    groups: tuple            # tuple of groups; group = tuple of (Fraction, expr AST)
-    requires: tuple = ()     # applicability predicate names, see is_applicable
+class RelationSpec(namedtuple("RelationSpec", "rid arity description groups requires",
+                              defaults=((),))):
+    """A relation: ``groups`` is a tuple of signed groups, each a tuple of
+    (Fraction, expr AST) terms; ``requires`` names the applicability
+    predicates, see is_applicable."""
+
+    __slots__ = ()
 
     def term_count(self):
         return sum(len(g) for g in self.groups)
@@ -79,8 +77,7 @@ def sign_mutations(spec):
     return out
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(namedtuple("Window", "k k3", defaults=(4, None))):
     """Bounds the enumerated input tuples; values are never truncated.
 
     ``k`` is the maximal basis index per slot for rule-generated spaces
@@ -88,8 +85,7 @@ class Window:
     overrides it for relations with three or more input slots.
     """
 
-    k: int = 4
-    k3: int | None = None
+    __slots__ = ()
 
     def index_for(self, arity):
         if arity >= 3 and self.k3 is not None:
@@ -105,22 +101,19 @@ class Window:
         return "indices <= %d" % self.index_for(arity)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    relation: str
-    description: str
-    instance: str
-    window: str
-    tuples_checked: int
-    status: str              # pass | fail | skipped
-    witnesses: tuple = ()    # (input key, group index, residual element)
-    skip_reason: str = ""
+class CheckReport(namedtuple("CheckReport", "relation description instance window "
+                             "tuples_checked status witnesses skip_reason",
+                             defaults=((), ""))):
+    """One relation's verdict: ``status`` is pass, fail or skipped, and
+    each witness is (input key, group index, residual element)."""
+
+    __slots__ = ()
 
     def first_witness(self):
         return self.witnesses[0] if self.witnesses else None
 
 
-class CompiledRelation(NamedTuple):
+class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
     """A relation typed on its input slots, see compile_relations.
 
     ``groups`` holds (target, terms) per signed group, a term being
@@ -129,8 +122,7 @@ class CompiledRelation(NamedTuple):
     member first, or () when ``key`` is not that least member.
     """
 
-    groups: tuple
-    orbit: Callable
+    __slots__ = ()
 
 
 def _typed_terms(spec, ctx, spaces):

@@ -33,9 +33,9 @@ inline, and ``accumulate`` dispatches to them.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
-from typing import NamedTuple
 
 
 class EngineError(Exception):
@@ -713,7 +713,7 @@ def source_basis_keys(spaces):
     return [()] if not pools else list(itertools.product(*pools))
 
 
-class TensorKernel(NamedTuple):
+class TensorKernel(namedtuple("TensorKernel", "arity sign_slots blocks")):
     """A tensor product f_1 (x) ... (x) f_k of maps, laid out once by
     ``tensor_factors`` for ``tensor_run``.
 
@@ -726,9 +726,7 @@ class TensorKernel(NamedTuple):
     (degree 0) are copied from the input key.
     """
 
-    arity: int
-    sign_slots: tuple
-    blocks: tuple
+    __slots__ = ()
 
 
 def tensor_factors(factors, spaces):

@@ -22,12 +22,12 @@ every component along an independent evaluation/coevaluation route.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .core import (Element, EngineError, FiniteSpace, GradedMap,
                    basis_element, source_basis_keys, table_map)
 from .expr import OpContext, compile_expr, parse
-from .structures import BVUIInstance, FrobeniusInstance
+from .structures import FrobeniusInstance
 
 
 class DoubleError(EngineError):
@@ -172,7 +172,8 @@ DELTA_COMPONENTS = {
 }
 
 
-class DoubleData(NamedTuple):
+class DoubleData(namedtuple("DoubleData", "instance base spaces context "
+                                         "mu_components lam_components")):
     """The assembled double plus its named component maps.
 
     ``context`` holds the base instance's generators and ``ev``,
@@ -183,12 +184,7 @@ class DoubleData(NamedTuple):
     pieces in isolation.  ``spaces`` is (A, A^vee, shifted dual, D).
     """
 
-    instance: FrobeniusInstance
-    base: BVUIInstance
-    spaces: tuple
-    context: OpContext
-    mu_components: dict
-    lam_components: dict
+    __slots__ = ()
 
 
 def build_double(instance):

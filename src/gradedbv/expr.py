@@ -5,7 +5,9 @@ composition, ``(x)`` (or the unicode tensor sign) for tensor, ``+``/``-``
 for formal sums, an optional rational coefficient prefix like ``2*`` or
 ``1/2*``, parentheses for grouping, and ``dual(f)`` for dualization.
 Composition binds tighter than tensor, which binds tighter than sums.
-ASCII is canonical on output; print . parse is a fixed point.
+ASCII is canonical on output; print . parse is a fixed point.  AST
+nodes are interned when they are built: two parses of one text, or a
+tree built by hand and the parse of its printed text, are one object.
 
 Expressions are evaluated sign-exactly against a context of named
 GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
@@ -24,7 +26,6 @@ The same tokenizer parses element literals (``AU^1 (x) U^1``,
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dataclass_field
 from fractions import Fraction
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
@@ -41,67 +42,93 @@ class ParseError(EngineError):
 # AST
 # ---------------------------------------------------------------------------
 
-def _node(cls):
-    """An AST node class: a frozen, slotted dataclass whose hash, the
-    dataclass's own, is computed once per node and kept in its ``_hash``
-    field, which equality, hashing and ``repr`` leave out.  So looking a
-    tree up in ``OpContext.plans`` hashes its root's fields, not its
-    whole subtree again.  ``str`` of a node is ``print_expr``."""
-    cls.__annotations__["_hash"] = "int | None"
-    cls._hash = dataclass_field(default=None, init=False, repr=False, compare=False)
-    cls = dataclass(frozen=True, slots=True)(cls)
-    tree_hash = cls.__hash__
+# (class name, field values) -> the one node built from them; a node,
+# once built, lives as long as the process
+_NODES = {}
+
+
+class _Node:
+    """An AST node, interned (hash-consed) when it is built: a node is
+    looked up in ``_NODES`` by its class name and field values, whose
+    children are interned nodes already, so structurally equal trees are
+    one object.  Equality is identity; the structural hash is computed
+    once, at construction, and kept in ``_hash``.  So a lookup of a tree
+    in ``OpContext.plans`` or ``OpContext.shapes`` hashes nothing but its
+    root and compares nothing but identities.  Nodes are immutable;
+    copies and pickles are built again by the constructor, which returns
+    the interned node.  ``str`` of a node is ``print_expr``."""
+
+    __slots__ = ("_hash",)
+    _fields = ()
+
+    def __new__(cls, *values):
+        key = (cls.__name__, values)
+        node = _NODES.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls._fields, values):
+                object.__setattr__(node, name, value)
+            object.__setattr__(node, "_hash", hash(key))
+            # a node interned meanwhile by another thread is the one kept
+            node = _NODES.setdefault(key, node)
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r of an AST node" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r of an AST node" % name)
 
     def __hash__(self):
-        value = self._hash
-        if value is None:
-            value = tree_hash(self)
-            object.__setattr__(self, "_hash", value)
-        return value
+        return self._hash
 
-    cls.__hash__ = __hash__
-    cls.__str__ = lambda self: print_expr(self)
-    return cls
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self._fields))
 
-@_node
-class Gen:
-    name: str
+    def __str__(self):
+        return print_expr(self)
 
 
-@_node
-class Compose:
-    children: tuple  # applied right to left
+class _Nary(_Node):
+    """A node over a tuple of at least two children."""
 
-    def __post_init__(self):
-        assert len(self.children) >= 2
+    __slots__ = ()
 
-
-@_node
-class Tensor:
-    children: tuple
-
-    def __post_init__(self):
-        assert len(self.children) >= 2
+    def __new__(cls, items):
+        assert len(items) >= 2
+        return _Node.__new__(cls, items)
 
 
-@_node
-class Scal:
-    coeff: Fraction
-    child: object
+class Gen(_Node):
+    __slots__ = _fields = ("name",)
 
 
-@_node
-class Sum:
-    terms: tuple
-
-    def __post_init__(self):
-        assert len(self.terms) >= 2
+class Compose(_Nary):
+    __slots__ = _fields = ("children",)     # applied right to left
 
 
-@_node
-class Dual:
-    child: object
+class Tensor(_Nary):
+    __slots__ = _fields = ("children",)
+
+
+class Scal(_Node):
+    __slots__ = _fields = ("coeff", "child")
+
+    def __new__(cls, coeff, child):
+        # a Fraction whatever built it, so Scal(2, x) is Scal(Fraction(2), x)
+        return _Node.__new__(cls, Fraction(coeff), child)
+
+
+class Sum(_Nary):
+    __slots__ = _fields = ("terms",)
+
+
+class Dual(_Node):
+    __slots__ = _fields = ("child",)
 
 
 POLYMORPHIC_ARITY = {"id": 1, "tau": 2, "sigma": 3, "sigma2": 3}
@@ -330,6 +357,8 @@ class OpContext:
     on ``(node, in_spaces)``, so one node typed on the same slot spaces
     (compared by identity) is one GradedMap, with one cache, for every
     term, group, relation and caller compiling it in this context.
+    Nodes are interned, so an equal subtree from any text is the same
+    key, and both lookups compare identities only.
     Names are only added to ``maps`` before expressions using them are
     typed.
     """

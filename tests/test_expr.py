@@ -253,18 +253,19 @@ def test_roundtrip_random_expressions():
 
 
 def test_equal_parses_hash_and_compare_equal():
-    from dataclasses import fields
     texts = ("mu . (id (x) mu) - 2*lambda . tau",
              "dual(mu) . (Delta (x) id) + mu",
              "(lambda . eta) (x) ((id (x) mu) . sigma)")
     for text in texts:
         first, second = parse(text), parse(text)
-        assert first is not second
+        # interned: two parses of one text are one object
+        assert first is second
         assert first == second and hash(first) == hash(second)
-        # the kept hash is the dataclass's hash of the node's fields
-        fields_hash = hash(tuple(getattr(first, f.name) for f in fields(first)
-                                 if f.compare))
-        assert hash(first) == hash(first) == fields_hash
+        # the stored hash is the structural hash of the node's class name
+        # and fields, computed when the node was built
+        fields = tuple(getattr(first, name) for name in first._fields)
+        assert first._hash == hash((type(first).__name__, fields))
+        assert hash(first) == first._hash
     assert parse(texts[0]) != parse(texts[1])
     plans = {(parse(text), None): text for text in texts}
     assert all(plans[parse(text), None] == text for text in texts)
@@ -393,3 +394,81 @@ def test_a_wrong_slot_count_is_an_arity_mismatch(sphere, text, slots):
     with pytest.raises(ArityMismatch, match="consumes %d slots, given %d"
                        % (source_arity(parse(text), sphere.context()), slots)):
         g.compile_expr(parse(text), sphere.context(), (sphere.space,) * slots)
+
+
+_NODE_TEXTS = ("mu . (id (x) mu) - 2*lambda . tau",
+               "dual(mu) . (Delta (x) id) + mu",
+               "-(1/2*(lambda . eta) (x) ((id (x) mu) . sigma))")
+
+
+@pytest.mark.parametrize("text", _NODE_TEXTS)
+def test_a_node_is_immutable(text):
+    node = parse(text)
+    name = node._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(node, name, getattr(node, name))
+    with pytest.raises(AttributeError):
+        delattr(node, name)
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert parse(text) is node
+
+
+@pytest.mark.parametrize("text", _NODE_TEXTS)
+def test_copies_and_pickles_are_the_interned_node(text):
+    import copy
+    import pickle
+    node = parse(text)
+    assert copy.copy(node) is node
+    assert copy.deepcopy(node) is node
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(node, protocol)) is node
+
+
+@pytest.mark.parametrize("first,second", [(2, Fraction(2)), (Fraction(2), 2)])
+def test_a_scalar_stores_a_fraction_whichever_built_it_first(first, second):
+    from gradedbv.expr import Gen
+    # a generator no other test builds, so this Scal is new here
+    child = Gen("scal_probe_%s" % type(first).__name__)
+    node = Scal(first, child)
+    assert Scal(second, child) is node
+    assert type(node.coeff) is Fraction and node.coeff == 2
+    assert print_expr(node) == "2*%s" % child.name
+    assert parse(print_expr(node)) is node
+    assert print_expr(Scal(Fraction(-1, 2), child)) == "-1/2*%s" % child.name
+
+
+@pytest.mark.parametrize("rid,pre,post", [
+    ("NineTerm", "M (x) M", "E (x) E"),
+    ("SevenTermMu", "M (x) M (x) M", "E")])
+def test_transported_terms_are_the_parse_of_their_text(rid, pre, post):
+    from gradedbv.gysin import _transported
+    groups = _transported(rid, parse(pre), parse(post))
+    terms = [term for group in groups for _, term in group]
+    assert len(terms) == builtin_relation(rid).term_count()
+    for term in terms:
+        assert isinstance(term, Compose)
+        assert parse(print_expr(term)) is term
+
+
+def test_compiling_the_catalog_compares_no_nodes(monkeypatch):
+    # every lookup in OpContext.plans and OpContext.shapes is an identity
+    # hit: no node's __eq__ runs while the whole catalog compiles
+    from gradedbv import expr
+    calls = []
+    for cls in (expr.Gen, Compose, Tensor, Scal, Sum, Dual):
+        def counted(self, other, original=cls.__eq__):
+            calls.append(type(self).__name__)
+            return original(self, other)
+        monkeypatch.setattr(cls, "__eq__", counted)
+    inst = g.sphere_frobenius_model(3)
+    ctx = inst.context()
+    terms = 0
+    for rid in _CATALOG_SOURCE:
+        spec = builtin_relation(rid)
+        for group in spec.groups:
+            for _, term in group:
+                g.compile_expr(term, ctx, (inst.space,) * spec.arity)
+                terms += 1
+    assert terms > 100 and len(ctx.plans) > 100
+    assert calls == []

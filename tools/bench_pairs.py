@@ -1,24 +1,28 @@
 """Alternating parent/change pairs of the repository benchmark.
 
     python3 tools/bench_pairs.py PARENT CHANGE --workload sphere-wide \\
-        --seeds 401-410 --seconds 30
+        --metric setup_s --seeds 401-410 --seconds 30
 
 PARENT and CHANGE are two checkouts of the repository (for example two
-``git worktree``s).  For each seed of the range, ``bench/run.py
---trace 0`` runs once in each checkout; the side that goes first
-alternates from seed to seed, so drift in the host's load falls on both
-sides alike.  The gate metric is ``wall_s`` (lower is better).  The
-script prints each pair's ``wall_s``, each side's median and quartiles,
-the number of pairs the change wins, each metric's medians, and the
-verdict of the gate: the change wins at least 9 of every 10 pairs, and
-its median is lower than the parent's by more than the parent's
-interquartile range.  Each end-to-end metric that PARENT's
-``BENCHMARK.json`` lists is flagged ``beyond bound`` when the change's
-median is worse than the parent's, in the metric's ``better``
-direction, by more than ``bound`` times the parent's median, else
-``within bound``; the flags do not enter the verdict.  Stdlib only;
-nothing under ``bench/`` is written, and ``BENCHMARK.json`` is only
-read.
+``git worktree``s).  For each seed of the range (1-10 by default),
+``bench/run.py --trace 0`` runs once in each checkout; the side that
+goes first alternates from seed to seed, so drift in the host's load
+falls on both sides alike.  The gate metric is ``--metric``, any
+end-to-end metric that PARENT's ``BENCHMARK.json`` lists (``wall_s`` by
+default), judged in that metric's ``better`` direction.  The script
+prints each pair's value of the gate metric, each side's median and
+quartiles, the number of pairs the change wins, each metric's medians,
+and the verdict of the gate: the change wins at least 9 of every 10
+pairs, and its median is better than the parent's by more than the
+parent's interquartile range.  Each end-to-end metric is flagged
+``beyond bound`` when the change's median is worse than the parent's,
+in the metric's ``better`` direction, by more than ``bound`` times the
+parent's median, else ``within bound``; the flags do not enter the
+verdict.  The last line printed is one JSON object: the workload, the
+gate metric, each pair's seed, first side and both sides' end-to-end
+metrics, each end-to-end metric's medians and flag, and the verdict.
+Stdlib only; nothing under ``bench/`` is written, and
+``BENCHMARK.json`` is only read.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import statistics
 import subprocess
 import sys
 
-METRIC = "wall_s"
 WIN_SHARE = 0.9
 
 
@@ -57,13 +60,16 @@ def quartiles(values):
     return q1, q2, q3
 
 
-def verdict(pairs):
-    """The gate on (parent, change) ``wall_s`` pairs: a dict with the
-    wins, both sides' quartiles, the median gain and ``passed``."""
-    wins = sum(1 for parent, change in pairs if change < parent)
+def verdict(pairs, better="lower"):
+    """The gate on (parent, change) pairs of one metric whose ``better``
+    direction is "lower" or "higher": a dict with the wins, both sides'
+    quartiles, the median gain (positive when the change is better) and
+    ``passed``."""
+    sign = 1 if better == "lower" else -1
+    wins = sum(1 for parent, change in pairs if sign * (parent - change) > 0)
     parent_q = quartiles([p for p, _ in pairs])
     change_q = quartiles([c for _, c in pairs])
-    gain = parent_q[1] - change_q[1]
+    gain = sign * (parent_q[1] - change_q[1])
     iqr = parent_q[2] - parent_q[0]
     return {"wins": wins, "pairs": len(pairs), "parent": parent_q,
             "change": change_q, "gain": gain, "parent_iqr": iqr,
@@ -103,50 +109,57 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--metric", default="wall_s")
+    parser.add_argument("--seeds", default="1-10", type=parse_seeds)
     parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
+    bounds = end_to_end_bounds(args.parent)
+    if args.metric not in bounds:
+        parser.error("--metric must be one of the end-to-end metrics %s"
+                     % ", ".join(sorted(bounds)))
+    metric, better = args.metric, bounds[args.metric][0]
 
-    pairs, correct = [], True
-    runs = {"parent": [], "change": []}
+    pairs, records, correct = [], [], True
     for index, seed in enumerate(args.seeds):
         sides = [("parent", args.parent), ("change", args.change)]
         if index % 2:
             sides.reverse()
-        values = {}
+        record = {"seed": seed, "first": sides[0][0]}
         for name, checkout in sides:
             result = run_bench(checkout, args.workload, seed, args.seconds)
             correct &= result["correct"] and result["failed"] == 0
-            runs[name].append(result["metrics"])
-            values[name] = result["metrics"][METRIC]["value"]
-        pairs.append((values["parent"], values["change"]))
+            record[name] = {m: result["metrics"][m]["value"] for m in bounds}
+        records.append(record)
+        pairs.append((record["parent"][metric], record["change"][metric]))
         print("seed %d (%s first): parent %.6g change %.6g (%+.1f%%)"
-              % (seed, sides[0][0], values["parent"], values["change"],
-                 100 * (values["change"] / values["parent"] - 1)), flush=True)
+              % (seed, record["first"], *pairs[-1],
+                 100 * (pairs[-1][1] / pairs[-1][0] - 1)), flush=True)
 
-    gate = verdict(pairs)
-    bounds = end_to_end_bounds(args.parent)
-    for metric in sorted(runs["parent"][0]):
-        medians = [statistics.median(run[metric]["value"] for run in runs[side])
-                   for side in ("parent", "change")]
-        flag = ""
-        if metric in bounds:
-            better, bound = bounds[metric]
-            flag = "; %s bound %g" % ("beyond" if beyond_bound(*medians, better, bound)
-                                      else "within", bound)
-        print("%s median: parent %.6g change %.6g (%+.1f%%)%s"
-              % (metric, medians[0], medians[1],
-                 100 * (medians[1] / medians[0] - 1), flag))
+    gate = verdict(pairs, better)
+    medians = {}
+    for name in sorted(bounds):
+        parent, change = (statistics.median(r[side][name] for r in records)
+                          for side in ("parent", "change"))
+        flag = "beyond" if beyond_bound(parent, change, *bounds[name]) else "within"
+        medians[name] = {"parent": parent, "change": change, "bound": flag}
+        print("%s median: parent %.6g change %.6g (%+.1f%%); %s bound %g"
+              % (name, parent, change, 100 * (change / parent - 1), flag,
+                 bounds[name][1]))
     for side in ("parent", "change"):
         q1, median, q3 = gate[side]
         print("%s %s: median %.6g, quartiles %.6g .. %.6g"
-              % (side, METRIC, median, q1, q3))
+              % (side, metric, median, q1, q3))
     print("change wins %d of %d pairs; median %s by %.6g, parent IQR %.6g"
           % (gate["wins"], gate["pairs"], "better" if gate["gain"] > 0 else "worse",
              abs(gate["gain"]), gate["parent_iqr"]))
     passed = gate["passed"] and correct
     print("verdict: %s%s" % ("pass" if passed else "fail",
                              "" if correct else " (a run was not correct)"))
+    print(json.dumps({"workload": args.workload, "metric": metric,
+                      "better": better, "seconds": args.seconds,
+                      "pairs": records, "medians": medians,
+                      "verdict": dict(gate, correct=correct, passed=passed)},
+                     sort_keys=True))
     return 0 if passed else 1
 
 
