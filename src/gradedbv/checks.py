@@ -177,11 +177,12 @@ def compile_relations(specs, ctx, spaces):
     term typed on ``spaces`` and every coefficient in the context's
     field.
 
-    A term ``X . P`` whose rightmost factor P is ``tau``, ``sigma`` or
-    ``sigma2`` has the head X; any other term is its own head.  Terms and
-    heads are the context's hash-consed GradedMaps (``compile_expr``), so
-    two terms share a head when they use the same map object, in one
-    relation or in two; a term reads only a map's ``run``, ``target``
+    A term ``X . P`` whose rightmost factor P is ``id``, ``tau``,
+    ``sigma`` or ``sigma2`` has the head X; any other term is its own
+    head.  Terms and heads are the context's hash-consed GradedMaps
+    (``compile_expr``), so two terms share a head when they use the same
+    map object, in one relation or in two; a term reads only a map's
+    ``run``, ``target``
     and, for P, ``on_key``.  A head used by one term runs that term's
     map: (coefficient, run, None, None).  A
     shared head gets an index, one index space for all of ``specs``,

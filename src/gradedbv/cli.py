@@ -13,7 +13,8 @@ import sys
 from .checks import Window
 from .core import EngineError, field_by_name
 from .double import DoubleError, build_double
-from .expr import ParseError, evaluate, parse, parse_element, source_arity
+from .expr import (NoSourceSpaces, ParseError, compile_expr, evaluate, parse,
+                   parse_element, source_arity)
 from .gysin import GysinError, canonical_gysin, check_lie_bialgebra
 from .models import (BUILTIN_MODEL_NAMES, MAX_INPUT_U_POWER, MUTATIONS,
                      builtin_model, mutate)
@@ -119,8 +120,13 @@ def cmd_eval(args):
     instance = _resolve(args.target, field)
     ctx = instance.context()
     expr = parse(args.expr)
-    arity = source_arity(expr, ctx)
-    value = parse_element(args.input, (instance.space,) * arity, field)
+    try:
+        # the expression's own source, e.g. the dual slots of dual(mu)
+        spaces = compile_expr(expr, ctx, None).source
+    except NoSourceSpaces:
+        # it meets id, tau, sigma or sigma2 first: the instance's slots
+        spaces = (instance.space,) * source_arity(expr, ctx)
+    value = parse_element(args.input, spaces, field)
     result = evaluate(expr, ctx, value)
     print(result)
     return EXIT_OK

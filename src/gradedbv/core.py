@@ -27,7 +27,7 @@ floating point is used anywhere.
 Scalar arithmetic on linear combinations runs in one kernel per field:
 ``Rationals.accumulate`` and ``PrimeField.accumulate`` add a scaled list
 of terms into a coefficient dict with the field's arithmetic written
-inline, and ``accumulate`` dispatches to them.
+inline, and every caller calls its field's kernel.
 """
 
 from __future__ import annotations
@@ -106,7 +106,11 @@ class Rationals:
         return str(a)
 
     def accumulate(self, acc, terms, scalar):
-        """``core.accumulate`` over Q: an integral sum or product is
+        """Add ``scalar * value`` into the dict ``acc`` for every (key,
+        value) of ``terms``, dropping keys that cancel.  ``scalar`` is a
+        field element; the multiply is skipped when it is one, and
+        nothing is added when it is zero.  Values in ``terms`` must be
+        non-zero field elements.  Over Q an integral sum or product is
         stored as an ``int``."""
         if scalar == 0:
             return
@@ -199,7 +203,7 @@ class PrimeField:
         return str(a)
 
     def accumulate(self, acc, terms, scalar):
-        """``core.accumulate`` mod p: products and sums are reduced."""
+        """``Rationals.accumulate`` mod p: products and sums are reduced."""
         if scalar == 0:
             return
         p = self.p
@@ -366,7 +370,7 @@ class Element:
 
     Elements are values: nothing mutates ``coeffs`` after construction,
     so results may share a coefficient dict with a cached map output.
-    The engine's own arithmetic fills one dict with ``accumulate`` and
+    The engine's own arithmetic fills one dict with ``field.accumulate`` and
     wraps it with ``_trusted_element``, without the per-key checks made
     here.  Inside a relation check no Element is built per stage:
     compiled expressions pass bare coefficient dicts to each other
@@ -424,14 +428,14 @@ class Element:
 
     def scale(self, scalar):
         coeffs = {}
-        accumulate(coeffs, self.coeffs.items(), self.field.coerce(scalar),
-                   self.field)
+        self.field.accumulate(coeffs, self.coeffs.items(),
+                              self.field.coerce(scalar))
         return _trusted_element(self.spaces, self.field, coeffs)
 
     def __add__(self, other):
         self._check_compatible(other)
         coeffs = dict(self.coeffs)
-        accumulate(coeffs, other.coeffs.items(), self.field.one, self.field)
+        self.field.accumulate(coeffs, other.coeffs.items(), self.field.one)
         return _trusted_element(self.spaces, self.field, coeffs)
 
     def __sub__(self, other):
@@ -484,19 +488,6 @@ def _trusted_element(spaces, field, coeffs):
     elem.field = field
     elem.coeffs = coeffs
     return elem
-
-
-def accumulate(acc, terms, scalar, field):
-    """Add ``scalar * value`` into the dict ``acc`` for every (key, value)
-    of ``terms``, dropping keys that cancel.
-
-    ``scalar`` is a field element; the multiply is skipped when it is the
-    field's one, and nothing is added when it is zero.  Values in
-    ``terms`` must be non-zero field elements.  The arithmetic runs in
-    ``field.accumulate``, the field's own kernel; a hot caller binds that
-    method once and calls it directly.
-    """
-    field.accumulate(acc, terms, scalar)
 
 
 def format_element(elem):
@@ -577,9 +568,10 @@ class GradedMap:
 
     ``run`` applies the map to a bare coefficient dict; it is how
     compiled expressions call each other, and its result may be a
-    cached output's own dict, so callers only read it.  A composite
-    compiled by ``expr`` replaces ``run`` with its own loop, which does
-    not use the cache, and its rule runs that loop on one key.
+    cached output's own dict, so callers only read it.  A composition
+    or tensor product compiled by ``expr`` replaces ``run`` with its own
+    loop, which does not use the cache, and its rule runs that loop on
+    one key.
     ``__call__`` is the Element boundary: it checks the element's spaces
     once and wraps ``run``'s dict.
     """
@@ -689,7 +681,7 @@ def table_map(source, target, degree, field, entries, name="?"):
     entries, the one way finite maps are built.
 
     Coefficients are coerced into ``field``; repeated entries are summed
-    (see ``accumulate``), so zero coefficients, cancelled outputs and
+    (see ``field.accumulate``), so zero coefficients, cancelled outputs and
     rows that cancel entirely leave nothing in the table.  ``Element``
     checks each output key's arity; degrees are checked by ``on_key``.
     """
@@ -697,8 +689,8 @@ def table_map(source, target, degree, field, entries, name="?"):
     rows = {}
     for key, okey, coeff in entries:
         # the coefficient is the scalar: a zero one adds nothing
-        accumulate(rows.setdefault(tuple(key), {}), ((tuple(okey), one),),
-                   field.coerce(coeff), field)
+        field.accumulate(rows.setdefault(tuple(key), {}),
+                         ((tuple(okey), one),), field.coerce(coeff))
     table = {key: Element(target, field, row) for key, row in rows.items() if row}
     return GradedMap(source, target, degree, field, name=name, table=table)
 
@@ -754,7 +746,7 @@ def tensor_factors(factors, spaces):
 def tensor_run(kernel, field):
     """The compiled loop of a tensor product over ``field``: it maps the
     coefficient dict of an element to that of its image (see
-    ``accumulate``), and does not mutate its input.
+    ``field.accumulate``), and does not mutate its input.
 
     Key x = x_1 (x) ... (x) x_k, block j feeding f_j, goes to
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)

@@ -58,7 +58,7 @@ def rev_dual_key(key):
     return tuple(dual_name(n) for n in reversed(key))
 
 
-def dual_map(f, name=None):
+def dual_map(f):
     """The adjoint of a map between finite tensor powers.
 
     Satisfies ev(f_dual (x) 1) = ev(1 (x) f); the slot order of source
@@ -80,8 +80,7 @@ def dual_map(f, name=None):
                     coeff = field.neg(coeff)
                 yield rev_dual_key(okey), image_key, coeff
 
-    return table_map(src, tgt, f.degree, field, entries(),
-                     name or "dual(%s)" % f.name)
+    return table_map(src, tgt, f.degree, field, entries(), "dual(%s)" % f.name)
 
 
 def build_ev_coev(space, field):

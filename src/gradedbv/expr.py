@@ -38,6 +38,11 @@ class ParseError(EngineError):
     pass
 
 
+class NoSourceSpaces(EngineError):
+    """A polymorphic name compiled with no input spaces to resolve
+    against."""
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------
@@ -131,8 +136,9 @@ class Dual(_Node):
     __slots__ = _fields = ("child",)
 
 
-POLYMORPHIC_ARITY = {"id": 1, "tau": 2, "sigma": 3, "sigma2": 3}
-PERMS = {"tau": (1, 0), "sigma": (1, 2, 0), "sigma2": (2, 0, 1)}
+# the polymorphic names: each is a slot permutation of its own arity
+PERMS = {"id": (0,), "tau": (1, 0), "sigma": (1, 2, 0), "sigma2": (2, 0, 1)}
+ID = Gen("id")
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +396,9 @@ def _type(node, ctx):
     composition stages and summands must agree in arity (ArityMismatch),
     summands also in degree (DegreeError)."""
     if isinstance(node, Gen):
-        arity = POLYMORPHIC_ARITY.get(node.name)
-        if arity is not None:
-            return arity, arity, 0
+        perm = PERMS.get(node.name)
+        if perm is not None:
+            return len(perm), len(perm), 0
         gmap = ctx.lookup(node.name)
         return gmap.source_arity, gmap.target_arity, gmap.degree
     if isinstance(node, Scal):
@@ -448,16 +454,18 @@ def compile_expr(node, ctx, in_spaces):
     arity here, once, and the compile walk below checks only what needs
     the concrete spaces.
 
-    A generator, ``dual(f)`` or a permutation is its own map, and a Sum
-    a map whose rule adds its summands; both cache each key's checked
-    output.  Any other composite (a composition, tensor, scalar multiple
-    or ``id``) is a map whose ``run`` is its compiled loop, which does
-    not use the cache, while its ``on_key`` runs that loop on one key
-    and caches the checked output.  So a shared subexpression such as
-    the derived bracket is summed once per basis key in a context, and a
-    composite tensor factor such as ``lambda . eta`` on ``()`` runs once
-    for every tensor that uses it.  A composite is named by its node,
-    which is printed only when the name is read.
+    Every map is one of two kinds.  A composition or tensor product
+    streams: its ``run`` is its compiled loop, which does not use the
+    cache, while its ``on_key`` runs that loop on one key and caches the
+    checked output.  Every other node caches: a generator, ``dual(f)``
+    or a permutation (``id`` included) is its own map, and a Sum or a
+    scalar multiple (a Sum of one term) is a map whose rule adds its
+    scaled summands; each ``run`` reads its per-key cache of checked
+    outputs.  So a shared subexpression such as the derived bracket is
+    summed once per basis key in a context, and a composite tensor
+    factor such as ``lambda . eta`` on ``()`` runs once for every tensor
+    that uses it.  A composite is named by its node, which is printed
+    only when the name is read.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
@@ -474,9 +482,9 @@ def compile_expr(node, ctx, in_spaces):
 
 def permuted_head(node, ctx, in_spaces):
     """(X's map, P's map, P's slot map) for a term ``X . P`` whose
-    rightmost factor P is a polymorphic ``tau``, ``sigma`` or ``sigma2``;
-    None for any other term.  Both maps come from ``compile_expr``, so a
-    head X that is also a term of its own is that term's map."""
+    rightmost factor P is a permutation of ``PERMS``; None for any other
+    term.  Both maps come from ``compile_expr``, so a head X that is also
+    a term of its own is that term's map."""
     if not (isinstance(node, Compose) and isinstance(node.children[-1], Gen)
             and node.children[-1].name in PERMS):
         return None
@@ -490,12 +498,10 @@ def _compile(node, ctx, in_spaces, degree):
     """The compile walk of a typed node of the given degree: slot spaces
     and loops."""
     field = ctx.field
-    if isinstance(node, Gen) and node.name in POLYMORPHIC_ARITY:
+    if isinstance(node, Gen) and node.name in PERMS:
         if in_spaces is None:
-            raise EngineError("cannot infer source spaces of polymorphic %r"
-                              % node.name)
-        if node.name == "id":
-            return _compiled(node, in_spaces, in_spaces, degree, field, _identity)
+            raise NoSourceSpaces("cannot infer source spaces of polymorphic"
+                                 " %r" % node.name)
         return permute(PERMS[node.name], in_spaces, field)
     if isinstance(node, (Gen, Dual)):
         gmap = ctx.lookup(node.name) if isinstance(node, Gen) else _dual_of(node, ctx)
@@ -518,35 +524,33 @@ def _compile(node, ctx, in_spaces, degree):
                 coeffs = stage(coeffs)
             return coeffs
 
-        return _compiled(node, maps[0].source, in_spaces, degree, field, run)
+        # a composition streams: its run is the loop, not the cache
+        gmap = _compiled(node, maps[0].source, in_spaces, degree, field, run)
+        gmap.run = run
+        return gmap
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces, degree)
-    if isinstance(node, Scal):
-        child = compile_expr(node.child, ctx, in_spaces)
-        run = _linear_run(((field.coerce(node.coeff), child.run),), field)
-        return _compiled(node, child.source, child.target, degree, field, run)
     return _compile_sum(node, ctx, in_spaces, degree)
 
 
 def _compiled(node, source, target, degree, field, run):
-    """The GradedMap of the composite ``node``, named by it: ``run`` is its
-    compiled loop, and its rule runs that loop on the one key ``on_key``
-    has checked."""
+    """The GradedMap of the composite ``node``, named by it, whose rule
+    runs the compiled loop ``run`` on the one key ``on_key`` has checked;
+    its ``run`` reads the per-key cache until a caller replaces it."""
     one = field.one
-    gmap = GradedMap(source, target, degree, field, name=node,
+    return GradedMap(source, target, degree, field, name=node,
                      rule=lambda key: _trusted_element(target, field, run({key: one})))
-    gmap.run = run
-    return gmap
 
 
 def _compile_sum(node, ctx, in_spaces, degree):
-    """A Sum compiles to a GradedMap: its summands are added once per
-    source basis key, and the output is checked and memoized like a
-    generator's (a failing output is not cached).  Typing has matched
-    the summands' arities and degrees; their target spaces must agree."""
+    """A Sum, or a scalar multiple as a Sum of one term, compiles to a
+    GradedMap: its scaled summands are added once per source basis key,
+    and the output is checked and memoized like a generator's (a failing
+    output is not cached).  Typing has matched the summands' arities and
+    degrees; their target spaces must agree."""
     field = ctx.field
     scalars, maps = [], []
-    for term in node.terms:
+    for term in node.terms if isinstance(node, Sum) else (node,):
         # a summand's own coefficient becomes its accumulation scalar
         scalar = field.one
         if isinstance(term, Scal):
@@ -558,13 +562,7 @@ def _compile_sum(node, ctx, in_spaces, degree):
     if len(targets) != 1:
         raise ArityMismatch("summands have different targets %s" % targets)
     run = _linear_run(tuple(zip(scalars, (m.run for m in maps))), field)
-    source, target = maps[0].source, maps[0].target
-    one = field.one
-
-    def rule(key):
-        return _trusted_element(target, field, run({key: one}))
-
-    return GradedMap(source, target, degree, field, name=node, rule=rule)
+    return _compiled(node, maps[0].source, maps[0].target, degree, field, run)
 
 
 def _linear_run(terms, field):
@@ -578,10 +576,6 @@ def _linear_run(terms, field):
             add_into(acc, term(coeffs).items(), scalar)
         return acc
     return run
-
-
-def _identity(value):
-    return value
 
 
 def _compile_tensor(node, ctx, in_spaces, degree):
@@ -598,10 +592,13 @@ def _compile_tensor(node, ctx, in_spaces, degree):
     target = tuple(t for m in maps for t in m.target)
     # an ``id`` factor is an identity block, any other reads its on_key
     kernel = tensor_factors([(len(m.source), m.degree,
-                              None if m.run is _identity else m.on_key)
-                             for m in maps], source)
-    return _compiled(node, source, target, degree, field,
-                     tensor_run(kernel, field))
+                              None if child is ID else m.on_key)
+                             for child, m in zip(node.children, maps)], source)
+    run = tensor_run(kernel, field)
+    # a tensor product streams: its run is the loop, not the cache
+    gmap = _compiled(node, source, target, degree, field, run)
+    gmap.run = run
+    return gmap
 
 
 def resolve_spaces(node, ctx, in_spaces):
@@ -615,7 +612,7 @@ def _infer_source_spaces(node, ctx):
 
 def _dual_of(node, ctx):
     from .double import dual_map  # deferred: double builds on core only
-    return dual_map(compile_expr(node.child, ctx, None), name="dual")
+    return dual_map(compile_expr(node.child, ctx, None))
 
 
 def evaluate(node, ctx, elem):

@@ -17,8 +17,7 @@ with mark and erase maps), which must agree with the inherited forms.
 from __future__ import annotations
 
 from .core import (EngineError, FiniteSpace, GradedMap, GradedSpace,
-                   UnknownBasisName, accumulate, basis_element, table_map,
-                   zero_element)
+                   UnknownBasisName, basis_element, table_map, zero_element)
 from .checks import (CheckReport, RelationSpec, Window, check_relations,
                      make_relation)
 from .expr import Compose, OpContext, compile_expr, parse
@@ -159,8 +158,8 @@ def _finite_gysin(instance, window):
                 return vec, combo, lead
             pvec, pcombo = pivots[lead]
             c = vec[lead]
-            accumulate(vec, pvec.items(), field.neg(c), field)
-            accumulate(combo, pcombo.items(), c, field)
+            field.accumulate(vec, pvec.items(), field.neg(c))
+            field.accumulate(combo, pcombo.items(), c)
         return {}, combo, None
 
     delta = instance.delta.on_key
@@ -212,8 +211,9 @@ def _erase_mark_context(instance, data):
 def _gysin_context(instance, data):
     """The instance's generators with E and M, and the string bracket and
     cobracket compiled once in this context.  Each is installed as a
-    generator: a map that runs the composite's compiled loop on one key
-    and caches the output, so the stages that apply it read that cache."""
+    generator whose rule is the composite's ``on_key``, which runs the
+    compiled loop once per key, so the stages that apply it read a
+    cache."""
     ctx = _erase_mark_context(instance, data)
     b = data.space_b
     for name, text, spaces in (("bracket", "E . mu . (M (x) M)", (b, b)),
@@ -221,7 +221,7 @@ def _gysin_context(instance, data):
         node = parse(text)
         composite = compile_expr(node, ctx, spaces)
         ctx.maps[name] = GradedMap(spaces, composite.target, composite.degree,
-                                   ctx.field, name=node, rule=composite._rule)
+                                   ctx.field, name=node, rule=composite.on_key)
     return ctx
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 import json
 import re
 
-from .core import (Element, EngineError, FiniteSpace, accumulate, field_by_name,
-                   table_map)
+from .core import Element, EngineError, FiniteSpace, field_by_name, table_map
 from .expr import MAX_COEFF_CHARS
 from .gysin import GysinData
 from .structures import BVUIInstance, FrobeniusInstance, ValidationError
@@ -167,7 +166,7 @@ def _load_element(doc, section, space, field, problems, want_degree=None,
             continue
         value = _parse_coeff(item.get("coeff", 1), field, problems, where)
         # the coefficient is the scalar: a zero one adds nothing
-        accumulate(coeffs, (((name,), field.one),), value, field)
+        field.accumulate(coeffs, (((name,), field.one),), value)
     return Element((space,), field, coeffs)
 
 

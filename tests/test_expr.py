@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 import gradedbv as g
-from gradedbv.expr import (Compose, Dual, ParseError, Scal, Sum, Tensor,
-                           parse, print_expr, source_arity, target_arity)
+from gradedbv.expr import (PERMS, Compose, Dual, Gen, ParseError, Scal, Sum,
+                           Tensor, parse, print_expr, source_arity,
+                           target_arity)
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
 
@@ -472,3 +473,57 @@ def test_compiling_the_catalog_compares_no_nodes(monkeypatch):
                 terms += 1
     assert terms > 100 and len(ctx.plans) > 100
     assert calls == []
+
+
+def _catalog_contexts():
+    """A sphere:3 context and the three-dim double's, each with every
+    catalog term it can type compiled in it, and the context the
+    double's components are compiled in."""
+    from gradedbv.double import build_double_data
+    data = build_double_data(g.builtin_model("three-dim"))
+    contexts = [data.context]
+    for inst in (g.sphere_model(3), data.instance):
+        ctx = inst.context()
+        for rid in _CATALOG_SOURCE:
+            spec = builtin_relation(rid)
+            if "epsilon" in spec.requires and not inst.has_counit:
+                continue
+            for group in spec.groups:
+                for _, term in group:
+                    g.compile_expr(term, ctx, (inst.space,) * spec.arity)
+        contexts.append(ctx)
+    return contexts
+
+
+def test_only_compositions_and_tensors_stream():
+    # a composition or tensor product replaces run with its compiled
+    # loop; a generator, permutation, dual, scalar multiple or sum keeps
+    # GradedMap.run, which reads the per-key cache
+    kinds = set()
+    for ctx in _catalog_contexts():
+        for (node, _), gmap in ctx.plans.items():
+            streams = isinstance(node, (Compose, Tensor))
+            assert ("run" in vars(gmap)) == streams, print_expr(node)
+            perm = isinstance(node, Gen) and node.name in PERMS
+            kinds.add("perm" if perm else type(node).__name__)
+    assert kinds == {"Gen", "perm", "Dual", "Scal", "Sum", "Compose", "Tensor"}
+
+
+def test_id_is_the_one_slot_permutation(sphere):
+    from gradedbv.core import permute
+    ctx, spaces = sphere.context(), (sphere.space,)
+    gmap = g.compile_expr(parse("id"), ctx, spaces)
+    oracle = permute((0,), spaces, sphere.field)
+    keys = [(name,) for name in sphere.space.window_names(4)]
+    for key in keys:
+        assert gmap.run({key: 1}) == oracle.on_key(key).coeffs == {key: 1}
+    assert sorted(gmap._cache) == sorted(keys)
+
+
+def test_a_scalar_multiple_caches_its_outputs(sphere):
+    gmap = g.compile_expr(parse("2*mu"), sphere.context(),
+                          (sphere.space,) * 2)
+    key = ("A", "U")
+    assert not gmap._cache
+    assert gmap.run({key: 1}) == {("AU",): 2}
+    assert gmap._cache[key].coeffs == {("AU",): 2}

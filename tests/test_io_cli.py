@@ -172,6 +172,24 @@ def test_eval_scalar_input(capsys):
     assert capsys.readouterr().out.strip() == "1"
 
 
+def test_eval_reads_the_input_on_the_expressions_source(capsys):
+    from gradedbv.double import dual_map
+    assert main(["eval", "three-dim", "--expr", "dual(mu)",
+                 "--input", "a^"]) == 0
+    mu = g.builtin_model("three-dim").mu
+    assert capsys.readouterr().out.strip() == str(dual_map(mu).on_key(("a^",)))
+    # dual(mu) is defined on the dual slot, whatever the instance's is
+    assert main(["eval", "three-dim", "--expr", "dual(mu)",
+                 "--input", "a"]) == 64
+    assert "three-dim^" in capsys.readouterr().err
+
+
+def test_eval_of_a_permutation_reads_the_instances_slots(capsys):
+    assert main(["eval", "three-dim", "--expr", "tau",
+                 "--input", "a(x)b"]) == 0
+    assert capsys.readouterr().out.strip() == "-b(x)a"
+
+
 def test_double_command_and_check_roundtrip(tmp_path):
     saved = tmp_path / "double.json"
     assert main(["double", "trivial", "--save", str(saved)]) == 0

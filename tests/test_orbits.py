@@ -8,7 +8,7 @@ import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import (MAX_WITNESSES, Window, compile_relation,
                              relation_residual, residual_on_key, sign_mutations)
-from gradedbv.core import EngineError, FiniteSpace, GradedMap, accumulate, basis_element
+from gradedbv.core import EngineError, FiniteSpace, GradedMap, basis_element
 from gradedbv.double import build_double
 from gradedbv.expr import compile_expr
 from gradedbv.structures import builtin_relation, is_applicable, relation_ids
@@ -32,8 +32,8 @@ def _term_by_term(spec, ctx, spaces, key):
         acc = {}
         for coeff, expr in group:
             plan = compile_expr(expr, ctx, spaces)
-            accumulate(acc, plan.run({key: field.one}).items(),
-                       field.coerce(coeff), field)
+            field.accumulate(acc, plan.run({key: field.one}).items(),
+                             field.coerce(coeff))
         if acc:
             return gi, acc
     return None

@@ -36,7 +36,7 @@ def test_a_missing_report_or_command_differs():
 
 def test_the_fixed_commands_cover_the_listed_runs():
     commands = report_digests.COMMANDS
-    assert len(commands) == len(set(commands)) == 13
+    assert len(commands) == len(set(commands)) == 15
     assert "check sphere:3 --suite all --window 4 --field Fp:101" in commands
     assert "double three-dim" in commands
 

@@ -34,6 +34,8 @@ COMMANDS = (
     "gysin sphere:3 --window 6",
     "gysin three-dim",
     "double three-dim",
+    "double trivial",
+    "double exterior",
 )
 
 
