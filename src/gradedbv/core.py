@@ -559,12 +559,14 @@ def apply_permutation_key(perm, key):
 class GradedMap:
     """Homogeneous linear map between tensor powers of graded spaces.
 
-    The action is a finite table or a rule producing a finitely
-    supported Element for every source basis key.  Outputs are memoized
-    per key; when a key's output enters the cache it is checked once to
-    lie in the ``target`` spaces and to have degree
-    ``source_degree(key) + degree``.  A failing output is not cached, so
-    every later application raises again.
+    The action is ``rule``, which gives a finitely supported Element
+    for a source basis key, and the map's one cache of checked outputs.
+    When a key's output enters the cache it is checked once to lie in
+    the ``target`` spaces and to have degree ``source_degree(key) +
+    degree``.  A failing output is not cached, so every later
+    application raises again.  A finite map is a rule too: see
+    ``table_map``.  A map that wraps another calls the other's ``rule``,
+    not its ``on_key``, so each key is checked and cached once.
 
     ``run`` applies the map to a bare coefficient dict; it is how
     compiled expressions call each other, and its result may be a
@@ -576,18 +578,14 @@ class GradedMap:
     once and wraps ``run``'s dict.
     """
 
-    def __init__(self, source, target, degree, field, name="?",
-                 table=None, rule=None):
+    def __init__(self, source, target, degree, field, rule, name="?"):
         self.source = tuple(source)
         self.target = tuple(target)
         self.degree = degree
         self.field = field
+        self.rule = rule
         self._name = name
-        self._table = table
-        self._rule = rule
         self._cache = {}
-        if table is None and rule is None:
-            raise EngineError("map %s has neither table nor rule" % name)
 
     @property
     def name(self):
@@ -614,12 +612,7 @@ class GradedMap:
         if len(key) != len(self.source):
             raise ArityMismatch("map %s expects arity %d, got key %r"
                                 % (self.name, len(self.source), key))
-        if self._table is not None:
-            out = self._table.get(key)
-            if out is None:
-                out = zero_element(self.target, self.field)
-        else:
-            out = self._rule(key)
+        out = self.rule(key)
         if not _same_spaces(out.spaces, self.target):
             raise ArityMismatch(
                 "map %s maps %r into %s, expected %s"
@@ -677,22 +670,26 @@ class GradedMap:
 
 
 def table_map(source, target, degree, field, entries, name="?"):
-    """A table GradedMap from (input key, output key, coefficient)
-    entries, the one way finite maps are built.
+    """A GradedMap whose rule reads a table built from (input key, output
+    key, coefficient) entries, the one way finite maps are built.
 
     Coefficients are coerced into ``field``; repeated entries are summed
     (see ``field.accumulate``), so zero coefficients, cancelled outputs and
-    rows that cancel entirely leave nothing in the table.  ``Element``
-    checks each output key's arity; degrees are checked by ``on_key``.
+    rows that cancel entirely leave nothing in the table, and a key with
+    no row reads one zero Element of the target shared by every such key.
+    ``Element`` checks each output key's arity; degrees are checked by
+    ``on_key``, as for any rule.
     """
-    one = field.one
+    target, one = tuple(target), field.one
     rows = {}
     for key, okey, coeff in entries:
         # the coefficient is the scalar: a zero one adds nothing
         field.accumulate(rows.setdefault(tuple(key), {}),
                          ((tuple(okey), one),), field.coerce(coeff))
     table = {key: Element(target, field, row) for key, row in rows.items() if row}
-    return GradedMap(source, target, degree, field, name=name, table=table)
+    zero = Element(target, field)
+    return GradedMap(source, target, degree, field, name=name,
+                     rule=lambda key: table.get(key, zero))
 
 
 def source_basis_keys(spaces):

@@ -68,17 +68,16 @@ def dual_map(f):
     field = f.field
     src = tuple(dual_space(t) for t in reversed(f.target))
     tgt = tuple(dual_space(s) for s in reversed(f.source))
-    sign_flip = f.degree % 2
 
     def entries():
         for key in source_basis_keys(f.source):
             image_key = rev_dual_key(key)
+            # (-1)^{|f||phi|} with |phi| = -|f(key)|, and |f(key)| =
+            # source_degree(key) + |f| is the degree on_key has checked
+            flip = f.degree % 2 and (f.source_degree(key) + f.degree) % 2
             for okey, coeff in f.on_key(key).coeffs.items():
-                # (-1)^{|f||phi|} with |phi| = -|f(key)|
-                if sign_flip and (sum(f.target[i].degree(n)
-                                      for i, n in enumerate(okey)) % 2):
-                    coeff = field.neg(coeff)
-                yield rev_dual_key(okey), image_key, coeff
+                yield (rev_dual_key(okey), image_key,
+                       field.neg(coeff) if flip else coeff)
 
     return table_map(src, tgt, f.degree, field, entries(), "dual(%s)" % f.name)
 
@@ -120,10 +119,10 @@ def double_dual_identification(space, field):
 # shifts
 # ---------------------------------------------------------------------------
 
-def shift_space(space, lam_degree, tag="'"):
+def shift_space(space, lam_degree):
     """The shifted dual part of the double: e' has degree -|e| + |lambda|."""
-    return FiniteSpace(space.name + tag,
-                       {n + tag: -space.degree(n) + lam_degree
+    return FiniteSpace(space.name + "'",
+                       {n + "'": -space.degree(n) + lam_degree
                         for n in space.basis_names()})
 
 

@@ -535,8 +535,10 @@ def _compile(node, ctx, in_spaces, degree):
 
 def _compiled(node, source, target, degree, field, run):
     """The GradedMap of the composite ``node``, named by it, whose rule
-    runs the compiled loop ``run`` on the one key ``on_key`` has checked;
-    its ``run`` reads the per-key cache until a caller replaces it."""
+    runs the compiled loop ``run`` on one key, outside any cache; its
+    ``on_key`` checks and caches that output, and its ``run`` reads the
+    cache until a caller replaces it.  A map that wraps the composite,
+    such as the Gysin bracket, takes this rule as its own."""
     one = field.one
     return GradedMap(source, target, degree, field, name=node,
                      rule=lambda key: _trusted_element(target, field, run({key: one})))

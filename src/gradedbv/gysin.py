@@ -211,9 +211,9 @@ def _erase_mark_context(instance, data):
 def _gysin_context(instance, data):
     """The instance's generators with E and M, and the string bracket and
     cobracket compiled once in this context.  Each is installed as a
-    generator whose rule is the composite's ``on_key``, which runs the
-    compiled loop once per key, so the stages that apply it read a
-    cache."""
+    generator whose rule is the composite's ``rule``, its compiled loop
+    on one key, so each key is checked and cached once, by the generator,
+    and the stages that apply it read that cache."""
     ctx = _erase_mark_context(instance, data)
     b = data.space_b
     for name, text, spaces in (("bracket", "E . mu . (M (x) M)", (b, b)),
@@ -221,7 +221,7 @@ def _gysin_context(instance, data):
         node = parse(text)
         composite = compile_expr(node, ctx, spaces)
         ctx.maps[name] = GradedMap(spaces, composite.target, composite.degree,
-                                   ctx.field, name=node, rule=composite.on_key)
+                                   ctx.field, name=node, rule=composite.rule)
     return ctx
 
 

@@ -256,7 +256,11 @@ MUTATIONS = {
 
 
 def mutate(instance, mutation):
-    """A named structure-constant mutation, expected to break a relation."""
+    """A named structure-constant mutation, expected to break a relation.
+
+    The mutated lambda or Delta is a new map whose rule transforms the
+    instance's rule, not its cached outputs, so each key is checked and
+    cached once, by the mutated map."""
     if mutation == "identity":
         return instance
     if mutation not in MUTATIONS:
@@ -268,7 +272,7 @@ def mutate(instance, mutation):
     lam, delta = instance.lam, instance.delta
     if mutation == "lambda-u-flip":
         def lam_rule(key):
-            out = instance.lam.on_key(key)
+            out = instance.lam.rule(key)
             if sphere_key(key[0])[0]:       # lambda(AU^k) is unchanged
                 return out
             return Element(out.spaces, field, {
@@ -278,7 +282,7 @@ def mutate(instance, mutation):
                         name="lambda[mutated]", rule=lam_rule)
     elif mutation == "delta-au-doubled":
         def delta_rule(key):
-            out = instance.delta.on_key(key)
+            out = instance.delta.rule(key)
             return out.scale(2) if key == ("AU",) else out
         delta = GradedMap(delta.source, delta.target, delta.degree, field,
                           name="Delta[mutated]", rule=delta_rule)

@@ -148,10 +148,10 @@ def _load_map(doc, section, source, target, degree, field, problems,
     return table_map(source, target, degree, field, entries, section)
 
 
-def _load_element(doc, section, space, field, problems, want_degree=None,
+def _load_element(doc, section, space, field, problems, want_degree,
                   role="expected"):
     """An element of ``space`` from a list of {name, coeff} entries, each
-    of degree ``want_degree`` when given; repeated names are summed."""
+    of degree ``want_degree``; repeated names are summed."""
     coeffs = {}
     for idx, item in _objects(doc, section, problems):
         where = "%s[%d]" % (section, idx)
@@ -159,7 +159,7 @@ def _load_element(doc, section, space, field, problems, want_degree=None,
         if not isinstance(name, str) or not space.contains(name):
             problems.append("%s: undeclared basis name %r" % (where, name))
             continue
-        if want_degree is not None and space.degree(name) != want_degree:
+        if space.degree(name) != want_degree:
             problems.append("%s: %r has degree %d, %s %d"
                             % (where, name, space.degree(name), role,
                                want_degree))
@@ -197,7 +197,7 @@ def instance_from_dict(doc, field=None):
     lam = _load_map(doc, "lambda", spaces1, spaces2, lam_degree, field,
                     problems)
     delta = _load_map(doc, "Delta", spaces1, spaces1, 1, field, problems)
-    eta = _load_element(doc, "eta", space, field, problems, want_degree=0)
+    eta = _load_element(doc, "eta", space, field, problems, 0)
     if eta.is_zero():
         problems.append("eta must be a nonzero element of degree 0")
 

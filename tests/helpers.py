@@ -1,6 +1,7 @@
-"""Shared test oracles, independent of the engine's sign machinery, and
-a builder of expression maps over named maps."""
+"""Shared test oracles, independent of the engine's sign machinery, a
+builder of expression maps over named maps and a random table map."""
 
+from gradedbv.core import table_map
 from gradedbv.expr import OpContext, compile_expr, parse
 
 
@@ -8,6 +9,21 @@ def expr_map(text, maps, field, in_spaces=None):
     """The map of expression ``text`` in a fresh context of ``maps`` (a
     dict from generator name to GradedMap) over ``field``."""
     return compile_expr(parse(text), OpContext(maps, field), in_spaces)
+
+
+def random_table_map(rng, space, field, degree, window):
+    """A random map of ``degree`` from one slot of ``space`` to one, on
+    the basis names of its window ``window`` (a finite space's whole
+    basis): each output coefficient is drawn from -3..3, in the order of
+    ``window_names``.  A key outside the window maps to zero."""
+    names = space.window_names(window)
+    by_degree = {}
+    for n in names:
+        by_degree.setdefault(space.degree(n), []).append(n)
+    return table_map((space,), (space,), degree, field,
+                     [((n,), (t,), rng.randint(-3, 3)) for n in names
+                      for t in by_degree.get(space.degree(n) + degree, [])],
+                     "r")
 
 
 # The four zig-zag identities of ev and coev, by the space they are the

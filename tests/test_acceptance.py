@@ -158,24 +158,6 @@ def test_criterion_7_equivariant_layer():
         assert by_id["GysinJacobiAgreement"].status == "pass"
 
 
-def _random_finite_map(rng, sp, field, degree, window):
-    names = sp.window_names(window)
-    by_degree = {}
-    for n in names:
-        by_degree.setdefault(sp.degree(n), []).append(n)
-    table = {}
-    for n in names:
-        coeffs = {}
-        for t in by_degree.get(sp.degree(n) + degree, []):
-            c = rng.randint(-3, 3)
-            if c:
-                coeffs[(t,)] = field.coerce(c)
-        if coeffs:
-            table[(n,)] = g.Element((sp,), field, coeffs)
-    from gradedbv.core import GradedMap
-    return GradedMap((sp,), (sp,), degree, field, name="r", table=table)
-
-
 def test_criterion_8_kernel_properties():
     with budget(8, 10.0, "hundred-case randomized kernel suites: sign "
                          "decomposition independence, interchange, twist and "
@@ -183,7 +165,8 @@ def test_criterion_8_kernel_properties():
                          "zig-zags; all exact"):
         rng = random.Random(0xC0FFEE)
         # koszul sign is decomposition independent
-        from helpers import ZIGZAGS, adjacent_decomposition_sign, expr_map
+        from helpers import (ZIGZAGS, adjacent_decomposition_sign,
+                             expr_map, random_table_map)
         for _ in range(100):
             k = rng.randint(1, 6)
             perm = list(range(k))
@@ -198,10 +181,10 @@ def test_criterion_8_kernel_properties():
         probe = sp.window_names(3)
         # interchange law on random windowed maps
         for _ in range(100):
-            f = _random_finite_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
-            gm = _random_finite_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
-            f2 = _random_finite_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
-            g2 = _random_finite_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
+            f = random_table_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
+            gm = random_table_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
+            f2 = random_table_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
+            g2 = random_table_map(rng, sp, field, rng.choice([-1, 0, 1]), 4)
             maps = {"f": f, "g": gm, "f2": f2, "g2": g2}
             lhs = expr_map("(f (x) g) . (f2 (x) g2)", maps, field, (sp, sp))
             rhs = expr_map("(f . f2) (x) (g . g2)", maps, field, (sp, sp))
@@ -224,8 +207,8 @@ def test_criterion_8_kernel_properties():
         tsp, tfield = three.space, three.field
         tnames = sorted(tsp.basis_names())
         for _ in range(100):
-            f = _random_finite_map(rng, tsp, tfield, rng.choice([-1, 0, 1]), 0)
-            gm = _random_finite_map(rng, tsp, tfield, rng.choice([-1, 0, 1]), 0)
+            f = random_table_map(rng, tsp, tfield, rng.choice([-1, 0, 1]), 0)
+            gm = random_table_map(rng, tsp, tfield, rng.choice([-1, 0, 1]), 0)
             sign = -1 if (f.degree % 2 and gm.degree % 2) else 1
             maps = {"f": f, "g": gm}
             lhs = expr_map("dual(f . g)", maps, tfield)

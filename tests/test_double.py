@@ -21,7 +21,7 @@ from gradedbv.double import (DoubleError, build_double, build_double_data,
 from gradedbv.expr import compile_expr, parse
 from gradedbv.structures import BVUIInstance, forget_frobenius_to_bvui
 
-from helpers import ZIGZAGS, expr_map
+from helpers import ZIGZAGS, expr_map, random_table_map
 
 
 def all_keys(spaces):
@@ -70,26 +70,10 @@ def test_dual_contravariance_sign():
     inst = g.builtin_model("three-dim")
     sp, field = inst.space, inst.field
     rng = random.Random(2024)
-    names = sorted(sp.basis_names())
-    by_degree = {}
-    for n in names:
-        by_degree.setdefault(sp.degree(n), []).append(n)
-
-    def random_map(degree):
-        table = {}
-        for n in names:
-            coeffs = {}
-            for t in by_degree.get(sp.degree(n) + degree, []):
-                c = rng.randint(-3, 3)
-                if c:
-                    coeffs[(t,)] = field.coerce(c)
-            if coeffs:
-                table[(n,)] = g.Element((sp,), field, coeffs)
-        return GradedMap((sp,), (sp,), degree, field, name="r", table=table)
-
     for trial in range(100):
         df, dg = rng.choice([-1, 0, 1]), rng.choice([-1, 0, 1])
-        f, gm = random_map(df), random_map(dg)
+        f = random_table_map(rng, sp, field, df, 0)
+        gm = random_table_map(rng, sp, field, dg, 0)
         maps = {"f": f, "g": gm}
         lhs = expr_map("dual(f . g)", maps, field)
         rhs = expr_map("dual(g) . dual(f)", maps, field)
@@ -310,7 +294,7 @@ def test_coproduct_reconstructed_from_product_and_copairing():
         field = d.field
         c = hand_copairing(base, (D, D))
         c_map = GradedMap((), (D, D), d.lam_degree, field, name="c",
-                          table={(): c})
+                          rule=lambda key: c)
         maps = {"mu": d.mu, "c": c_map}
         rec1 = expr_map("(mu (x) id) . (id (x) c)", maps, field, (D,))
         rec2 = expr_map("(id (x) mu) . (c (x) id)", maps, field, (D,))

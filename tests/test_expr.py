@@ -281,12 +281,12 @@ def _counted_rule_runs(monkeypatch):
 
     def counted_init(gmap, *args, **kwargs):
         init(gmap, *args, **kwargs)
-        rule = gmap._rule
-        if rule is not None:
-            def count(key):
-                runs[gmap, key] += 1
-                return rule(key)
-            gmap._rule = count
+        rule = gmap.rule
+
+        def count(key):
+            runs[gmap, key] += 1
+            return rule(key)
+        gmap.rule = count
 
     monkeypatch.setattr(GradedMap, "__init__", counted_init)
     return runs

@@ -4,7 +4,8 @@ import pytest
 
 import gradedbv as g
 from gradedbv.checks import Window
-from gradedbv.core import FiniteSpace, GradedMap, basis_element, zero_element
+from gradedbv.core import (FiniteSpace, GradedMap, basis_element, table_map,
+                           zero_element)
 from gradedbv.gysin import GysinData, GysinError, canonical_gysin
 from gradedbv.structures import BVUIInstance
 
@@ -83,13 +84,36 @@ def test_lie_bialgebra_checks_pass_on_sphere(sphere, sphere_gysin):
     assert all(r.status == "pass" for r in reports)
 
 
+def test_bracket_and_cobracket_check_and_cache_each_key_once(
+        monkeypatch, sphere, sphere_gysin):
+    # the installed bracket and cobracket run their composite's rule, so
+    # the composite compiled in the same context never fills its cache
+    from gradedbv import gysin
+    from gradedbv.expr import parse
+    contexts, build = [], gysin._gysin_context
+
+    def capture(*args):
+        contexts.append(build(*args))
+        return contexts[-1]
+
+    monkeypatch.setattr(gysin, "_gysin_context", capture)
+    reports = g.check_lie_bialgebra(sphere, sphere_gysin, Window(5, 3))
+    assert all(r.status == "pass" for r in reports)
+    (ctx,) = contexts
+    b = sphere_gysin.space_b
+    for name, text, arity in (("bracket", "E . mu . (M (x) M)", 2),
+                              ("cobracket", "(E (x) E) . lambda . M", 1)):
+        composite = ctx.plans[parse(text), (b,) * arity]
+        assert not composite._cache, name
+        assert ctx.maps[name]._cache, name
+        assert ctx.maps[name].rule is composite.rule
+
+
 def test_zero_data_on_nonempty_space_passes():
     inst = g.builtin_model("exterior")  # operator is zero
     b_space = FiniteSpace("b", {"p": 0, "q": 1})
-    erase = GradedMap((inst.space,), (b_space,), 0, inst.field, name="E",
-                      table={})
-    mark = GradedMap((b_space,), (inst.space,), 1, inst.field, name="M",
-                     table={})
+    erase = table_map((inst.space,), (b_space,), 0, inst.field, [], "E")
+    mark = table_map((b_space,), (inst.space,), 1, inst.field, [], "M")
     data = GysinData(b_space, erase, mark)
     assert data.validate(inst, Window())
     reports = g.check_lie_bialgebra(inst, data, Window())
@@ -122,17 +146,12 @@ def _finite_delta_instance():
     field = g.QQ
     space = FiniteSpace("fin", {"1": 0, "z1": -2, "z2": -2, "w": -1})
     s1, s2 = (space,), (space, space)
-    mu = GradedMap(s2, s1, 0, field, name="mu", table={
-        ("1", n): basis_element(s1, field, (n,)) for n in space.basis_names()
-    } | {
-        (n, "1"): basis_element(s1, field, (n,))
-        for n in space.basis_names() if n != "1"
-    })
-    lam = GradedMap(s1, s2, -1, field, name="lambda", table={})
-    delta = GradedMap(s1, s1, 1, field, name="Delta", table={
-        ("z1",): basis_element(s1, field, ("w",)),
-        ("z2",): basis_element(s1, field, ("w",), 2),
-    })
+    mu = table_map(s2, s1, 0, field, [
+        (("1", n), (n,), 1) for n in space.basis_names()] + [
+        ((n, "1"), (n,), 1) for n in space.basis_names() if n != "1"], "mu")
+    lam = table_map(s1, s2, -1, field, [], "lambda")
+    delta = table_map(s1, s1, 1, field, [
+        (("z1",), ("w",), 1), (("z2",), ("w",), 2)], "Delta")
     return BVUIInstance("fin", space, field, mu,
                         basis_element(s1, field, ("1",)), lam, delta, -1)
 
@@ -152,12 +171,10 @@ def test_canonical_rejects_nonsquarezero_operator():
     field = g.QQ
     space = FiniteSpace("bad", {"z": -2, "w": -1, "v": 0, "1": 0})
     s1, s2 = (space,), (space, space)
-    mu = GradedMap(s2, s1, 0, field, name="mu", table={})
-    lam = GradedMap(s1, s2, -1, field, name="lambda", table={})
-    delta = GradedMap(s1, s1, 1, field, name="Delta", table={
-        ("z",): basis_element(s1, field, ("w",)),
-        ("w",): basis_element(s1, field, ("v",)),
-    })
+    mu = table_map(s2, s1, 0, field, [], "mu")
+    lam = table_map(s1, s2, -1, field, [], "lambda")
+    delta = table_map(s1, s1, 1, field, [
+        (("z",), ("w",), 1), (("w",), ("v",), 1)], "Delta")
     inst = BVUIInstance("bad", space, field, mu,
                         basis_element(s1, field, ("1",)), lam, delta, -1)
     with pytest.raises(GysinError) as err:

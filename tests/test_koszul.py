@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedbv as g
-from gradedbv.core import GradedMap, basis_element, apply_permutation_key
+from gradedbv.core import basis_element, apply_permutation_key
 
-from helpers import adjacent_decomposition_sign, expr_map
+from helpers import adjacent_decomposition_sign, expr_map, random_table_map
 
 
 def test_identity_permutation_is_plus_one():
@@ -85,35 +85,15 @@ def test_tau_squared_and_sigma_cubed_are_identity():
                 assert sigma(sigma(sigma(x))) == x
 
 
-def _random_windowed_map(rng, sp, field, degree, window=6):
-    """Random finite-table map on the windowed sphere basis."""
-    names = sp.window_names(window)
-    by_degree = {}
-    for n in names:
-        by_degree.setdefault(sp.degree(n), []).append(n)
-    table = {}
-    for n in names:
-        targets = by_degree.get(sp.degree(n) + degree, [])
-        coeffs = {}
-        for t in targets:
-            c = rng.randint(-3, 3)
-            if c:
-                coeffs[(t,)] = field.coerce(c)
-        if coeffs:
-            table[(n,)] = g.Element((sp,), field, coeffs)
-    return GradedMap((sp,), (sp,), degree, field, name="r%d" % degree,
-                     table=table)
-
-
 def test_interchange_law_on_random_maps():
     inst, sp, field = _sphere_ctx()
     rng = random.Random(20240811)
     names = sp.window_names(4)
     for trial in range(25):
-        f = _random_windowed_map(rng, sp, field, rng.choice([0, 1, -1]))
-        gmap = _random_windowed_map(rng, sp, field, rng.choice([-3, -1, 0, 1]))
-        f2 = _random_windowed_map(rng, sp, field, rng.choice([-1, 0, 1, 2]))
-        g2 = _random_windowed_map(rng, sp, field, rng.choice([-2, 0, 1]))
+        f = random_table_map(rng, sp, field, rng.choice([0, 1, -1]), 6)
+        gmap = random_table_map(rng, sp, field, rng.choice([-3, -1, 0, 1]), 6)
+        f2 = random_table_map(rng, sp, field, rng.choice([-1, 0, 1, 2]), 6)
+        g2 = random_table_map(rng, sp, field, rng.choice([-2, 0, 1]), 6)
         # (f (x) g).(f2 (x) g2) = (-1)^{|g||f2|} (f.f2) (x) (g.g2)
         maps = {"f": f, "g": gmap, "f2": f2, "g2": g2}
         lhs = expr_map("(f (x) g) . (f2 (x) g2)", maps, field, (sp, sp))
@@ -353,8 +333,8 @@ def _slot_space(model, field):
 
 def _parity_dicts(gmap):
     """The per-slot parity dicts a permutation map's rule has filled."""
-    cells = dict(zip(gmap._rule.__code__.co_freevars,
-                     (cell.cell_contents for cell in gmap._rule.__closure__)))
+    cells = dict(zip(gmap.rule.__code__.co_freevars,
+                     (cell.cell_contents for cell in gmap.rule.__closure__)))
     return [parity for _, _, parity in cells["slots"]]
 
 

@@ -213,6 +213,20 @@ def test_delta_coefficient_mutation_breaks_nine_term(sphere):
     assert reports[0].status == "fail"
 
 
+@pytest.mark.parametrize("mutation,wrapped", [("lambda-u-flip", "lam"),
+                                              ("delta-au-doubled", "delta")])
+def test_a_mutated_map_checks_and_caches_each_key_once(mutation, wrapped):
+    # the mutated map transforms the unmutated map's rule, so only the
+    # mutated map's cache fills
+    base = g.sphere_model(3)
+    mutated = g.mutate(base, mutation)
+    reports = g.check_structure(
+        mutated, g.BVUI_FULL + g.CONSEQUENCES + ("NineTerm",), Window(3))
+    assert any(r.status == "fail" for r in reports)
+    assert getattr(mutated, wrapped)._cache
+    assert not getattr(base, wrapped)._cache
+
+
 def test_unknown_mutation_rejected(sphere):
     with pytest.raises(g.EngineError):
         g.mutate(sphere, "flip-everything")

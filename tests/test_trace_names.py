@@ -50,7 +50,7 @@ def test_every_traced_name_resolves(module, qualname):
 
 
 def test_maps_keep_their_cache_where_the_tracer_reads_it():
-    from gradedbv.core import QQ, FiniteSpace, GradedMap
+    from gradedbv.core import QQ, FiniteSpace, table_map
     space = FiniteSpace("V", {"x": 0})
-    gmap = GradedMap((space,), (space,), 0, QQ, name="f", table={})
+    gmap = table_map((space,), (space,), 0, QQ, [], "f")
     assert gmap._cache == {}
