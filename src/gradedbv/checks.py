@@ -16,7 +16,11 @@ sigma2`` (or ``X . tau``), and states some relations with terms of
 others (NineTerm is the first nine terms of ElevenTerm); on a window
 closed under permuting slots, each orbit of basis tuples computes such a
 shared head X once per tuple, and every term of every relation of the
-walk reads it, signed by its permutation.  Each report is the same as
+walk reads it, signed by its permutation.  A group whose terms begin
+with another group's whole term tuple reads that prefix's partial sum
+from the same orbit memo, so ElevenTerm adds its last two terms to
+NineTerm's sum, and the nine shared terms are summed once per tuple.
+Each report is the same as
 from evaluating its relation's every term on every tuple in canonical
 order, and an error is the one a check of each relation in turn raises.
 """
@@ -116,10 +120,13 @@ class CheckReport(namedtuple("CheckReport", "relation description instance windo
 class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
     """A relation typed on its input slots, see compile_relations.
 
-    ``groups`` holds (target, terms) per signed group, a term being
-    (coefficient, run, head, perm).  ``orbit(key)`` is the orbit of a
-    basis tuple under the slot permutations of the shared heads, least
-    member first, or () when ``key`` is not that least member.
+    ``groups`` holds (target, base, terms, store) per signed group, a
+    term being (coefficient, run, head, perm); ``base`` is None or the
+    compiled group of a prefix of the group's terms, ``store`` None or
+    the memo index of the group's sum (see _group_sums).  ``orbit(key)``
+    is the orbit of a basis tuple under the slot permutations of the
+    shared heads, least member first, or () when ``key`` is not that
+    least member.
     """
 
     __slots__ = ()
@@ -149,7 +156,9 @@ def _typed_terms(spec, ctx, spaces):
 
 def _link(typed, arity):
     """One CompiledRelation per relation of ``typed`` (each a list of
-    _typed_terms groups), with one head index space and one orbit."""
+    _typed_terms groups), with one index space for the orbit memo and one
+    orbit.  The memo holds the values of shared heads and the partial
+    sums of shared groups, see _group_sums."""
     uses = Counter(id(term[2]) for groups in typed
                    for terms in groups for term in terms)
     shared, generators, linked = {}, set(), []
@@ -167,9 +176,43 @@ def _link(typed, arity):
                 compiled.append((coeff, head.run, index,
                                  None if perm is None else perm.on_key))
             compiled_groups.append((terms[0][1].target, tuple(compiled)))
-        linked.append(tuple(compiled_groups))
+        linked.append(compiled_groups)
+    sums = _group_sums([group for groups in linked for group in groups],
+                       len(shared))
     orbit = _orbits(generators, arity)
-    return [CompiledRelation(groups, orbit) for groups in linked]
+    return [CompiledRelation(tuple(sums[terms] for _, terms in groups), orbit)
+            for groups in linked]
+
+
+def _group_sums(groups, first_index):
+    """{term tuple: compiled group} for the (target, term tuple) pairs of
+    ``groups``, a compiled group being (target, base, terms, store).
+
+    A tuple that begins with another group's whole term tuple (NineTerm's
+    nine terms begin ElevenTerm's eleven) has that prefix's compiled
+    group as its ``base``, the longest such, and only the terms after it
+    as ``terms``; any other has no base.  A tuple that is some group's
+    base, or the terms of two groups, gets a memo index ``store``, from
+    ``first_index`` on, under which its partial sum is kept per basis
+    tuple; any other stores nothing.  Equal tuples are one compiled
+    group."""
+    count = Counter(terms for _, terms in groups)
+    target = {terms: target for target, terms in groups}
+    base = {}
+    for terms in count:
+        prefix = next((terms[:k] for k in range(len(terms) - 1, 0, -1)
+                       if terms[:k] in count), None)
+        if prefix:
+            base[terms] = prefix
+    stored = set(base.values()) | {t for t, n in count.items() if n > 1}
+    store = {terms: first_index + i for i, terms in enumerate(
+        t for t in count if t in stored)}
+    compiled = {}
+    for terms in sorted(count, key=len):    # each base before its users
+        prefix = base.get(terms, ())
+        compiled[terms] = (target[terms], compiled.get(prefix),
+                           terms[len(prefix):], store.get(terms))
+    return compiled
 
 
 def compile_relations(specs, ctx, spaces):
@@ -232,9 +275,12 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
 
     A shared head X is read from ``memo``, keyed on (head index, basis
     tuple), and computed into it on a miss; a term ``c * X . P`` adds
-    ``sign * c * X(k')`` for the (k', sign) of P on ``key``.  A value
-    that raises is not stored, so every use raises again.  Without a
-    memo, a fresh one serves this tuple only.
+    ``sign * c * X(k')`` for the (k', sign) of P on ``key``.  A group's
+    base, the partial sum of the terms it shares with another group, is
+    read from the memo in the same way, keyed on (its store index, basis
+    tuple), whichever relation reaches the tuple first computing it.  A
+    value that raises is not stored, so every use raises again.  Without
+    a memo, a fresh one serves this tuple only.
     """
     relation = spec
     if isinstance(spec, RelationSpec):
@@ -244,25 +290,44 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     if memo is None:
         memo = {}
     field = ctx.field
-    one = field.one
-    add_into = field.accumulate
     key = tuple(key)
-    x = {key: one}
-    for gi, (target, terms) in enumerate(relation.groups):
-        acc = {}
-        for coeff, run, head, perm in terms:
-            if head is None:
-                add_into(acc, run(x).items(), coeff)
-                continue
-            for image, sign in (perm(key).coeffs if perm else x).items():
-                value = memo.get((head, image))
-                if value is None:
-                    value = memo[head, image] = run({image: one})
+    x = {key: field.one}
+    for gi, group in enumerate(relation.groups):
+        acc = _group_sum(group, key, x, memo, field)
+        if acc:
+            return gi, _trusted_element(group[0], field, acc)
+    return None
+
+
+def _group_sum(group, key, x, memo, field):
+    """The sum of a compiled group's signed terms on ``key`` (``x`` is
+    ``{key: one}``): its base's stored sum, computed on a miss, plus its
+    own terms; stored when the group has a store index.  A vanishing
+    term value adds nothing.  A stored sum is never changed, so a
+    residual may hold it."""
+    _, base, terms, store = group
+    if store is not None:
+        acc = memo.get((store, key))
+        if acc is not None:
+            return acc
+    acc = {} if base is None else dict(_group_sum(base, key, x, memo, field))
+    one, add_into = field.one, field.accumulate
+    for coeff, run, head, perm in terms:
+        if head is None:
+            value = run(x)
+            if value:
+                add_into(acc, value.items(), coeff)
+            continue
+        for image, sign in (perm(key).coeffs if perm else x).items():
+            value = memo.get((head, image))
+            if value is None:
+                value = memo[head, image] = run({image: one})
+            if value:
                 add_into(acc, value.items(),
                          coeff if sign == one else field.mul(coeff, sign))
-        if acc:
-            return gi, _trusted_element(target, field, acc)
-    return None
+    if store is not None:
+        memo[store, key] = acc
+    return acc
 
 
 class _Walk:

@@ -16,8 +16,9 @@ relation text works on the base space and on derived spaces.  Each
 node is typed once per context: the typing pass (``_shape``) decides its
 arities and degree and rejects any mismatch.  ``compile_expr`` then
 walks it on concrete input slots, for their spaces and loops, into a
-GradedMap shared by every use in the same context; ``evaluate``
-compiles, then applies the map.
+GradedMap shared by every use in the same context, fusing adjacent
+composition stages by the interchange law first; ``evaluate`` compiles,
+then applies the map.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -56,14 +57,14 @@ class _Node:
     """An AST node, interned (hash-consed) when it is built: a node is
     looked up in ``_NODES`` by its class name and field values, whose
     children are interned nodes already, so structurally equal trees are
-    one object.  Equality is identity; the structural hash is computed
-    once, at construction, and kept in ``_hash``.  So a lookup of a tree
-    in ``OpContext.plans`` or ``OpContext.shapes`` hashes nothing but its
-    root and compares nothing but identities.  Nodes are immutable;
-    copies and pickles are built again by the constructor, which returns
-    the interned node.  ``str`` of a node is ``print_expr``."""
+    one object.  Equality is identity, and so is the hash, which needs
+    no Python code: a lookup of a tree in ``OpContext.plans`` or
+    ``OpContext.shapes`` hashes nothing but its root's identity and
+    compares nothing but identities.  Nodes are immutable; copies and
+    pickles are built again by the constructor, which returns the
+    interned node.  ``str`` of a node is ``print_expr``."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ()
     _fields = ()
 
     def __new__(cls, *values):
@@ -73,7 +74,6 @@ class _Node:
             node = object.__new__(cls)
             for name, value in zip(cls._fields, values):
                 object.__setattr__(node, name, value)
-            object.__setattr__(node, "_hash", hash(key))
             # a node interned meanwhile by another thread is the one kept
             node = _NODES.setdefault(key, node)
         return node
@@ -83,9 +83,6 @@ class _Node:
 
     def __delattr__(self, name):
         raise AttributeError("cannot delete field %r of an AST node" % name)
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self._fields)
@@ -466,6 +463,14 @@ def compile_expr(node, ctx, in_spaces):
     factor such as ``lambda . eta`` on ``()`` runs once for every tensor
     that uses it.  A composite is named by its node, which is printed
     only when the name is read.
+
+    Before a composition compiles, its nested compositions are flattened
+    and adjacent stages fused by the interchange law (``_fused``), so
+    ``(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda)`` compiles
+    as ``(mu (x) id) . (id (x) ((Delta (x) id) . lambda))``: the fused
+    composite is a tensor factor, whose ``on_key`` checks and caches it
+    once per key of its own slots, not once per input tuple.  The node
+    and its fused form are then one map.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
@@ -511,6 +516,9 @@ def _compile(node, ctx, in_spaces, degree):
                 % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
         return gmap
     if isinstance(node, Compose):
+        fused = _fused(node, ctx)
+        if fused is not node:
+            return compile_expr(fused, ctx, in_spaces)
         maps = []
         for child in reversed(node.children):
             maps.append(compile_expr(child, ctx, in_spaces))
@@ -531,6 +539,138 @@ def _compile(node, ctx, in_spaces, degree):
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces, degree)
     return _compile_sum(node, ctx, in_spaces, degree)
+
+
+# Process-wide memos of pure functions of their keys (nodes are
+# interned), shared by every context:
+# Compose node -> its flattened stages and blocks, or None when the
+# rewrite keeps it
+_STAGES = {}
+# (Compose node, typed shapes of its stages' blocks) -> its fused form
+_FUSED = {}
+
+
+def _fused(node, ctx):
+    """The composition ``node`` with its stages fused (see _fuse), or
+    ``node`` itself when nothing changes.  The rewrite and its sign
+    depend on the blocks' arities and degrees, which the context types,
+    so it is memoized on the node and those shapes, never on the node
+    alone: a fresh context pays lookups only."""
+    entry = _stages(node)
+    if entry is None:
+        return node
+    stages, blocks = entry
+    shapes = tuple([_shape(block, ctx) for block in blocks])
+    fused = _FUSED.get((node, shapes))
+    if fused is None:
+        fused = _FUSED[node, shapes] = _fuse(stages, shapes)
+    return fused
+
+
+def _stages(node):
+    """(stages, blocks) of a composition: its stages as _flatten gives
+    them and all their blocks in order; None when the rewrite keeps the
+    node whatever the shapes: no child is a composition, and only the
+    stage applied last has several blocks."""
+    try:
+        return _STAGES[node]
+    except KeyError:
+        stages = _flatten(node)
+        if len(stages) == len(node.children) and all(
+                len(stage) == 1 for stage in stages[1:]):
+            entry = None
+        else:
+            entry = stages, tuple(block for stage in stages for block in stage)
+        _STAGES[node] = entry
+        return entry
+
+
+def _flatten(node):
+    """The stages of a composition, leftmost (applied last) first, with
+    nested compositions flattened: each stage is the tuple of a tensor's
+    children, or of one other node."""
+    stages = []
+    for child in node.children:
+        if isinstance(child, Compose):
+            stages.extend(_flatten(child))
+        else:
+            stages.append(child.children if isinstance(child, Tensor)
+                          else (child,))
+    return tuple(stages)
+
+
+def _fuse(stages, shapes):
+    """Adjacent stages fused by the interchange law
+
+        (f_1 (x) ... (x) f_m) . (e_1 (x) ... (x) e_m)
+            = (-1)^{sum_{i>j} |f_i||e_j|} (f_1 . e_1) (x) ... (x) (f_m . e_m)
+
+    whenever the later stage's blocks split into groups f_i along the
+    earlier stage's m >= 2 output blocks (see _split), from the first
+    applied stage on.  So ``(mu (x) id) . (id (x) Delta (x) id) . (id (x)
+    lambda)`` becomes ``(mu (x) id) . (id (x) ((Delta (x) id) .
+    lambda))``, whose composite factor is cached per key of its own
+    slots.  ``shapes`` holds (source arity, target arity, degree) of each
+    block, in order."""
+    shapes = iter(shapes)
+    chain = []      # fused stages, first applied first
+    for stage in reversed([[(block,) + next(shapes) for block in stage]
+                           for stage in stages]):
+        groups = _split(stage, chain[-1]) if chain and len(chain[-1]) > 1 else None
+        if groups is None:
+            chain.append(stage)
+        else:
+            chain[-1] = _interchange(groups)
+    nodes = [stage[0][0] if len(stage) == 1 else Tensor(tuple(b[0] for b in stage))
+             for stage in reversed(chain)]
+    return nodes[0] if len(nodes) == 1 else Compose(tuple(nodes))
+
+
+def _split(later, earlier):
+    """(group, block) for each typed block of the ``earlier`` stage, the
+    group being the ``later`` stage's blocks that consume its outputs,
+    in order; a later block that consumes no slot joins the group being
+    filled when it is met, else the next one, or the last.  None when
+    some later block straddles two earlier blocks."""
+    groups, i = [], 0
+    for block in earlier:
+        start, need = i, block[2]
+        while need > 0:
+            need -= later[i][1]
+            i += 1
+        if need:
+            return None
+        groups.append((later[start:i], block))
+    groups[-1] = (groups[-1][0] + later[i:], groups[-1][1])
+    return groups
+
+
+def _interchange(groups):
+    """The typed factors of the fused stage of ``groups`` (see _split):
+    ``f_i . e_i`` per group, with an ``id`` side dropped, and the sign
+    of the interchange law put on the first factor that is not ``id``,
+    so the stage stays a tensor and streams."""
+    factors, odd, seen = [], 0, 0
+    for group, (node, source, target, degree) in groups:
+        later_degree = sum(b[3] for b in group)
+        odd ^= later_degree & seen & 1
+        seen ^= degree & 1
+        if all(b[0] is ID for b in group):
+            factors.append((node, source, target, degree))
+        elif node is ID:
+            factors.extend(group)
+        else:
+            later = group[0][0] if len(group) == 1 else Tensor(tuple(b[0] for b in group))
+            factors.append((Compose(_chain(later) + _chain(node)), source,
+                            sum(b[2] for b in group), degree + later_degree))
+    if odd:
+        i = next(i for i, factor in enumerate(factors) if factor[0] is not ID)
+        factors[i] = (_scale(factors[i][0], -1),) + factors[i][1:]
+    return factors
+
+
+def _chain(node):
+    return node.children if isinstance(node, Compose) else (node,)
 
 
 def _compiled(node, source, target, degree, field, run):

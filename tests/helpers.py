@@ -1,7 +1,11 @@
 """Shared test oracles, independent of the engine's sign machinery, a
-builder of expression maps over named maps and a random table map."""
+builder of expression maps over named maps, a random table map, and
+monkeypatch probes counting rule runs and capturing the CLI's models."""
 
-from gradedbv.core import table_map
+from collections import Counter
+
+from gradedbv import cli
+from gradedbv.core import GradedMap, table_map
 from gradedbv.expr import OpContext, compile_expr, parse
 
 
@@ -55,3 +59,33 @@ def adjacent_decomposition_sign(perm, degrees, from_left):
                 changed = True
     assert [p for p, _ in items] == sorted(perm)
     return sign
+
+
+def counted_rule_runs(monkeypatch):
+    """Count each rule run per (map, key) of the GradedMaps built from
+    now on; maps are told apart by identity."""
+    runs, init = Counter(), GradedMap.__init__
+
+    def counted_init(gmap, *args, **kwargs):
+        init(gmap, *args, **kwargs)
+        rule = gmap.rule
+
+        def count(key):
+            runs[gmap, key] += 1
+            return rule(key)
+        gmap.rule = count
+
+    monkeypatch.setattr(GradedMap, "__init__", counted_init)
+    return runs
+
+
+def captured_models(monkeypatch):
+    """The list the CLI's built-in models are appended to, as built."""
+    builtin_model, built = cli.builtin_model, []
+
+    def capture(name, field):
+        built.append(builtin_model(name, field))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "builtin_model", capture)
+    return built

@@ -11,6 +11,8 @@ from gradedbv.expr import (PERMS, Compose, Dual, Gen, ParseError, Scal, Sum,
                            target_arity)
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
+from helpers import captured_models, counted_rule_runs
+
 
 @pytest.fixture(scope="module")
 def sphere():
@@ -262,51 +264,16 @@ def test_equal_parses_hash_and_compare_equal():
         # interned: two parses of one text are one object
         assert first is second
         assert first == second and hash(first) == hash(second)
-        # the stored hash is the structural hash of the node's class name
-        # and fields, computed when the node was built
-        fields = tuple(getattr(first, name) for name in first._fields)
-        assert first._hash == hash((type(first).__name__, fields))
-        assert hash(first) == first._hash
+        # equality is identity, and so is the hash
+        assert hash(first) == object.__hash__(first)
     assert parse(texts[0]) != parse(texts[1])
     plans = {(parse(text), None): text for text in texts}
     assert all(plans[parse(text), None] == text for text in texts)
 
 
-def _counted_rule_runs(monkeypatch):
-    """Count each rule run per (map, key) of the GradedMaps built from
-    now on; maps are told apart by identity."""
-    from collections import Counter
-    from gradedbv.core import GradedMap
-    runs, init = Counter(), GradedMap.__init__
-
-    def counted_init(gmap, *args, **kwargs):
-        init(gmap, *args, **kwargs)
-        rule = gmap.rule
-
-        def count(key):
-            runs[gmap, key] += 1
-            return rule(key)
-        gmap.rule = count
-
-    monkeypatch.setattr(GradedMap, "__init__", counted_init)
-    return runs
-
-
-def _captured_models(monkeypatch):
-    from gradedbv import cli
-    builtin_model, built = cli.builtin_model, []
-
-    def capture(name, field):
-        built.append(builtin_model(name, field))
-        return built[-1]
-
-    monkeypatch.setattr(cli, "builtin_model", capture)
-    return built
-
-
 def test_composite_tensor_factors_run_once_per_key(monkeypatch, tmp_path):
     from gradedbv.cli import main
-    runs = _counted_rule_runs(monkeypatch)
+    runs = counted_rule_runs(monkeypatch)
     assert main(["check", "sphere:3", "--suite", "all", "--window", "6",
                  "--out", str(tmp_path / "report.json")]) == 0
     # lambda . eta, a composite tensor factor, maps () to the square
@@ -318,7 +285,7 @@ def test_shared_tensor_factors_are_one_map_each(monkeypatch, tmp_path):
     # each factor is a factor of several tensors in the suite, and each
     # runs once per key in all of them
     from gradedbv.cli import main
-    runs, built = _counted_rule_runs(monkeypatch), _captured_models(monkeypatch)
+    runs, built = counted_rule_runs(monkeypatch), captured_models(monkeypatch)
     assert main(["check", "sphere-frob:3", "--suite", "all",
                  "--out", str(tmp_path / "report.json")]) == 0
     plans = built[0].context().plans

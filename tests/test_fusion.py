@@ -1,0 +1,347 @@
+"""Stage fusion in the compiler and shared partial sums in the walk."""
+
+import itertools
+import random
+
+import pytest
+
+import gradedbv as g
+from gradedbv import checks
+from gradedbv.checks import (MAX_WITNESSES, Window, check_relations,
+                             compile_relations, relation_residual)
+from gradedbv.core import (EngineError, FiniteSpace, Rationals, basis_element,
+                           table_map)
+from gradedbv.double import build_double, build_double_data
+from gradedbv.expr import (Compose, OpContext, Scal, Sum, _fused, compile_expr,
+                           parse, target_arity)
+from gradedbv.gysin import _gysin_context, _transported, canonical_gysin
+from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
+
+from helpers import captured_models, counted_rule_runs
+
+
+def _stagewise(node, ctx, elem):
+    """``node`` applied to ``elem`` one composition stage at a time, each
+    stage compiled alone and applied with ``GradedMap.__call__``; a scalar
+    multiple or a sum is taken apart the same way."""
+    if isinstance(node, Compose):
+        for child in reversed(node.children):
+            elem = _stagewise(child, ctx, elem)
+        return elem
+    if isinstance(node, Scal):
+        return _stagewise(node.child, ctx, elem).scale(
+            ctx.field.coerce(node.coeff))
+    if isinstance(node, Sum):
+        parts = [_stagewise(term, ctx, elem) for term in node.terms]
+        return sum(parts[1:], parts[0])
+    return compile_expr(node, ctx, elem.spaces)(elem)
+
+
+def _instances(field):
+    out = []
+    for name in ("sphere:3", "sphere-frob:3", "three-dim"):
+        out.append(g.builtin_model(name, field))
+    for name in ("three-dim", "exterior"):
+        out.append(build_double(g.builtin_model(name, field)))
+    return out
+
+
+def _catalog_terms(inst):
+    """(term, arity) of every catalog term the instance can type."""
+    for rid in _CATALOG_SOURCE:
+        spec = builtin_relation(rid)
+        if "epsilon" in spec.requires and not inst.has_counit:
+            continue
+        for group in spec.groups:
+            for _, term in group:
+                yield term, spec.arity
+
+
+def _transported_terms():
+    for rid, pre, post, arity in (("NineTerm", "M (x) M", "E (x) E", 2),
+                                  ("SevenTermMu", "M (x) M (x) M", "E", 3)):
+        for group in _transported(rid, parse(pre), parse(post)):
+            for _, term in group:
+                yield term, arity
+
+
+def _assert_fused_maps_are_exact(ctx, space, terms):
+    """Each term's map equals its stages applied one at a time on every
+    key of Window(3, 2); returns how many terms were rewritten."""
+    window, field, rewritten = Window(3, 2), ctx.field, 0
+    for term, arity in terms:
+        spaces = (space,) * arity
+        gmap = compile_expr(term, ctx, spaces)
+        if isinstance(term, Compose):
+            rewritten += _fused(term, ctx) is not term
+        for key in itertools.product(window.names_for(space, arity),
+                                     repeat=arity):
+            elem = basis_element(spaces, field, key)
+            assert gmap.on_key(key) == _stagewise(term, ctx, elem), (term, key)
+    return rewritten
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_fused_catalog_terms_equal_their_stages_applied_in_turn(field):
+    field = g.field_by_name(field)
+    for inst in _instances(field):
+        rewritten = _assert_fused_maps_are_exact(
+            inst.context(), inst.space, _catalog_terms(inst))
+        # SevenTermLambda's three terms through Delta (x) id (x) id,
+        # ElevenTerm's six through id (x) Delta (x) id, NineTerm's four,
+        # and EpsilonElevenTerm's two when there is a counit
+        assert rewritten == 13 + 2 * inst.has_counit, inst.name
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_fused_transported_terms_equal_their_stages_applied_in_turn(field):
+    field = g.field_by_name(field)
+    for inst in _instances(field):
+        data = canonical_gysin(inst)
+        rewritten = _assert_fused_maps_are_exact(
+            _gysin_context(inst, data), data.space_b, _transported_terms())
+        assert rewritten == 16, inst.name
+
+
+def _assert_same_map(first, second, keys):
+    keys = list(keys)
+    assert keys
+    for key in keys:
+        assert first.on_key(key) == second.on_key(key), key
+
+
+def test_the_interchange_sign_goes_on_one_factor():
+    inst = g.sphere_model(3)
+    ctx, sp = inst.context(), inst.space
+    node = parse("(id (x) id (x) Delta) . (lambda (x) id)")
+    # |Delta| |lambda| is odd
+    assert _fused(node, ctx) is parse("(-lambda) (x) Delta")
+    names = Window(4).names_for(sp, 2)
+    _assert_same_map(compile_expr(node, ctx, (sp, sp)),
+                     compile_expr(parse("-(lambda (x) Delta)"), ctx, (sp, sp)),
+                     itertools.product(names, repeat=2))
+    # two odd signs cancel: lambda, then Delta, each pass an odd M
+    data = canonical_gysin(inst)
+    gctx = _gysin_context(inst, data)
+    term = _transported("NineTerm", parse("M (x) M"), parse("E (x) E"))[0][5]
+    assert "-" not in str(_fused(term[1], gctx))
+
+
+def test_the_double_component_through_omega_is_fused_with_its_sign():
+    data = build_double_data(g.builtin_model("three-dim"))
+    ctx = data.context
+    _, _, shifted, _ = data.spaces
+    base = data.base.space
+    node = parse("(id (x) lambda) . (omega (x) id)")
+    # |lambda| |omega| is odd
+    assert _fused(node, ctx) is parse("(-omega) (x) lambda")
+    spaces = (shifted, base)
+    keys = itertools.product(sorted(shifted.basis_names()),
+                             sorted(base.basis_names()))
+    _assert_same_map(compile_expr(node, ctx, spaces),
+                     compile_expr(parse("-(omega (x) lambda)"), ctx, spaces),
+                     keys)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_fused_double_components_equal_their_stages_applied_in_turn(field):
+    from gradedbv.double import (DELTA_COMPONENTS, LAMBDA_COMPONENTS,
+                                 MU_COMPONENTS)
+    signed = 0
+    for name in ("three-dim", "exterior"):
+        data = build_double_data(g.builtin_model(name, g.field_by_name(field)))
+        ctx = data.context
+        part_space = {"a": data.base.space, "v": data.spaces[2]}
+        for texts, arity in ((MU_COMPONENTS, 2), (LAMBDA_COMPONENTS, 1),
+                             (DELTA_COMPONENTS, 1)):
+            for parts, text in texts.items():
+                spaces = tuple(part_space[p] for p in parts[:arity])
+                gmap = compile_expr(parse(text), ctx, spaces)
+                for key in itertools.product(
+                        *(sorted(s.basis_names()) for s in spaces)):
+                    elem = basis_element(spaces, ctx.field, key)
+                    assert gmap.on_key(key) == \
+                        _stagewise(parse(text), ctx, elem), (text, key)
+        signed += _fused(parse("(id (x) lambda) . (omega (x) id)"), ctx) \
+            is parse("(-omega) (x) lambda")
+    assert signed == 2
+
+
+def _random_maps(rng, space, field):
+    """Random table maps on ``space`` (basis e even, o odd), of source
+    and target arities from zero to two and of either parity."""
+    names = sorted(space.basis_names())
+    maps = {}
+    for source, target, degree in ((1, 1, 1), (1, 1, 0), (2, 1, 1), (1, 2, 0),
+                                   (0, 1, 0), (1, 0, 1), (0, 2, 1), (2, 0, 0),
+                                   (2, 2, 1)):
+        entries = []
+        for key in itertools.product(names, repeat=source):
+            want = sum(map(space.degree, key)) + degree
+            for okey in itertools.product(names, repeat=target):
+                if sum(map(space.degree, okey)) == want:
+                    entries.append((key, okey, rng.randint(-2, 2)))
+        name = "g%d%d%d" % (source, target, degree)
+        maps[name] = table_map((space,) * source, (space,) * target, degree,
+                               field, entries, name)
+    return maps
+
+
+def _random_stage(rng, maps, arity):
+    """A tensor of random blocks (``id`` or a map) consuming ``arity``
+    slots, blocks that consume none put in at random."""
+    blocks, left = [], arity
+    while left or not blocks or rng.random() < 0.2:
+        name = rng.choice(["id", "id"] + sorted(maps))
+        consumed = 1 if name == "id" else maps[name].source_arity
+        if consumed <= left:
+            blocks.append(name)
+            left -= consumed
+    return " (x) ".join(blocks)
+
+
+def test_random_compositions_equal_their_stages_applied_in_turn():
+    rng = random.Random(20)
+    space = FiniteSpace("V", {"e": 0, "o": 1})
+    field = g.QQ
+    maps = _random_maps(rng, space, field)
+    names = sorted(space.basis_names())
+    fused = signed = 0
+    for _ in range(300):
+        ctx = OpContext(maps, field)
+        arity = rng.randint(1, 3)
+        stages, slots = [], arity
+        for _ in range(rng.randint(2, 3)):
+            stage = _random_stage(rng, maps, slots)
+            stages.append("(%s)" % stage)
+            slots = target_arity(parse(stage), ctx)
+            if slots > 4:
+                break
+        node = parse(" . ".join(reversed(stages)))
+        if not isinstance(node, Compose) or slots > 4:
+            continue
+        spaces = (space,) * arity
+        gmap = compile_expr(node, ctx, spaces)
+        rewritten = _fused(node, ctx)
+        fused += rewritten is not node
+        signed += "-" in str(rewritten)
+        for key in itertools.product(names, repeat=arity):
+            elem = basis_element(spaces, field, key)
+            assert gmap.on_key(key) == _stagewise(node, ctx, elem), (node, key)
+    assert fused > 50 and signed > 10
+
+
+def test_the_rewrite_follows_the_degrees_of_each_context():
+    # one node, two contexts whose degrees differ: the rewrite is keyed on
+    # the typed shapes too, so each context gets its own sign
+    space = FiniteSpace("V", {"e": 0, "o": 1})
+    field = g.QQ
+
+    def maps(odd):
+        return {name: table_map((space,), (space,), degree, field, [])
+                for name, degree in (("f", 0), ("g", odd), ("f2", odd),
+                                     ("g2", 0))}
+    node = parse("(f (x) g) . (f2 (x) g2)")
+    assert _fused(node, OpContext(maps(1), field)) is \
+        parse("(-(f . f2)) (x) (g . g2)")
+    assert _fused(node, OpContext(maps(0), field)) is \
+        parse("(f . f2) (x) (g . g2)")
+    assert _fused(node, OpContext(maps(-1), field)) is \
+        parse("(-(f . f2)) (x) (g . g2)")
+
+
+def test_a_fused_factor_is_computed_once_per_slot_key(monkeypatch, tmp_path):
+    from gradedbv.cli import main
+    runs, built = counted_rule_runs(monkeypatch), captured_models(monkeypatch)
+    # the sphere-deep benchmark command
+    assert main(["check", "sphere:3", "--suite", "all", "--window", "10",
+                 "--window3", "2", "--field", "Fp:101",
+                 "--out", str(tmp_path / "report.json")]) == 0
+    (inst,) = built
+    plans = inst.context().plans
+    (factor,) = [m for (node, _), m in plans.items()
+                 if node is parse("(Delta (x) id) . lambda")]
+    keys = [key for m, key in runs if m is factor]
+    assert 0 < len(factor._cache) <= len(Window(10).names_for(inst.space, 1))
+    assert sorted(keys) == sorted(factor._cache)
+    assert all(runs[factor, key] == 1 for key in keys)
+
+
+@pytest.mark.parametrize("mutation", [None, "lambda-u-flip", "delta-au-doubled"])
+def test_eleven_and_nine_terms_walked_together_match_each_alone(mutation):
+    inst = g.sphere_model(3)
+    if mutation is not None:
+        inst = g.mutate(inst, mutation)
+    specs = [builtin_relation("ElevenTerm"), builtin_relation("NineTerm")]
+    ctx, window = inst.context(), Window(3)
+    together = check_relations(specs, ctx, inst.space, window)
+    alone = [relation_residual(spec, inst.context(), inst.space, window)
+             for spec in specs]
+    assert together == alone
+    if mutation is not None:
+        assert [len(r.witnesses) for r in together] == [MAX_WITNESSES] * 2
+    # ElevenTerm reads NineTerm's sum, stored in the memo, and adds two
+    eleven, nine = compile_relations(specs, ctx, (inst.space,) * 2)
+    (nine_group,), (eleven_group,) = nine.groups, eleven.groups
+    assert eleven_group[1] is nine_group and len(eleven_group[2]) == 2
+    assert nine_group[1] is None and nine_group[3] is not None
+
+
+class _CountingRationals(Rationals):
+    """Q, counting the calls of ``accumulate``."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def accumulate(self, acc, terms, scalar):
+        self.calls += 1
+        return super().accumulate(acc, terms, scalar)
+
+
+def _generator_context(field, bad=None):
+    """Eleven maps f1 ... f11 from V (x) V to V, none vanishing on any
+    key, with f3 raising on ``bad``; (space, context, the relation of
+    all eleven, the relation of the first nine, the errors raised)."""
+    space = FiniteSpace("V", {"a": 0, "b": 0})
+    raised = []
+
+    def generator(i):
+        def rule(key):
+            if i == 3 and key == bad:
+                raised.append(EngineError("f3 fails on %s" % (key,)))
+                raise raised[-1]
+            return basis_element((space,), field, key[:1], i)
+        return g.GradedMap((space, space), (space,), 0, field, rule, "f%d" % i)
+
+    maps = {"f%d" % i: generator(i) for i in range(1, 12)}
+    terms = [(1, "f%d" % i) for i in range(1, 12)]
+    eleven = checks.make_relation("Eleven", 2, "eleven", [terms])
+    nine = checks.make_relation("Nine", 2, "nine", [terms[:9]])
+    return space, OpContext(maps, field), eleven, nine, raised
+
+
+def test_the_shared_terms_are_summed_once_per_tuple():
+    field = _CountingRationals()
+    space, ctx, eleven, nine, _ = _generator_context(field)
+    for spec in (eleven, nine):     # each head's outputs cached first
+        relation_residual(spec, ctx, space, Window())
+    field.calls = 0
+    together = check_relations([eleven, nine], ctx, space, Window())
+    # four tuples: nine adds then two for Eleven, none for Nine, which
+    # reads the stored sum (one copy, no add)
+    assert field.calls == 4 * 11
+    assert [r.status for r in together] == ["fail", "fail"]
+    assert together == [relation_residual(spec, ctx, space, Window())
+                        for spec in (eleven, nine)]
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_a_raising_shared_term_raises_for_the_first_relation(order):
+    space, ctx, eleven, nine, raised = _generator_context(g.QQ, ("a", "b"))
+    specs = [(eleven, nine)[i] for i in order]
+    with pytest.raises(EngineError, match="f3 fails on") as info:
+        check_relations(specs, ctx, space, Window())
+    # the raising partial sum is not stored: each relation computes it
+    # again and raises, and the error of the first in spec order is raised
+    assert len(raised) == 2
+    assert info.value is raised[0]

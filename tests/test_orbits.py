@@ -122,8 +122,8 @@ def test_a_relation_without_shared_heads_has_one_tuple_orbits():
                                     (inst.space,) * arity)
         key = ("AU",) * arity
         assert tuple(relation.orbit(key)) == (key,)
-        assert all(head is None for _, terms in relation.groups
-                   for _, _, head, _ in terms)
+        assert all(head is None for group in relation.groups
+                   for _, _, head, _ in _terms(group))
 
 
 def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
@@ -134,7 +134,7 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
 
     def linking(typed, arity):
         relations = link_original(typed, arity)
-        heads = set().union(*map(_head_indices, relations))
+        heads = set().union(*map(_memo_indices, relations))
         entry = [arity, len(relations), len(heads), 0]
         entries.append(entry)
         groups.update((id(relation), entry) for relation in relations)
@@ -155,11 +155,13 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     monkeypatch.setattr(checks, "residual_on_key", watched)
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "6"]) == 0
-    # one group per arity: (arity, relations, shared heads, largest memo);
-    # the binary group's heads are read by two relations or more each, on
-    # orbits of two tuples, the ternary group's on orbits of three
+    # one group per arity: (arity, relations, memo indices, largest
+    # memo); the binary group's heads are read by two relations or more
+    # each, on orbits of two tuples, and NineTerm's sum is ElevenTerm's
+    # stored prefix, one more index; the ternary group's heads are read
+    # on orbits of three
     assert sorted(map(tuple, entries)) == [
-        (0, 2, 0, 0), (1, 8, 2, 2), (2, 5, 9, 18), (3, 5, 4, 12)]
+        (0, 2, 0, 0), (1, 8, 2, 2), (2, 5, 10, 20), (3, 5, 4, 12)]
 
     inst = g.sphere_model(3)
 
@@ -178,9 +180,26 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     assert largest("Assoc") == largest("Poisson") == 0
 
 
+def _terms(group):
+    """A compiled group's terms, its base's first."""
+    _, base, terms, _ = group
+    return (_terms(base) if base else ()) + terms
+
+
 def _head_indices(relation):
-    return {head for _, terms in relation.groups
-            for _, _, head, _ in terms if head is not None}
+    return {head for group in relation.groups
+            for _, _, head, _ in _terms(group) if head is not None}
+
+
+def _memo_indices(relation):
+    """The memo indices a relation reads: its shared heads' and the
+    stored sums of its groups and their bases."""
+    stores, todo = set(), list(relation.groups)
+    while todo:
+        _, base, _, store = todo.pop()
+        stores.add(store)
+        todo += [base] if base else []
+    return _head_indices(relation) | (stores - {None})
 
 
 def test_relations_of_one_arity_share_their_heads():
@@ -192,8 +211,8 @@ def test_relations_of_one_arity_share_their_heads():
     # NineTerm is the first nine terms of ElevenTerm: each of its terms
     # reads a head ElevenTerm computes into the orbit memo
     assert _head_indices(nine) <= _head_indices(eleven)
-    assert all(head is not None for _, terms in nine.groups
-               for _, _, head, _ in terms)
+    assert all(head is not None for group in nine.groups
+               for _, _, head, _ in _terms(group))
     assert _head_indices(comm).isdisjoint(_head_indices(eleven))
     assert eleven.orbit is nine.orbit is comm.orbit
     # alone, NineTerm's untwisted terms are their own unshared heads

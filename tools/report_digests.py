@@ -32,6 +32,7 @@ COMMANDS = (
     "check sphere:3 --suite all --window 10 --window3 2 --field Fp:101",
     "gysin sphere:3",
     "gysin sphere:3 --window 6",
+    "gysin sphere:5 --window 6 --field Fp:101",
     "gysin three-dim",
     "double three-dim",
     "double trivial",
