@@ -10,9 +10,13 @@ Reports are deterministic: tuples are enumerated in canonical
 failures in that order, so two runs produce byte-identical output.
 
 Relations are evaluated one orbit at a time, all relations of one
-arity in one walk of their window (check_relations).  The catalog spells
-the cyclic and twist factors out as terms ``X``, ``X . sigma``, ``X .
-sigma2`` (or ``X . tau``), and states some relations with terms of
+arity in one walk of their window (check_relations).  Each term is read
+from its normal form ``sign * X . P`` (``expr.normal_form``): its head X,
+its input permutation P, if any, and the sign of moving P there, which
+goes on the term's coefficient.  The catalog spells the cyclic and
+twist factors out as terms ``X``, ``X . sigma``, ``X . sigma2`` (or ``X
+. tau``), the transported Gysin terms carry them inside, as ``post . (X
+. tau) . (M (x) M)``, and some relations are stated with terms of
 others (NineTerm is the first nine terms of ElevenTerm); on a window
 closed under permuting slots, each orbit of basis tuples computes such a
 shared head X once per tuple, and every term of every relation of the
@@ -33,7 +37,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import ArityMismatch, _spaces_key, _trusted_element
-from .expr import compile_expr, parse, permuted_head
+from .expr import PERMS, Compose, compile_expr, normal_form, parse
 
 MAX_WITNESSES = 10
 _first = itemgetter(0)
@@ -46,9 +50,6 @@ class RelationSpec(namedtuple("RelationSpec", "rid arity description groups requ
     predicates, see is_applicable."""
 
     __slots__ = ()
-
-    def term_count(self):
-        return sum(len(g) for g in self.groups)
 
 
 def make_relation(rid, arity, description, groups, requires=()):
@@ -113,9 +114,6 @@ class CheckReport(namedtuple("CheckReport", "relation description instance windo
 
     __slots__ = ()
 
-    def first_witness(self):
-        return self.witnesses[0] if self.witnesses else None
-
 
 class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
     """A relation typed on its input slots, see compile_relations.
@@ -134,18 +132,21 @@ class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
 
 def _typed_terms(spec, ctx, spaces):
     """Each signed group of ``spec`` as a list of terms (coefficient,
-    term map, head, perm, slots), typed on ``spaces``; see
-    compile_relations.
-    The terms of a group must share a target, since their values are
-    summed."""
+    head map, P's on_key, P's slot map), typed on ``spaces`` from each
+    term's normal form, P's two None when there is no P; see
+    compile_relations.  The terms of a group must share a target, since
+    their values are summed."""
     field = ctx.field
     typed = []
     for group in spec.groups:
         terms = []
         for coeff, expr in group:
-            gmap = compile_expr(expr, ctx, spaces)
-            head, perm, slots = permuted_head(expr, ctx, spaces) or (gmap, None, None)
-            terms.append((field.coerce(coeff), gmap, head, perm, slots))
+            sign, head, perm = (normal_form(expr, ctx) if isinstance(expr, Compose)
+                                else (1, expr, None))
+            slots = perm and PERMS[perm.name]
+            perm = perm and compile_expr(perm, ctx, spaces)
+            head = compile_expr(head, ctx, perm.target if perm else spaces)
+            terms.append((field.coerce(coeff * sign), head, perm and perm.on_key, slots))
         targets = sorted({_spaces_key(term[1].target) for term in terms})
         if len(targets) > 1:
             raise ArityMismatch("terms of %s have different targets %s"
@@ -159,27 +160,24 @@ def _link(typed, arity):
     _typed_terms groups), with one index space for the orbit memo and one
     orbit.  The memo holds the values of shared heads and the partial
     sums of shared groups, see _group_sums."""
-    uses = Counter(id(term[2]) for groups in typed
+    uses = Counter(id(term[1]) for groups in typed
                    for terms in groups for term in terms)
     shared, generators, linked = {}, set(), []
     for groups in typed:
         compiled_groups = []
         for terms in groups:
             compiled = []
-            for coeff, gmap, head, perm, slots in terms:
-                if uses[id(head)] < 2:
-                    compiled.append((coeff, gmap.run, None, None))
-                    continue
-                if slots is not None:
+            for coeff, head, perm, slots in terms:
+                index = None
+                if uses[id(head)] > 1:
+                    index = shared.setdefault(id(head), len(shared))
                     generators.add(slots)
-                index = shared.setdefault(id(head), len(shared))
-                compiled.append((coeff, head.run, index,
-                                 None if perm is None else perm.on_key))
+                compiled.append((coeff, head.run, index, perm))
             compiled_groups.append((terms[0][1].target, tuple(compiled)))
         linked.append(compiled_groups)
     sums = _group_sums([group for groups in linked for group in groups],
                        len(shared))
-    orbit = _orbits(generators, arity)
+    orbit = _orbits(generators - {None}, arity)
     return [CompiledRelation(tuple(sums[terms] for _, terms in groups), orbit)
             for groups in linked]
 
@@ -220,18 +218,19 @@ def compile_relations(specs, ctx, spaces):
     term typed on ``spaces`` and every coefficient in the context's
     field.
 
-    A term ``X . P`` whose rightmost factor P is ``id``, ``tau``,
-    ``sigma`` or ``sigma2`` has the head X; any other term is its own
-    head.  Terms and heads are the context's hash-consed GradedMaps
-    (``compile_expr``), so two terms share a head when they use the same
-    map object, in one relation or in two; a term reads only a map's
-    ``run``, ``target``
-    and, for P, ``on_key``.  A head used by one term runs that term's
-    map: (coefficient, run, None, None).  A
-    shared head gets an index, one index space for all of ``specs``,
-    into the orbit memo of residual_on_key: (coefficient, X.run, index,
-    P's on_key, or None for X itself).  Every relation gets the same
-    ``orbit``, generated by the slot maps of all the shared heads.
+    A composition ``c * term`` with the normal form ``sign * X . P``
+    (``expr.normal_form``) has the head X, read through P, an ``id``,
+    ``tau``, ``sigma`` or ``sigma2``, or none, with the coefficient ``c
+    * sign``; any other term is its own head.  Only X and P are
+    compiled, to the context's hash-consed GradedMaps (``compile_expr``),
+    so two terms share a head when they use the same map object, in one
+    relation or in two; a term reads only X's ``run`` and ``target`` and
+    P's ``on_key``.  Each term is (coefficient, X.run, index, P's on_key
+    or None): a head used by one term has the index None and runs on
+    each tuple, and a shared head gets an index, one index space for all
+    of ``specs``, into the orbit memo of residual_on_key.  Every relation
+    gets the same ``orbit``, generated by the slot maps of all the
+    shared heads.
     """
     return _link([_typed_terms(spec, ctx, spaces) for spec in specs], len(spaces))
 
@@ -273,9 +272,10 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
-    A shared head X is read from ``memo``, keyed on (head index, basis
-    tuple), and computed into it on a miss; a term ``c * X . P`` adds
-    ``sign * c * X(k')`` for the (k', sign) of P on ``key``.  A group's
+    A term ``c * X . P`` adds ``sign * c * X(k')`` for the (k', sign) of
+    P on ``key`` (k' is ``key`` when there is no P).  A shared head X is
+    read from ``memo``, keyed on (head index, basis tuple), and computed
+    into it on a miss; an unshared one runs on P's output.  A group's
     base, the partial sum of the terms it shares with another group, is
     read from the memo in the same way, keyed on (its store index, basis
     tuple), whichever relation reaches the tuple first computing it.  A
@@ -314,7 +314,7 @@ def _group_sum(group, key, x, memo, field):
     one, add_into = field.one, field.accumulate
     for coeff, run, head, perm in terms:
         if head is None:
-            value = run(x)
+            value = run(perm(key).coeffs if perm else x)
             if value:
                 add_into(acc, value.items(), coeff)
             continue

@@ -415,13 +415,6 @@ class Element:
             raise DegreeError("inhomogeneous element has degrees %s" % degs)
         return degs[0]
 
-    def homogeneous_parts(self):
-        parts = {}
-        for key, value in self.coeffs.items():
-            parts.setdefault(self.key_degree(key), {})[key] = value
-        return {d: Element(self.spaces, self.field, c)
-                for d, c in sorted(parts.items())}
-
     def items(self):
         """Support in canonical (lexicographic by basis name) order."""
         return sorted(self.coeffs.items())
@@ -543,13 +536,6 @@ def koszul_sign(perm, degrees):
             if perm[i] > perm[j] and (degrees[i] % 2) and (degrees[j] % 2):
                 sign = -sign
     return sign
-
-
-def apply_permutation_key(perm, key):
-    out = [None] * len(key)
-    for i, name in enumerate(key):
-        out[perm[i]] = name
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -874,8 +860,7 @@ def permute(perm, spaces, field):
     the parity of the inverted pairs (i < j, perm[i] > perm[j]) whose two
     names are odd, those index pairs being fixed here too.  Each name's
     parity is read from its slot's dict as in ``_odd``; ``koszul_sign``
-    and ``apply_permutation_key`` compute the same sign and key from
-    scratch.  ``GradedMap.on_key`` checks each output once, as it does
+    computes the same sign from scratch.  ``GradedMap.on_key`` checks each output once, as it does
     any rule's.
     """
     perm = tuple(perm)

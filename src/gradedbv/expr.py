@@ -14,11 +14,15 @@ GradedMaps.  ``id`` / ``tau`` / ``sigma`` / ``sigma2`` are polymorphic:
 they resolve against whatever tensor slots flow into them, so the same
 relation text works on the base space and on derived spaces.  Each
 node is typed once per context: the typing pass (``_shape``) decides its
-arities and degree and rejects any mismatch.  ``compile_expr`` then
-walks it on concrete input slots, for their spaces and loops, into a
-GradedMap shared by every use in the same context, fusing adjacent
-composition stages by the interchange law first; ``evaluate`` compiles,
-then applies the map.
+arities and degree and rejects any mismatch.  Each composition has one
+normal form ``sign * X . P`` (``normal_form``): P is its input
+permutation, or none, and X its other stages fused by the interchange
+law; a permutation stage inside it moves to the input, with the Koszul
+sign of the blocks it reorders, where it can.  ``compile_expr`` walks a
+node on concrete input slots, for their spaces and loops, into a
+GradedMap shared by every use in the same context, a composition
+through its normal form; ``evaluate`` compiles, then applies the map.
+The relation walker of ``checks`` reads the normal form for its heads.
 
 The same tokenizer parses element literals (``AU^1 (x) U^1``,
 ``2*A(x)1 - 2*1(x)A``); see parse_element.
@@ -30,7 +34,7 @@ import re
 from fractions import Fraction
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   basis_element, permute, scalar_element,
+                   basis_element, koszul_sign, permute, scalar_element,
                    tensor_factors, tensor_run, zero_element, _spaces_key,
                    _trusted_element)
 
@@ -464,13 +468,15 @@ def compile_expr(node, ctx, in_spaces):
     that uses it.  A composite is named by its node, which is printed
     only when the name is read.
 
-    Before a composition compiles, its nested compositions are flattened
-    and adjacent stages fused by the interchange law (``_fused``), so
-    ``(mu (x) id) . (id (x) Delta (x) id) . (id (x) lambda)`` compiles
-    as ``(mu (x) id) . (id (x) ((Delta (x) id) . lambda))``: the fused
-    composite is a tensor factor, whose ``on_key`` checks and caches it
-    once per key of its own slots, not once per input tuple.  The node
-    and its fused form are then one map.
+    A composition compiles through its normal form ``sign * X . P``
+    (``normal_form``): its stages fused by the interchange law, with a
+    permutation stage moved to the input where it can be, so ``(mu (x)
+    id) . (id (x) Delta (x) id) . (id (x) lambda)`` compiles as ``(mu
+    (x) id) . (id (x) ((Delta (x) id) . lambda))``, whose fused factor
+    checks and caches its ``on_key`` once per key of its own slots, not
+    once per input tuple, and ``tau . (M (x) M)`` as ``(M (x) M) .
+    (-tau)`` for an odd M: the sign goes on P.  The node and its normal
+    form are then one map.
     """
     if in_spaces is not None:
         in_spaces = tuple(in_spaces)
@@ -483,20 +489,6 @@ def compile_expr(node, ctx, in_spaces):
                                 % (node, source, len(in_spaces)))
         gmap = ctx.plans[key] = _compile(node, ctx, in_spaces, degree)
     return gmap
-
-
-def permuted_head(node, ctx, in_spaces):
-    """(X's map, P's map, P's slot map) for a term ``X . P`` whose
-    rightmost factor P is a permutation of ``PERMS``; None for any other
-    term.  Both maps come from ``compile_expr``, so a head X that is also
-    a term of its own is that term's map."""
-    if not (isinstance(node, Compose) and isinstance(node.children[-1], Gen)
-            and node.children[-1].name in PERMS):
-        return None
-    *rest, perm = node.children
-    perm_map = compile_expr(perm, ctx, in_spaces)
-    head = rest[0] if len(rest) == 1 else Compose(tuple(rest))
-    return compile_expr(head, ctx, perm_map.target), perm_map, PERMS[perm.name]
 
 
 def _compile(node, ctx, in_spaces, degree):
@@ -516,9 +508,11 @@ def _compile(node, ctx, in_spaces, degree):
                 % (gmap.name, _spaces_key(gmap.source), _spaces_key(in_spaces)))
         return gmap
     if isinstance(node, Compose):
-        fused = _fused(node, ctx)
-        if fused is not node:
-            return compile_expr(fused, ctx, in_spaces)
+        sign, head, perm = normal_form(node, ctx)
+        head = head if perm is None else Compose(_chain(head) + (_scale(perm, sign),))
+        # with no input spaces to permute, a composition keeps its stages
+        if head is not node and (perm is None or in_spaces is not None):
+            return compile_expr(head, ctx, in_spaces)
         maps = []
         for child in reversed(node.children):
             maps.append(compile_expr(child, ctx, in_spaces))
@@ -541,48 +535,71 @@ def _compile(node, ctx, in_spaces, degree):
     return _compile_sum(node, ctx, in_spaces, degree)
 
 
-# Process-wide memos of pure functions of their keys (nodes are
-# interned), shared by every context:
-# Compose node -> its flattened stages and blocks, or None when the
-# rewrite keeps it
-_STAGES = {}
-# (Compose node, typed shapes of its stages' blocks) -> its fused form
-_FUSED = {}
+# (Composition, typed shapes of its stages' blocks) -> its normal form; a
+# pure function of its key (nodes are interned), shared by every context
+_NORMAL = {}
 
 
-def _fused(node, ctx):
-    """The composition ``node`` with its stages fused (see _fuse), or
-    ``node`` itself when nothing changes.  The rewrite and its sign
-    depend on the blocks' arities and degrees, which the context types,
-    so it is memoized on the node and those shapes, never on the node
-    alone: a fresh context pays lookups only."""
-    entry = _stages(node)
-    if entry is None:
-        return node
-    stages, blocks = entry
-    shapes = tuple([_shape(block, ctx) for block in blocks])
-    fused = _FUSED.get((node, shapes))
-    if fused is None:
-        fused = _FUSED[node, shapes] = _fuse(stages, shapes)
-    return fused
+def normal_form(node, ctx):
+    """The normal form ``(sign, X, P)`` of a composition, which equals
+    ``sign * X . P``: P is its input permutation, a ``PERMS`` name as a
+    Gen, or None, and X its other stages fused by the interchange law
+    (see _fuse).  Nested compositions are flattened; then, from the input
+    side, the first permutation stage that can reach the input moves
+    there (see _move), a trailing one trivially, and any other stays a
+    stage of X.  The form depends on the blocks' arities and degrees,
+    which the context types, so it is memoized on the node and its
+    blocks' typed shapes, never on the node alone: a fresh context pays
+    lookups only."""
+    _shape(node, ctx)       # the composition itself must type
+    stages = _flatten(node)
+    shapes = tuple([_shape(block, ctx) for stage in stages for block in stage])
+    form = _NORMAL.get((node, shapes))
+    if form is None:
+        rest = [tuple((b,) + _shape(b, ctx) for b in stage) for stage in stages]
+        sign, perm = 1, None
+        for i in reversed(range(len(rest))):
+            name = getattr(rest[i][0][0], "name", None)
+            if perm is None and len(rest[i]) == 1 and name in PERMS:
+                moved = _move(PERMS[name], rest[i + 1:])
+                if moved is not None:
+                    sign, perm, rest[i:] = moved
+        form = _NORMAL[node, shapes] = sign, _fuse(rest), perm
+    return form
 
 
-def _stages(node):
-    """(stages, blocks) of a composition: its stages as _flatten gives
-    them and all their blocks in order; None when the rewrite keeps the
-    node whatever the shapes: no child is a composition, and only the
-    stage applied last has several blocks."""
-    try:
-        return _STAGES[node]
-    except KeyError:
-        stages = _flatten(node)
-        if len(stages) == len(node.children) and all(
-                len(stage) == 1 for stage in stages[1:]):
-            entry = None
-        else:
-            entry = stages, tuple(block for stage in stages for block in stage)
-        _STAGES[node] = entry
-        return entry
+def _move(perm, stages):
+    """(sign, P', stages') with ``P . stages = sign * stages' . P'``, for
+    the slot map ``perm`` of a permutation P applied after ``stages``: P
+    moves past each stage toward the input by
+
+        P . (f_1 (x) ... (x) f_m) = e (f_{p(1)} (x) ... (x) f_{p(m)}) . P'
+
+    where P moves the stage's output blocks whole into the order p, P'
+    its input blocks, and e is the Koszul sign of reordering the f_i by
+    degree.  None when P splits a block or a block makes no slot, or when
+    the permutation that reaches the input is not a ``PERMS`` name."""
+    sign, moved = 1, []
+    for stage in stages:
+        sizes = [block[2] for block in stage]
+        if 0 in sizes:
+            return None
+        order = sorted(range(len(stage)), key=lambda b: perm[sum(sizes[:b])])
+        if _block_map(sizes, order) != perm:
+            return None
+        # each block's place in the new order, and its degree
+        sign *= koszul_sign(_block_map([1] * len(order), order), [b[3] for b in stage])
+        perm = _block_map([block[1] for block in stage], order)
+        moved.append(tuple(stage[b] for b in order))
+    name = next((n for n, p in PERMS.items() if p == perm), None)
+    return None if name is None else (sign, Gen(name), moved)
+
+
+def _block_map(sizes, order):
+    """The slot map that moves blocks of ``sizes`` slots whole into
+    ``order``."""
+    starts = {b: sum(sizes[c] for c in order[:j]) for j, b in enumerate(order)}
+    return tuple(starts[b] + k for b, size in enumerate(sizes) for k in range(size))
 
 
 def _flatten(node):
@@ -594,28 +611,25 @@ def _flatten(node):
         if isinstance(child, Compose):
             stages.extend(_flatten(child))
         else:
-            stages.append(child.children if isinstance(child, Tensor)
-                          else (child,))
+            stages.append(child.children if isinstance(child, Tensor) else (child,))
     return tuple(stages)
 
 
-def _fuse(stages, shapes):
-    """Adjacent stages fused by the interchange law
+def _fuse(stages):
+    """Adjacent typed stages fused by the interchange law
 
         (f_1 (x) ... (x) f_m) . (e_1 (x) ... (x) e_m)
             = (-1)^{sum_{i>j} |f_i||e_j|} (f_1 . e_1) (x) ... (x) (f_m . e_m)
 
     whenever the later stage's blocks split into groups f_i along the
     earlier stage's m >= 2 output blocks (see _split), from the first
-    applied stage on.  So ``(mu (x) id) . (id (x) Delta (x) id) . (id (x)
-    lambda)`` becomes ``(mu (x) id) . (id (x) ((Delta (x) id) .
-    lambda))``, whose composite factor is cached per key of its own
-    slots.  ``shapes`` holds (source arity, target arity, degree) of each
-    block, in order."""
-    shapes = iter(shapes)
+    applied stage on; the node of the fused stages.  So ``(mu (x) id) .
+    (id (x) Delta (x) id) . (id (x) lambda)`` becomes ``(mu (x) id) . (id
+    (x) ((Delta (x) id) . lambda))``, whose composite factor is cached per
+    key of its own slots.  A typed block is (node, source arity, target
+    arity, degree)."""
     chain = []      # fused stages, first applied first
-    for stage in reversed([[(block,) + next(shapes) for block in stage]
-                           for stage in stages]):
+    for stage in reversed(stages):
         groups = _split(stage, chain[-1]) if chain and len(chain[-1]) > 1 else None
         if groups is None:
             chain.append(stage)
@@ -798,14 +812,6 @@ def parse_element(text, spaces, field):
 class UnknownName(ParseError):
     def __init__(self, raw, space):
         super().__init__("%r is not a basis element of %s" % (raw, space.name))
-
-
-def literal_slots(text):
-    """Tensor slot count of an element literal (1 for a bare scalar)."""
-    counts = {len(key) for _, key in _literal_terms(parse(text))}
-    if len(counts) != 1:
-        raise ParseError("terms of %r have different slot counts" % text)
-    return counts.pop()
 
 
 def _literal_terms(node, coeff=Fraction(1)):

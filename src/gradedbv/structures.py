@@ -121,11 +121,6 @@ class FrobeniusInstance(BVUIInstance):
         maps["epsilon"] = self.epsilon
         return maps
 
-    def pairing(self):
-        """(-1)^{|lambda|} epsilon . mu, a map from the square to scalars:
-        -(epsilon . mu), as |lambda| is odd."""
-        return compile_expr(parse("-(epsilon . mu)"), self.context(), None)
-
 
 def forget_frobenius_to_bvui(instance):
     """Drop the counit; the underlying data is unchanged."""

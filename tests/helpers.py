@@ -1,12 +1,13 @@
 """Shared test oracles, independent of the engine's sign machinery, a
-builder of expression maps over named maps, a random table map, and
-monkeypatch probes counting rule runs and capturing the CLI's models."""
+builder of expression maps over named maps, a random table map, small
+readers of elements, literals, relations and reports, and monkeypatch
+probes counting rule runs and capturing the CLI's models."""
 
 from collections import Counter
 
 from gradedbv import cli
-from gradedbv.core import GradedMap, table_map
-from gradedbv.expr import OpContext, compile_expr, parse
+from gradedbv.core import Element, GradedMap, table_map
+from gradedbv.expr import OpContext, ParseError, _literal_terms, compile_expr, parse
 
 
 def expr_map(text, maps, field, in_spaces=None):
@@ -38,6 +39,43 @@ ZIGZAGS = (
     ("space", "((ev . tau) (x) id) . (id (x) (tau . coev))"),
     ("dual", "(id (x) (ev . tau)) . ((tau . coev) (x) id)"),
 )
+
+
+def apply_permutation_key(perm, key):
+    """The key permuted as ``core.permute`` moves it, computed from
+    scratch: name i goes to slot ``perm[i]``."""
+    out = [None] * len(key)
+    for i, name in enumerate(key):
+        out[perm[i]] = name
+    return tuple(out)
+
+
+def homogeneous_parts(element):
+    """{degree: the element's part of that degree}, in degree order."""
+    parts = {}
+    for key, value in element.coeffs.items():
+        parts.setdefault(element.key_degree(key), {})[key] = value
+    return {d: Element(element.spaces, element.field, c)
+            for d, c in sorted(parts.items())}
+
+
+def literal_slots(text):
+    """Tensor slot count of an element literal (1 for a bare scalar)."""
+    counts = {len(key) for _, key in _literal_terms(parse(text))}
+    if len(counts) != 1:
+        raise ParseError("terms of %r have different slot counts" % text)
+    return counts.pop()
+
+
+def pairing(instance):
+    """(-1)^{|lambda|} epsilon . mu of a Frobenius instance, a map from
+    the square to scalars: -(epsilon . mu), as |lambda| is odd."""
+    return compile_expr(parse("-(epsilon . mu)"), instance.context(), None)
+
+
+def term_count(spec):
+    """The number of signed terms of a relation, over all its groups."""
+    return sum(len(group) for group in spec.groups)
 
 
 def adjacent_decomposition_sign(perm, degrees, from_left):

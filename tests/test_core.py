@@ -8,7 +8,7 @@ from gradedbv.core import (ArityMismatch, DegreeError, FiniteSpace, GradedMap,
                            scalar_element, table_map, zero_element)
 from gradedbv.expr import compile_expr, evaluate, parse
 
-from helpers import expr_map
+from helpers import expr_map, homogeneous_parts
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def test_element_degrees_and_parts(sphere):
     assert x.degrees() == [-3, 2]
     with pytest.raises(DegreeError):
         x.degree()
-    parts = x.homogeneous_parts()
+    parts = homogeneous_parts(x)
     assert set(parts) == {-3, 2}
     assert parts[2] == basis_element((sp,), field, ("U",))
 

@@ -244,10 +244,14 @@ def test_double_subalgebra_restrictions():
 
 
 def test_double_operator_is_diagonal():
-    # Delta(b) = 1 on three-dim is no BV structure, but the double's
-    # assembly checks no relation, so its shifted-dual operator part
-    # -(s . dual(Delta) . omega) is nonzero here; the expected values come
-    # from fresh shifts and the adjoint table, with the sign written out
+    # Delta(b) = 1 on three-dim is a BV structure: Delta^2 = 0 as
+    # Delta(1) = 0, and the seven-term relation holds, since a product of
+    # two of a, b is zero, Delta(a), Delta(b) are multiples of 1, and with
+    # a unit input it reduces to graded commutativity (the checker passes
+    # it on BVUI_FULL and CONSEQUENCES).  Its double's shifted-dual
+    # operator part -(s . dual(Delta) . omega) is nonzero; the expected
+    # values come from fresh shifts and the adjoint table, with the sign
+    # written out
     three = g.builtin_model("three-dim")
     A, field, d = three.space, three.field, three.lam_degree
     delta = table_map((A,), (A,), 1, field, [(("b",), ("1",), 1)], "Delta")

@@ -1,4 +1,5 @@
-"""Stage fusion in the compiler and shared partial sums in the walk."""
+"""Normal forms in the compiler, shared heads and shared partial sums in
+the walk."""
 
 import itertools
 import random
@@ -7,13 +8,14 @@ import pytest
 
 import gradedbv as g
 from gradedbv import checks
-from gradedbv.checks import (MAX_WITNESSES, Window, check_relations,
-                             compile_relations, relation_residual)
+from gradedbv.checks import (MAX_WITNESSES, RelationSpec, Window,
+                             check_relations, compile_relations,
+                             relation_residual)
 from gradedbv.core import (EngineError, FiniteSpace, Rationals, basis_element,
                            table_map)
 from gradedbv.double import build_double, build_double_data
-from gradedbv.expr import (Compose, OpContext, Scal, Sum, _fused, compile_expr,
-                           parse, target_arity)
+from gradedbv.expr import (PERMS, Compose, Gen, OpContext, Scal, Sum,
+                           compile_expr, normal_form, parse, target_arity)
 from gradedbv.gysin import _gysin_context, _transported, canonical_gysin
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
@@ -65,6 +67,11 @@ def _transported_terms():
                 yield term, arity
 
 
+def _compiled_as(term, ctx, spaces):
+    """The node ``term`` compiles as: a composite map is named by it."""
+    return parse(compile_expr(term, ctx, spaces).name)
+
+
 def _assert_fused_maps_are_exact(ctx, space, terms):
     """Each term's map equals its stages applied one at a time on every
     key of Window(3, 2); returns how many terms were rewritten."""
@@ -73,7 +80,7 @@ def _assert_fused_maps_are_exact(ctx, space, terms):
         spaces = (space,) * arity
         gmap = compile_expr(term, ctx, spaces)
         if isinstance(term, Compose):
-            rewritten += _fused(term, ctx) is not term
+            rewritten += _compiled_as(term, ctx, spaces) is not term
         for key in itertools.product(window.names_for(space, arity),
                                      repeat=arity):
             elem = basis_element(spaces, field, key)
@@ -103,6 +110,55 @@ def test_fused_transported_terms_equal_their_stages_applied_in_turn(field):
         assert rewritten == 16, inst.name
 
 
+def _stages_of(node):
+    return node.children if isinstance(node, Compose) else (node,)
+
+
+def test_no_transported_term_keeps_an_inner_permutation():
+    inst = g.sphere_model(3)
+    data = canonical_gysin(inst)
+    ctx = _gysin_context(inst, data)
+    moved = []
+    for term, _ in _transported_terms():
+        sign, head, perm = normal_form(term, ctx)
+        assert not any(isinstance(stage, Gen) and stage.name in PERMS
+                       for stage in _stages_of(head)), term
+        # its normal form is normal
+        assert normal_form(head, ctx) == (1, head, None)
+        if perm is not None:
+            moved.append((sign, perm.name))
+    # NineTerm's two tau terms pass the odd M (x) M, SevenTermMu's sigma
+    # and sigma2 terms the three odd M, a cyclic (even) reordering
+    assert sorted(moved) == [(-1, "tau"), (-1, "tau"), (1, "sigma"),
+                             (1, "sigma"), (1, "sigma2"), (1, "sigma2")]
+
+
+def _typed_gysin_terms(rid, pre, post, arity):
+    inst = g.sphere_model(3)
+    data = canonical_gysin(inst)
+    ctx = _gysin_context(inst, data)
+    spec = RelationSpec(rid, arity, rid, _transported(rid, parse(pre), parse(post)))
+    (terms,) = checks._typed_terms(spec, ctx, (data.space_b,) * arity)
+    return spec.groups[0], terms
+
+
+def test_transported_twisted_terms_read_the_heads_of_their_twins():
+    group, terms = _typed_gysin_terms("NineTerm", "M (x) M", "E (x) E", 2)
+    # terms 7 and 9 (1-based) are terms 6 and 8 after tau: the same head
+    # map, tau's slot map, and the moved sign on the coefficient
+    for bare, twisted in ((5, 6), (7, 8)):
+        assert terms[twisted][1] is terms[bare][1]
+        assert terms[bare][2] is None and terms[twisted][3] == PERMS["tau"]
+        assert terms[twisted][0] == -group[twisted][0]
+    group, terms = _typed_gysin_terms("SevenTermMu", "M (x) M (x) M", "E", 3)
+    for bare, twisted, name in ((1, 2, "sigma"), (1, 3, "sigma2"),
+                                (4, 5, "sigma"), (4, 6, "sigma2")):
+        assert terms[twisted][1] is terms[bare][1]
+        assert terms[twisted][3] == PERMS[name]
+        assert terms[twisted][0] == group[twisted][0]
+    assert len({id(term[1]) for term in terms}) == 3
+
+
 def _assert_same_map(first, second, keys):
     keys = list(keys)
     assert keys
@@ -115,7 +171,7 @@ def test_the_interchange_sign_goes_on_one_factor():
     ctx, sp = inst.context(), inst.space
     node = parse("(id (x) id (x) Delta) . (lambda (x) id)")
     # |Delta| |lambda| is odd
-    assert _fused(node, ctx) is parse("(-lambda) (x) Delta")
+    assert normal_form(node, ctx) == (1, parse("(-lambda) (x) Delta"), None)
     names = Window(4).names_for(sp, 2)
     _assert_same_map(compile_expr(node, ctx, (sp, sp)),
                      compile_expr(parse("-(lambda (x) Delta)"), ctx, (sp, sp)),
@@ -124,7 +180,7 @@ def test_the_interchange_sign_goes_on_one_factor():
     data = canonical_gysin(inst)
     gctx = _gysin_context(inst, data)
     term = _transported("NineTerm", parse("M (x) M"), parse("E (x) E"))[0][5]
-    assert "-" not in str(_fused(term[1], gctx))
+    assert "-" not in str(normal_form(term[1], gctx)[1])
 
 
 def test_the_double_component_through_omega_is_fused_with_its_sign():
@@ -134,7 +190,7 @@ def test_the_double_component_through_omega_is_fused_with_its_sign():
     base = data.base.space
     node = parse("(id (x) lambda) . (omega (x) id)")
     # |lambda| |omega| is odd
-    assert _fused(node, ctx) is parse("(-omega) (x) lambda")
+    assert normal_form(node, ctx) == (1, parse("(-omega) (x) lambda"), None)
     spaces = (shifted, base)
     keys = itertools.product(sorted(shifted.basis_names()),
                              sorted(base.basis_names()))
@@ -162,8 +218,8 @@ def test_fused_double_components_equal_their_stages_applied_in_turn(field):
                     elem = basis_element(spaces, ctx.field, key)
                     assert gmap.on_key(key) == \
                         _stagewise(parse(text), ctx, elem), (text, key)
-        signed += _fused(parse("(id (x) lambda) . (omega (x) id)"), ctx) \
-            is parse("(-omega) (x) lambda")
+        signed += normal_form(parse("(id (x) lambda) . (omega (x) id)"), ctx) \
+            == (1, parse("(-omega) (x) lambda"), None)
     assert signed == 2
 
 
@@ -187,9 +243,16 @@ def _random_maps(rng, space, field):
     return maps
 
 
+# the whole permutation stage of each arity it exists for, but id
+_WHOLE_PERMS = {2: ["tau"], 3: ["sigma", "sigma2"]}
+
+
 def _random_stage(rng, maps, arity):
     """A tensor of random blocks (``id`` or a map) consuming ``arity``
-    slots, blocks that consume none put in at random."""
+    slots, blocks that consume none put in at random; one time in four,
+    a whole ``tau``, ``sigma`` or ``sigma2`` when ``arity`` is theirs."""
+    if arity in _WHOLE_PERMS and rng.random() < 0.25:
+        return rng.choice(_WHOLE_PERMS[arity])
     blocks, left = [], arity
     while left or not blocks or rng.random() < 0.2:
         name = rng.choice(["id", "id"] + sorted(maps))
@@ -200,35 +263,59 @@ def _random_stage(rng, maps, arity):
     return " (x) ".join(blocks)
 
 
+def _is_perm(stage):
+    return isinstance(stage, Gen) and stage.name in PERMS
+
+
 def test_random_compositions_equal_their_stages_applied_in_turn():
     rng = random.Random(20)
     space = FiniteSpace("V", {"e": 0, "o": 1})
-    field = g.QQ
-    maps = _random_maps(rng, space, field)
     names = sorted(space.basis_names())
-    fused = signed = 0
-    for _ in range(300):
-        ctx = OpContext(maps, field)
-        arity = rng.randint(1, 3)
-        stages, slots = [], arity
-        for _ in range(rng.randint(2, 3)):
-            stage = _random_stage(rng, maps, slots)
-            stages.append("(%s)" % stage)
-            slots = target_arity(parse(stage), ctx)
-            if slots > 4:
-                break
-        node = parse(" . ".join(reversed(stages)))
-        if not isinstance(node, Compose) or slots > 4:
-            continue
-        spaces = (space,) * arity
-        gmap = compile_expr(node, ctx, spaces)
-        rewritten = _fused(node, ctx)
-        fused += rewritten is not node
-        signed += "-" in str(rewritten)
-        for key in itertools.product(names, repeat=arity):
-            elem = basis_element(spaces, field, key)
-            assert gmap.on_key(key) == _stagewise(node, ctx, elem), (node, key)
-    assert fused > 50 and signed > 10
+    fused = signed = moved = refused = negative = 0
+    for field in (g.QQ, g.field_by_name("Fp:101")):
+        maps = _random_maps(rng, space, field)
+        for _ in range(500):
+            ctx = OpContext(maps, field)
+            arity = rng.randint(1, 3)
+            stages, slots = [], arity
+            for _ in range(rng.randint(2, 3)):
+                stage = _random_stage(rng, maps, slots)
+                stages.append("(%s)" % stage)
+                slots = target_arity(parse(stage), ctx)
+                if slots > 4:
+                    break
+            node = parse(" . ".join(reversed(stages)))
+            if not isinstance(node, Compose) or slots > 4:
+                continue
+            spaces = (space,) * arity
+            gmap = compile_expr(node, ctx, spaces)
+            rewritten = _compiled_as(node, ctx, spaces)
+            fused += rewritten is not node
+            signed += "-" in str(rewritten)
+            # a permutation inside the composition moves to the input or
+            # stays a stage of the head
+            sign, head, perm = normal_form(node, ctx)
+            if any(map(_is_perm, node.children[:-1])):
+                if any(map(_is_perm, _stages_of(head))):
+                    refused += 1
+                else:
+                    moved += 1
+                    negative += sign == -1
+            # the walk reads the head and the sign from the normal form: a
+            # relation of the term once runs the head, one of the term
+            # twice shares it
+            relations = [checks.compile_relation(
+                RelationSpec("R", arity, "", (((1, node),) * n,)), ctx, spaces)
+                for n in (1, 2)]
+            for key in itertools.product(names, repeat=arity):
+                elem = basis_element(spaces, field, key)
+                assert gmap.on_key(key) == _stagewise(node, ctx, elem), (node, key)
+                for n, relation in enumerate(relations, 1):
+                    hit = checks.residual_on_key(relation, ctx, spaces, key)
+                    assert (hit and hit[1].coeffs) == \
+                        (gmap.on_key(key).scale(n).coeffs or None), (node, key)
+    assert fused > 200 and signed > 40
+    assert moved > 50 and refused > 50 and negative > 2, (moved, refused, negative)
 
 
 def test_the_rewrite_follows_the_degrees_of_each_context():
@@ -242,12 +329,11 @@ def test_the_rewrite_follows_the_degrees_of_each_context():
                 for name, degree in (("f", 0), ("g", odd), ("f2", odd),
                                      ("g2", 0))}
     node = parse("(f (x) g) . (f2 (x) g2)")
-    assert _fused(node, OpContext(maps(1), field)) is \
-        parse("(-(f . f2)) (x) (g . g2)")
-    assert _fused(node, OpContext(maps(0), field)) is \
-        parse("(f . f2) (x) (g . g2)")
-    assert _fused(node, OpContext(maps(-1), field)) is \
-        parse("(-(f . f2)) (x) (g . g2)")
+    for odd, fused in ((1, "(-(f . f2)) (x) (g . g2)"),
+                       (0, "(f . f2) (x) (g . g2)"),
+                       (-1, "(-(f . f2)) (x) (g . g2)")):
+        assert normal_form(node, OpContext(maps(odd), field)) == \
+            (1, parse(fused), None)
 
 
 def test_a_fused_factor_is_computed_once_per_slot_key(monkeypatch, tmp_path):

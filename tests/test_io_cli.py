@@ -112,7 +112,7 @@ def test_empty_mu_loads_and_unit_fails(tmp_path):
     inst = load_instance(path)
     reports = g.check_structure(inst, ("Unit",), Window())
     assert reports[0].status == "fail"
-    key, group, residual = reports[0].first_witness()
+    key, group, residual = reports[0].witnesses[0]
     assert key == ("1",)
     assert str(residual) == "-1"
 

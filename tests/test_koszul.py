@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gradedbv as g
-from gradedbv.core import basis_element, apply_permutation_key
+from gradedbv.core import basis_element
 
-from helpers import adjacent_decomposition_sign, expr_map, random_table_map
+from helpers import (adjacent_decomposition_sign, apply_permutation_key,
+                     expr_map, random_table_map)
 
 
 def test_identity_permutation_is_plus_one():
@@ -391,7 +392,7 @@ def test_a_permutation_cache_miss_builds_no_element(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("called on a permutation cache miss")
 
-    for name in ("koszul_sign", "apply_permutation_key", "basis_element"):
+    for name in ("koszul_sign", "basis_element"):
         monkeypatch.setattr(core, name, forbidden)
     monkeypatch.setattr(core.Element, "__init__", forbidden)
     out = sigma.on_key(("A", "U", "AU"))

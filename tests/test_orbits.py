@@ -10,7 +10,7 @@ from gradedbv.checks import (MAX_WITNESSES, Window, compile_relation,
                              relation_residual, residual_on_key, sign_mutations)
 from gradedbv.core import EngineError, FiniteSpace, GradedMap, basis_element
 from gradedbv.double import build_double
-from gradedbv.expr import compile_expr
+from gradedbv.expr import Compose, compile_expr, normal_form, parse
 from gradedbv.structures import builtin_relation, is_applicable, relation_ids
 
 
@@ -299,6 +299,22 @@ def test_orbits_add_no_plan_and_no_cached_output():
         names = window.names_for(by_term.space, spec.arity)
         for key in itertools.product(names, repeat=spec.arity):
             assert _term_by_term(spec, by_term.context(), spaces, key) is None
+    # the walk compiles each term's head X and permutation P, never a
+    # whole term that is not its own head, nor the node it compiles as
+    ctx = by_term.context()
+    unread = set()
+    for spec in holding:
+        spaces = (by_term.space,) * spec.arity
+        for group in spec.groups:
+            for _, term in group:
+                if isinstance(term, Compose):
+                    head = normal_form(term, ctx)[1]
+                    whole = parse(compile_expr(term, ctx, spaces).name)
+                    unread |= {(n, spec.arity) for n in (term, whole)
+                               if n is not head}
+    assert unread
     assert ({(node, len(s)) for node, s in by_orbit.context().plans}
-            == {(node, len(s)) for node, s in by_term.context().plans})
-    assert _cached_keys(by_orbit.context()) == _cached_keys(by_term.context())
+            == {(node, len(s)) for node, s in ctx.plans} - unread)
+    by_term_keys = {name: keys for name, keys in _cached_keys(ctx).items()
+                    if name not in unread}
+    assert _cached_keys(by_orbit.context()) == by_term_keys

@@ -10,10 +10,13 @@ from gradedbv import checks
 from gradedbv.checks import Window, relation_residual, residual_on_key
 from gradedbv.core import (ArityMismatch, FiniteSpace, GradedMap, basis_element,
                            source_basis_keys, table_map)
-from gradedbv.expr import Gen, Sum, Tensor, compile_expr, parse, print_expr
+from gradedbv.expr import (Compose, Gen, Sum, Tensor, compile_expr,
+                           normal_form, parse, print_expr)
 from gradedbv.reportio import report_document
 from gradedbv.structures import (BETA, GAMMA, BVUIInstance, builtin_relation,
                                  check_consequences, is_applicable)
+
+from helpers import term_count
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +25,7 @@ def sphere():
 
 
 def _elem(inst, text, arity=None):
-    from gradedbv.expr import literal_slots
+    from helpers import literal_slots
     arity = literal_slots(text) if arity is None else arity
     return g.parse_element(text, (inst.space,) * arity, inst.field)
 
@@ -42,7 +45,7 @@ def _elem(inst, text, arity=None):
     ("CoPoisson", 3),
 ])
 def test_catalog_term_counts(rid, count):
-    assert builtin_relation(rid).term_count() == count
+    assert term_count(builtin_relation(rid)) == count
 
 
 def test_nine_term_is_eleven_minus_the_copairing_terms():
@@ -77,7 +80,7 @@ def test_flipped_lambda_sign_fails_cocommutativity(sphere):
     mutated = g.mutate(sphere, "lambda-u-flip")
     reports = g.check_structure(mutated, ("Cocomm",), Window(3))
     assert reports[0].status == "fail"
-    key, group, residual = reports[0].first_witness()
+    key, group, residual = reports[0].witnesses[0]
     # tau lambda(U) = +lambda(U) after the flip, so the residual is
     # 2(A (x) 1 + 1 (x) A) at the first failing input U^1
     assert key == ("U",)
@@ -195,7 +198,7 @@ def test_residual_agreement_survives_a_broken_operator(sphere):
 
 def test_optional_counit_contraction_of_the_eleven_term():
     spec = builtin_relation("EpsilonElevenTerm")
-    assert spec.term_count() == 4
+    assert term_count(spec) == 4
     frob = g.sphere_frobenius_model(3)
     reports = g.check_structure(frob, ("EpsilonElevenTerm",), Window())
     assert reports[0].status == "pass"
@@ -293,14 +296,22 @@ def test_relation_terms_are_compiled_once(sphere, monkeypatch, k):
         calls.append(node)
         return compile_expr(node, ctx, in_spaces)
 
+    def compiled(term, ctx):
+        # a composition's input permutation P, then its head X
+        if not isinstance(term, Compose):
+            return [term]
+        _, head, perm = normal_form(term, ctx)
+        return [head] if perm is None else [perm, head]
+
     monkeypatch.setattr(checks, "compile_expr", counting)
     for rid in ("Jacobi", "ElevenTerm", "Unit"):
         spec = builtin_relation(rid)
         calls.clear()
-        report = relation_residual(spec, sphere.context(), sphere.space,
-                                   Window(k))
+        ctx = sphere.context()
+        report = relation_residual(spec, ctx, sphere.space, Window(k))
         assert report.tuples_checked == (2 * k + 2) ** spec.arity
-        assert calls == [e for group in spec.groups for _, e in group]
+        assert calls == [e for group in spec.groups for _, term in group
+                         for e in compiled(term, ctx)]
 
 
 # -- compiled plans shared per context ------------------------------------
