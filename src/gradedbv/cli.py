@@ -71,17 +71,13 @@ def _window(args):
     return Window(k, k3 if k3 is not None else k)
 
 
+_SUITES = {"bvui": BVUI_FULL, "frobenius": FROBENIUS_FULL,
+           "consequences": CONSEQUENCES}
+
+
 def _suite_for(args, instance):
-    name = args.suite
-    if name == "bvui":
-        return BVUI_FULL
-    if name == "frobenius":
-        return FROBENIUS_FULL
-    if name == "consequences":
-        return CONSEQUENCES
-    if name == "all":
-        return _full_suite(instance)
-    raise EngineError("unknown suite %r" % name)
+    """The named suite; ``all`` is the instance's full suite."""
+    return _SUITES.get(args.suite) or _full_suite(instance)
 
 
 def _full_suite(instance):
@@ -89,9 +85,11 @@ def _full_suite(instance):
     return base + CONSEQUENCES + ("NineTerm",)
 
 
-def _emit(doc, args):
+def _report(args, command, name, field, window, reports, extra=None):
+    """Print a run's report document, and write it to ``--out`` if given."""
+    doc = report_document(command, name, field, window, reports, extra)
     print(render_document(doc))
-    if getattr(args, "out", None):
+    if args.out:
         write_report(doc, args.out)
 
 
@@ -108,10 +106,8 @@ def cmd_check(args):
     field = field_by_name(args.field)
     instance = _resolve(args.target, field)
     window = _window(args)
-    suite = _suite_for(args, instance)
-    reports = check_structure(instance, suite, window)
-    doc = report_document("check", instance.name, field, window, reports)
-    _emit(doc, args)
+    reports = check_structure(instance, _suite_for(args, instance), window)
+    _report(args, "check", instance.name, field, window, reports)
     return _exit_for(reports)
 
 
@@ -142,8 +138,7 @@ def cmd_double(args):
         return EXIT_VALIDATION
     window = _window(args)
     reports = check_structure(doubled, FROBENIUS_FULL, window)
-    doc = report_document("double", doubled.name, field, window, reports)
-    _emit(doc, args)
+    _report(args, "double", doubled.name, field, window, reports)
     if args.save:
         save_instance(doubled, args.save)
         print("wrote %s" % args.save)
@@ -164,8 +159,7 @@ def cmd_gysin(args):
         print("gysin data invalid: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     reports = check_lie_bialgebra(instance, data, window)
-    doc = report_document("gysin", instance.name, field, window, reports)
-    _emit(doc, args)
+    _report(args, "gysin", instance.name, field, window, reports)
     return _exit_for(reports)
 
 
@@ -175,9 +169,8 @@ def cmd_mutate(args):
     mutated = mutate(instance, args.mutation)
     window = _window(args)
     reports = check_structure(mutated, _full_suite(mutated), window)
-    doc = report_document("mutate", mutated.name, field, window, reports,
-                          extra={"mutation": args.mutation})
-    _emit(doc, args)
+    _report(args, "mutate", mutated.name, field, window, reports,
+            extra={"mutation": args.mutation})
     failed = any(r.status == "fail" for r in reports)
     if args.mutation == "identity":
         return EXIT_RELATION if failed else EXIT_OK
@@ -212,7 +205,7 @@ def build_parser():
     p = sub.add_parser("check", help="run a relation suite")
     common(p)
     p.add_argument("--suite", default="all",
-                   choices=["bvui", "frobenius", "consequences", "all"])
+                   choices=[*_SUITES, "all"])
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("eval", help="evaluate an expression on an element")

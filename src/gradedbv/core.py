@@ -13,9 +13,10 @@ scalar multiples of maps are expressions, compiled by ``expr``.  The
 rule above is the only place tensor signs are introduced.
 ``tensor_factors`` lays out each tensor product of an expression once,
 and ``tensor_run`` compiles it over a field to one loop fixed to that
-layout: a single non-identity block at the start (the whole key or a
-prefix), at the end (a suffix) or in the middle has its slices fixed
-ahead of time, and several blocks multiply their outputs out.  The
+layout: a single non-identity block has its slices fixed ahead of
+time, in one loop for a block at the start (the whole key or a prefix)
+and one for a block after the start (a suffix is a middle block with an
+empty tail), and several blocks multiply their outputs out.  The
 parity of a basis name in a sign slot is read from a per-kernel dict,
 filled the first time the name is seen.  ``permute`` compiles each
 permutation map alike, to a fixed slot move and a sign from the
@@ -58,7 +59,26 @@ class UnknownBasisName(EngineError):
 # scalar fields
 # ---------------------------------------------------------------------------
 
-class Rationals:
+class _Field:
+    """What the two fields share: the unit, the zero and one tests,
+    printing, and ``repr`` as the field's ``name``."""
+
+    one = 1
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_one(self, a):
+        return a == 1
+
+    def fmt(self, a):
+        return str(a)
+
+    def __repr__(self):
+        return self.name
+
+
+class Rationals(_Field):
     """Exact rational scalars (arbitrary precision).
 
     A value with denominator 1 is held as an ``int``, any other as a
@@ -73,7 +93,6 @@ class Rationals:
     """
 
     name = "Q"
-    one = 1
 
     def coerce(self, value):
         if isinstance(value, (int, Fraction)):
@@ -95,15 +114,6 @@ class Rationals:
         if a == 0:
             raise EngineError("division by zero in Q")
         return _integral(1 / Fraction(a))
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_one(self, a):
-        return a == 1
-
-    def fmt(self, a):
-        return str(a)
 
     def accumulate(self, acc, terms, scalar):
         """Add ``scalar * value`` into the dict ``acc`` for every (key,
@@ -141,24 +151,19 @@ class Rationals:
                     value = value.numerator
             acc[key] = value
 
-    def __repr__(self):
-        return "Q"
-
 
 def _integral(value):
     """A rational as an ``int`` when its denominator is 1."""
     return value.numerator if value.denominator == 1 else value
 
 
-class PrimeField:
+class PrimeField(_Field):
     """Integers mod an odd prime p; p = 2 erases all signs (diagnostic).
 
     The modulus must be a prime below 2^64 (``is_prime``).
     ``accumulate`` is the field's kernel for linear combinations, with
     the reductions mod p inline.
     """
-
-    one = 1
 
     def __init__(self, p):
         if not (p < MAX_MODULUS and is_prime(p)):
@@ -193,15 +198,6 @@ class PrimeField:
             raise EngineError("division by zero in %s" % self.name)
         return pow(a, -1, self.p)
 
-    def is_zero(self, a):
-        return a == 0
-
-    def is_one(self, a):
-        return a == 1
-
-    def fmt(self, a):
-        return str(a)
-
     def accumulate(self, acc, terms, scalar):
         """``Rationals.accumulate`` mod p: products and sums are reduced."""
         if scalar == 0:
@@ -227,9 +223,6 @@ class PrimeField:
                     del acc[key]
                     continue
             acc[key] = value
-
-    def __repr__(self):
-        return self.name
 
 
 MAX_MODULUS = 2 ** 64
@@ -734,9 +727,10 @@ def tensor_run(kernel, field):
     Key x = x_1 (x) ... (x) x_k, block j feeding f_j, goes to
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
     f_k(x_k); nothing is added when some f_j(x_j) vanishes.  The loop is
-    picked here, once per kernel.  A single non-identity block is the
-    whole key or a prefix of it, which has no sign slots, or a suffix or
-    the middle of it, whose sign slots all lie before it; its loop copies
+    picked here, once per kernel.  A single non-identity block is either
+    at the start of the key (the whole key or a prefix), which has no
+    sign slots, or after the start (the middle, or a suffix with an
+    empty tail), whose sign slots all lie before it; its loop copies
     the identity slots around the block's output with slices fixed ahead
     of time, skips a vanishing output and adds a one-term output without
     building a list (on the sphere model about a third of the block
@@ -762,23 +756,6 @@ def tensor_run(kernel, field):
                 elif part:
                     tail = key[end:]
                     add_into(acc, [(k + tail, v) for k, v in part.items()],
-                             coeff)
-            return acc
-    elif end == arity:
-        def run(coeffs):
-            acc = {}
-            for key, coeff in coeffs.items():
-                if len(key) != arity:
-                    raise _arity_error(key, arity)
-                if sign_slots and _odd(sign_slots, key):
-                    coeff = neg(coeff)
-                part = on_key(key[start:]).coeffs
-                if len(part) == 1:
-                    (k, v), = part.items()
-                    add_into(acc, ((key[:start] + k, v),), coeff)
-                elif part:
-                    head = key[:start]
-                    add_into(acc, [(head + k, v) for k, v in part.items()],
                              coeff)
             return acc
     else:

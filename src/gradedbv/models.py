@@ -160,11 +160,31 @@ def normalize_sphere_name(raw):
 # finite models
 # ---------------------------------------------------------------------------
 
-def _table_map(space, field, src_arity, tgt_arity, degree, name, rows):
-    """``core.table_map`` of a literal {input: {output: coeff}} table."""
-    return table_map((space,) * src_arity, (space,) * tgt_arity, degree, field,
-                     [(key, okey, c) for key, out in rows.items()
-                      for okey, c in out.items()], name)
+def _finite_model(name, degrees, lam_degree, mu, lam, field, delta=None,
+                  epsilon=None):
+    """A finite instance on the basis ``degrees`` ({name: degree}) with
+    unit 1.  ``mu``, ``lam``, ``delta`` and ``epsilon`` list (input key,
+    output key, coefficient) entries for ``core.table_map``; ``mu`` lists
+    only the products of two names other than 1, whose rows 1 * b = b *
+    1 = b are written here.  No ``delta`` is Delta = 0, and an
+    ``epsilon`` of degree -|lambda| makes a FrobeniusInstance."""
+    space = FiniteSpace(name, degrees)
+
+    def table(source, target, degree, map_name, entries):
+        return table_map((space,) * source, (space,) * target, degree, field,
+                         entries, map_name)
+
+    unit = [(("1", b), (b,), 1) for b in degrees]
+    unit += [((b, "1"), (b,), 1) for b in degrees if b != "1"]
+    mu = table(2, 1, 0, "mu", unit + list(mu))
+    eta = basis_element((space,), field, ("1",))
+    lam = table(1, 2, lam_degree, "lambda", lam)
+    delta = table(1, 1, 1, "Delta", delta or ())
+    if epsilon is None:
+        return BVUIInstance(name, space, field, mu, eta, lam, delta, lam_degree)
+    return FrobeniusInstance(name, space, field, mu, eta, lam, delta,
+                             lam_degree,
+                             table(1, 0, -lam_degree, "epsilon", epsilon))
 
 
 def sphere_frobenius_model(n, field=QQ):
@@ -175,73 +195,50 @@ def sphere_frobenius_model(n, field=QQ):
     """
     if n < 3 or n % 2 == 0:
         raise EngineError("Frobenius sphere model needs odd n >= 3, got %d" % n)
-    space = FiniteSpace("sphere-frob:%d" % n, {"1": 0, "x": -n})
-    mu = _table_map(space, field, 2, 1, 0, "mu", {
-        ("1", "1"): {("1",): 1},
-        ("1", "x"): {("x",): 1},
-        ("x", "1"): {("x",): 1},
-        ("x", "x"): {},
-    })
-    lam = _table_map(space, field, 1, 2, -n, "lambda", {
-        ("1",): {("x", "1"): 1, ("1", "x"): -1},
-        ("x",): {("x", "x"): 1},
-    })
-    delta = _table_map(space, field, 1, 1, 1, "Delta", {})
-    epsilon = _table_map(space, field, 1, 0, n, "epsilon", {
-        ("x",): {(): 1},
-    })
-    eta = basis_element((space,), field, ("1",))
-    return FrobeniusInstance("sphere-frob:%d" % n, space, field, mu, eta, lam,
-                             delta, -n, epsilon)
+    return _finite_model(
+        "sphere-frob:%d" % n, {"1": 0, "x": -n}, -n, (),
+        [(("1",), ("x", "1"), 1), (("1",), ("1", "x"), -1),
+         (("x",), ("x", "x"), 1)], field, epsilon=[(("x",), (), 1)])
 
 
 def trivial_model(field=QQ):
     """The one-dimensional instance: everything but the unit vanishes."""
-    space = FiniteSpace("trivial", {"1": 0})
-    mu = _table_map(space, field, 2, 1, 0, "mu", {("1", "1"): {("1",): 1}})
-    lam = _table_map(space, field, 1, 2, -1, "lambda", {})
-    delta = _table_map(space, field, 1, 1, 1, "Delta", {})
-    eta = basis_element((space,), field, ("1",))
-    return BVUIInstance("trivial", space, field, mu, eta, lam, delta, -1)
+    return _finite_model("trivial", {"1": 0}, -1, (), (), field)
 
 
 def exterior_model(field=QQ):
     """Free graded-commutative algebra on one odd generator, zero coproduct."""
-    space = FiniteSpace("exterior", {"1": 0, "x": -1})
-    mu = _table_map(space, field, 2, 1, 0, "mu", {
-        ("1", "1"): {("1",): 1},
-        ("1", "x"): {("x",): 1},
-        ("x", "1"): {("x",): 1},
-        ("x", "x"): {},
-    })
-    lam = _table_map(space, field, 1, 2, -1, "lambda", {})
-    delta = _table_map(space, field, 1, 1, 1, "Delta", {})
-    eta = basis_element((space,), field, ("1",))
-    return BVUIInstance("exterior", space, field, mu, eta, lam, delta, -1)
+    return _finite_model("exterior", {"1": 0, "x": -1}, -1, (), (), field)
+
+
+def exterior_bv_model(field=QQ):
+    """The exterior algebra on one odd generator x with Delta = d/dx.
+
+    Basis 1 (degree 0) and x (degree -1); product unital with x^2 = 0;
+    lambda = 0 with |lambda| = -1; Delta(1) = 0, Delta(x) = 1.  As
+    lambda(1) = 0 it has a double, whose Delta is nonzero too: there a
+    single sign flip fails in each relation whose flips the models with
+    Delta = 0 cannot see.
+    """
+    return _finite_model("exterior-bv", {"1": 0, "x": -1}, -1, (), (), field,
+                         delta=[(("x",), ("1",), 1)])
 
 
 def three_dim_model(field=QQ):
     """Nonzero coproduct with vanishing copairing: lambda(b) = a(x)a."""
-    space = FiniteSpace("three-dim", {"1": 0, "a": -1, "b": -1})
-    mu = _table_map(space, field, 2, 1, 0, "mu", {
-        ("1", "1"): {("1",): 1},
-        ("1", "a"): {("a",): 1},
-        ("a", "1"): {("a",): 1},
-        ("1", "b"): {("b",): 1},
-        ("b", "1"): {("b",): 1},
-    })
-    lam = _table_map(space, field, 1, 2, -1, "lambda", {
-        ("b",): {("a", "a"): 1},
-    })
-    delta = _table_map(space, field, 1, 1, 1, "Delta", {})
-    eta = basis_element((space,), field, ("1",))
-    return BVUIInstance("three-dim", space, field, mu, eta, lam, delta, -1)
+    return _finite_model("three-dim", {"1": 0, "a": -1, "b": -1}, -1, (),
+                         [(("b",), ("a", "a"), 1)], field)
+
+
+_FINITE_MODELS = {"trivial": trivial_model, "exterior": exterior_model,
+                  "three-dim": three_dim_model,
+                  "exterior-bv": exterior_bv_model}
 
 
 def finite_bvui_examples(field=QQ):
     """The finite built-ins; the test suite checks that each passes the
     full BVUI suite over Q and Fp:101."""
-    return [trivial_model(field), exterior_model(field), three_dim_model(field)]
+    return [build(field) for build in _FINITE_MODELS.values()]
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +299,9 @@ MAX_DIMENSION_DIGITS = 100
 
 def builtin_model(name, field=QQ):
     """Resolve a model name: sphere:<n>, sphere-frob:<n>, trivial,
-    exterior, three-dim; n is written in ASCII digits."""
-    if name == "trivial":
-        return trivial_model(field)
-    if name == "exterior":
-        return exterior_model(field)
-    if name == "three-dim":
-        return three_dim_model(field)
+    exterior, three-dim, exterior-bv; n is written in ASCII digits."""
+    if name in _FINITE_MODELS:
+        return _FINITE_MODELS[name](field)
     prefix, _, digits = name.partition(":")
     build = {"sphere": sphere_model,
              "sphere-frob": sphere_frobenius_model}.get(prefix)
@@ -318,5 +311,4 @@ def builtin_model(name, field=QQ):
     raise EngineError("unknown model %.60r" % name)
 
 
-BUILTIN_MODEL_NAMES = ("sphere:<n>", "sphere-frob:<n>", "trivial", "exterior",
-                       "three-dim")
+BUILTIN_MODEL_NAMES = ("sphere:<n>", "sphere-frob:<n>") + tuple(_FINITE_MODELS)

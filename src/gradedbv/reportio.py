@@ -292,9 +292,7 @@ def save_instance(instance, path):
         doc["epsilon"] = [
             {"name": key[0], "coeff": field.fmt(out.coeffs[()])}
             for key, out in sorted(instance.epsilon.as_table().items())]
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_report(doc, path)
 
 
 # ---------------------------------------------------------------------------

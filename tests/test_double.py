@@ -138,7 +138,8 @@ def test_coev_on_exterior_model():
     assert coev.on_key(()) == expected
 
 
-@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim"])
+@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim",
+                                   "exterior-bv"])
 def test_all_four_zigzag_identities(model):
     inst = g.builtin_model(model)
     sp, field = inst.space, inst.field
@@ -182,13 +183,31 @@ def test_trivial_double_hand_values():
         assert d.delta.on_key(key).is_zero()
 
 
-@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim"])
+@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim",
+                                   "exterior-bv"])
 def test_doubles_pass_the_full_frobenius_suite(model):
     doubled = build_double(g.builtin_model(model))
     reports = g.check_structure(doubled, g.FROBENIUS_FULL, Window())
     assert all(r.status == "pass" for r in reports), [
         (r.relation, [(k, str(res)) for k, _, res in r.witnesses[:1]])
         for r in reports if r.status != "pass"]
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+def test_double_operator_sign_is_checked(monkeypatch, field_name):
+    # Delta(x) = 1 on exterior-bv, so the double's shifted-dual operator
+    # part -(s . dual(Delta) . omega) is nonzero, and with its sign
+    # dropped the double fails each relation that pairs Delta with the
+    # coproduct or the counit
+    from gradedbv import double
+    monkeypatch.setitem(double.DELTA_COMPONENTS, ("v", "v"),
+                        "s . dual(Delta) . omega")
+    doubled = build_double(g.builtin_model("exterior-bv",
+                                           g.field_by_name(field_name)))
+    reports = g.check_structure(doubled, g.FROBENIUS_FULL + g.CONSEQUENCES,
+                                Window())
+    assert [r.relation for r in reports if r.status == "fail"] == [
+        "ElevenTerm", "BVFrobenius", "BVFrobeniusCounit", "BVCopairingSym"]
 
 
 def test_double_rejects_nonvanishing_copairing():
@@ -346,7 +365,8 @@ def test_dual_route_components_match_zigzag_route():
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
-@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim"])
+@pytest.mark.parametrize("model", ["trivial", "exterior", "three-dim",
+                                   "exterior-bv"])
 def test_component_table_degrees_and_parts(model, field_name):
     """Each component text, typed on its input parts, has its structure
     map's degree and maps into the parts its key names."""

@@ -14,7 +14,9 @@ Runs the commands of three benchmark workloads for ``n = 3`` through
 
 It also pins the SHA-256 of the instance files written by ``double
 --save`` for the finite built-ins over ``Q`` and ``Fp:101``, recorded
-before the double's maps were built with ``core.table_map``.
+before the double's maps were built with ``core.table_map``, and of the
+files ``reportio.save_instance`` writes for the finite built-ins
+themselves, recorded before they were built by ``models._finite_model``.
 """
 
 import hashlib
@@ -23,7 +25,9 @@ from pathlib import Path
 
 import pytest
 
+import gradedbv as g
 from gradedbv.cli import main
+from gradedbv.reportio import save_instance
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 N = 3
@@ -81,3 +85,31 @@ def test_double_save_files_are_unchanged(tmp_path, capsys, model, field):
     digest = hashlib.sha256(saved.read_bytes()).hexdigest()
     assert digest == DOUBLE_SAVE_SHA256[(model, field)]
     capsys.readouterr()
+
+
+SAVE_INSTANCE_SHA256 = {
+    ("trivial", "Q"):
+        "15c96880efab3bcc1f17b36ce34fd6dd88dfffc91f8fe8c0073a7e9d389f57e3",
+    ("trivial", "Fp:101"):
+        "642df646da5aa58f6cd123fcfb328244cb85fd646bd29aa2bf179ae2bfb964a2",
+    ("exterior", "Q"):
+        "dc2f41749784a0d93299c36312487cbfd2fd1dc63f2fb9e1833b7795482ca271",
+    ("exterior", "Fp:101"):
+        "eb0a8417820b534197d7a51bfd5559158c58929d7f6fc65e82ef5440714394b0",
+    ("three-dim", "Q"):
+        "c41bfee5b87f93cbc72d0345547aaf4cbaa04971d0a3e9136ab0c9cf124a48d3",
+    ("three-dim", "Fp:101"):
+        "2126503a13b6b7a44b18418455b3b85946bb31881661b09d171da7dd1b5a3510",
+    ("sphere-frob:3", "Q"):
+        "24e5d8209fbe5b4b08e6ae85a9dd24f35c0eaaf169cb6f68e813441f3c56a256",
+    ("sphere-frob:3", "Fp:101"):
+        "31b1e002e72b8220554e50476c86e1ac4560982dfdee57e5c6bf6816762be489",
+}
+
+
+@pytest.mark.parametrize("model,field", sorted(SAVE_INSTANCE_SHA256))
+def test_saved_finite_models_are_unchanged(tmp_path, model, field):
+    saved = tmp_path / "model.json"
+    save_instance(g.builtin_model(model, g.field_by_name(field)), saved)
+    digest = hashlib.sha256(saved.read_bytes()).hexdigest()
+    assert digest == SAVE_INSTANCE_SHA256[(model, field)]

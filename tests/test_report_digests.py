@@ -36,7 +36,7 @@ def test_a_missing_report_or_command_differs():
 
 def test_the_fixed_commands_cover_the_listed_runs():
     commands = report_digests.COMMANDS
-    assert len(commands) == len(set(commands)) == 16
+    assert len(commands) == len(set(commands)) == 18
     assert "check sphere:3 --suite all --window 4 --field Fp:101" in commands
     # a Gysin run over a prime field, where the transported signs matter
     assert "gysin sphere:5 --window 6 --field Fp:101" in commands

@@ -37,6 +37,8 @@ COMMANDS = (
     "double three-dim",
     "double trivial",
     "double exterior",
+    "check exterior-bv --suite all",
+    "double exterior-bv",
 )
 
 
