@@ -20,10 +20,15 @@ twist factors out as terms ``X``, ``X . sigma``, ``X . sigma2`` (or ``X
 others (NineTerm is the first nine terms of ElevenTerm); on a window
 closed under permuting slots, each orbit of basis tuples computes such a
 shared head X once per tuple, and every term of every relation of the
-walk reads it, signed by its permutation.  A group whose terms begin
-with another group's whole term tuple reads that prefix's partial sum
-from the same orbit memo, so ElevenTerm adds its last two terms to
-NineTerm's sum, and the nine shared terms are summed once per tuple.
+walk reads it, signed by its permutation.  A head whose last stage is a
+whole ``tau``, ``sigma`` or ``sigma2`` O, as in the terms ``X``,
+``sigma . X`` and ``sigma2 . X`` of SevenTermLambda and CoJacobi, is
+compiled without O, and the term applies O's cached map to the head's
+value: the three terms read one X per tuple from the memo.  A group
+whose terms begin with another group's whole term tuple reads that
+prefix's partial sum from the same orbit memo, so ElevenTerm adds its
+last two terms to NineTerm's sum, and the nine shared terms are summed
+once per tuple.
 Each report is the same as
 from evaluating its relation's every term on every tuple in canonical
 order, and an error is the one a check of each relation in turn raises.
@@ -37,7 +42,7 @@ from fractions import Fraction
 from operator import itemgetter
 
 from .core import ArityMismatch, _spaces_key, _trusted_element
-from .expr import PERMS, Compose, compile_expr, normal_form, parse
+from .expr import ID, PERMS, Compose, Gen, compile_expr, normal_form, parse
 
 MAX_WITNESSES = 10
 _first = itemgetter(0)
@@ -119,7 +124,7 @@ class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
     """A relation typed on its input slots, see compile_relations.
 
     ``groups`` holds (target, base, terms, store) per signed group, a
-    term being (coefficient, run, head, perm); ``base`` is None or the
+    term being (coefficient, run, head, perm, out); ``base`` is None or the
     compiled group of a prefix of the group's terms, ``store`` None or
     the memo index of the group's sum (see _group_sums).  ``orbit(key)``
     is the orbit of a basis tuple under the slot permutations of the
@@ -132,10 +137,12 @@ class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
 
 def _typed_terms(spec, ctx, spaces):
     """Each signed group of ``spec`` as a list of terms (coefficient,
-    head map, P's on_key, P's slot map), typed on ``spaces`` from each
-    term's normal form, P's two None when there is no P; see
-    compile_relations.  The terms of a group must share a target, since
-    their values are summed."""
+    head map, P's map, P's slot map, O's map), typed on ``spaces`` from
+    each term's normal form, P's two None when there is no P; see
+    compile_relations.  O is the head's last stage when that stage is a
+    whole ``tau``, ``sigma`` or ``sigma2``: the head is compiled without
+    it, and O's map (or None) is applied to the head's value.  The terms
+    of a group must share a target, since their values are summed."""
     field = ctx.field
     typed = []
     for group in spec.groups:
@@ -143,16 +150,29 @@ def _typed_terms(spec, ctx, spaces):
         for coeff, expr in group:
             sign, head, perm = (normal_form(expr, ctx) if isinstance(expr, Compose)
                                 else (1, expr, None))
+            head, out = _split_output(head)
             slots = perm and PERMS[perm.name]
             perm = perm and compile_expr(perm, ctx, spaces)
             head = compile_expr(head, ctx, perm.target if perm else spaces)
-            terms.append((field.coerce(coeff * sign), head, perm and perm.on_key, slots))
-        targets = sorted({_spaces_key(term[1].target) for term in terms})
+            out = out and compile_expr(out, ctx, head.target)
+            terms.append((field.coerce(coeff * sign), head, perm, slots, out))
+        targets = sorted({_spaces_key((term[4] or term[1]).target)
+                          for term in terms})
         if len(targets) > 1:
             raise ArityMismatch("terms of %s have different targets %s"
                                 % (spec.rid, targets))
         typed.append(terms)
     return typed
+
+
+def _split_output(head):
+    """(X, O) with ``head = O . X`` when the head's last-applied stage O
+    is a whole ``tau``, ``sigma`` or ``sigma2``, else (head, None)."""
+    if isinstance(head, Compose):
+        last, rest = head.children[0], head.children[1:]
+        if isinstance(last, Gen) and last.name in PERMS and last is not ID:
+            return (rest[0] if len(rest) == 1 else Compose(rest)), last
+    return head, None
 
 
 def _link(typed, arity):
@@ -167,13 +187,14 @@ def _link(typed, arity):
         compiled_groups = []
         for terms in groups:
             compiled = []
-            for coeff, head, perm, slots in terms:
+            for coeff, head, perm, slots, out in terms:
                 index = None
                 if uses[id(head)] > 1:
                     index = shared.setdefault(id(head), len(shared))
                     generators.add(slots)
-                compiled.append((coeff, head.run, index, perm))
-            compiled_groups.append((terms[0][1].target, tuple(compiled)))
+                compiled.append((coeff, head.run, index, perm, out and out.run))
+            compiled_groups.append(((terms[0][4] or terms[0][1]).target,
+                                    tuple(compiled)))
         linked.append(compiled_groups)
     sums = _group_sums([group for groups in linked for group in groups],
                        len(shared))
@@ -221,14 +242,17 @@ def compile_relations(specs, ctx, spaces):
     A composition ``c * term`` with the normal form ``sign * X . P``
     (``expr.normal_form``) has the head X, read through P, an ``id``,
     ``tau``, ``sigma`` or ``sigma2``, or none, with the coefficient ``c
-    * sign``; any other term is its own head.  Only X and P are
-    compiled, to the context's hash-consed GradedMaps (``compile_expr``),
-    so two terms share a head when they use the same map object, in one
-    relation or in two; a term reads only X's ``run`` and ``target`` and
-    P's ``on_key``.  Each term is (coefficient, X.run, index, P's on_key
-    or None): a head used by one term has the index None and runs on
-    each tuple, and a shared head gets an index, one index space for all
-    of ``specs``, into the orbit memo of residual_on_key.  Every relation
+    * sign``; any other term is its own head.  When X is ``O . X'`` for
+    a whole ``tau``, ``sigma`` or ``sigma2`` O, the head is X' and O is
+    applied to its value.  Only the head, P and O are compiled, to the
+    context's hash-consed GradedMaps (``compile_expr``), so two terms
+    share a head when they use the same map object, in one relation or
+    in two; a term reads only the head's ``run`` and ``target``, P's
+    cache and O's ``run``.  Each term is (coefficient, head.run, index,
+    P's map or None, O's run or None): a head used by one term has the
+    index None and runs on each tuple, and a shared head gets an index,
+    one index space for all of ``specs``, into the orbit memo of
+    residual_on_key.  Every relation
     gets the same ``orbit``, generated by the slot maps of all the
     shared heads.
     """
@@ -272,8 +296,9 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
-    A term ``c * X . P`` adds ``sign * c * X(k')`` for the (k', sign) of
-    P on ``key`` (k' is ``key`` when there is no P).  A shared head X is
+    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for the (k',
+    sign) of P on ``key`` (k' is ``key`` when there is no P, and O is
+    the identity when there is no O).  A shared head X is
     read from ``memo``, keyed on (head index, basis tuple), and computed
     into it on a miss; an unshared one runs on P's output.  A group's
     base, the partial sum of the terms it shares with another group, is
@@ -302,9 +327,10 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
 def _group_sum(group, key, x, memo, field):
     """The sum of a compiled group's signed terms on ``key`` (``x`` is
     ``{key: one}``): its base's stored sum, computed on a miss, plus its
-    own terms; stored when the group has a store index.  A vanishing
-    term value adds nothing.  A stored sum is never changed, so a
-    residual may hold it."""
+    own terms; stored when the group has a store index.  P's output on
+    ``key`` is read with one lookup in its cache, and its ``on_key``
+    called only on a miss.  A vanishing term value adds nothing.  A
+    stored sum is never changed, so a residual may hold it."""
     _, base, terms, store = group
     if store is not None:
         acc = memo.get((store, key))
@@ -312,18 +338,22 @@ def _group_sum(group, key, x, memo, field):
             return acc
     acc = {} if base is None else dict(_group_sum(base, key, x, memo, field))
     one, add_into = field.one, field.accumulate
-    for coeff, run, head, perm in terms:
+    for coeff, run, head, perm, out in terms:
+        images = x
+        if perm is not None:
+            images = perm._cache.get(key)
+            images = (perm.on_key(key) if images is None else images).coeffs
         if head is None:
-            value = run(perm(key).coeffs if perm else x)
+            value = run(images)
             if value:
-                add_into(acc, value.items(), coeff)
+                add_into(acc, (out(value) if out else value).items(), coeff)
             continue
-        for image, sign in (perm(key).coeffs if perm else x).items():
+        for image, sign in images.items():
             value = memo.get((head, image))
             if value is None:
                 value = memo[head, image] = run({image: one})
             if value:
-                add_into(acc, value.items(),
+                add_into(acc, (out(value) if out else value).items(),
                          coeff if sign == one else field.mul(coeff, sign))
     if store is not None:
         memo[store, key] = acc

@@ -16,7 +16,10 @@ and ``tensor_run`` compiles it over a field to one loop fixed to that
 layout: a single non-identity block has its slices fixed ahead of
 time, in one loop for a block at the start (the whole key or a prefix)
 and one for a block after the start (a suffix is a middle block with an
-empty tail), and several blocks multiply their outputs out.  The
+empty tail), and several blocks multiply their outputs out.  A map's
+output on a key is checked once, by ``GradedMap.on_key``, and cached;
+the loops of ``tensor_run`` and ``GradedMap.run`` read a cached output
+with one dict lookup and call ``on_key`` only on a miss.  The
 parity of a basis name in a sign slot is read from a per-kernel dict,
 filled the first time the name is seen.  ``permute`` compiles each
 permutation map alike, to a fixed slot move and a sign from the
@@ -60,16 +63,13 @@ class UnknownBasisName(EngineError):
 # ---------------------------------------------------------------------------
 
 class _Field:
-    """What the two fields share: the unit, the zero and one tests,
-    printing, and ``repr`` as the field's ``name``."""
+    """What the two fields share: the unit, the zero test, printing, and
+    ``repr`` as the field's ``name``."""
 
     one = 1
 
     def is_zero(self, a):
         return a == 0
-
-    def is_one(self, a):
-        return a == 1
 
     def fmt(self, a):
         return str(a)
@@ -542,17 +542,22 @@ class GradedMap:
     for a source basis key, and the map's one cache of checked outputs.
     When a key's output enters the cache it is checked once to lie in
     the ``target`` spaces and to have degree ``source_degree(key) +
-    degree``.  A failing output is not cached, so every later
-    application raises again.  A finite map is a rule too: see
-    ``table_map``.  A map that wraps another calls the other's ``rule``,
-    not its ``on_key``, so each key is checked and cached once.
+    degree``, read from per-slot degree functions fixed here.  A failing
+    output is not cached, so every later application raises again.  A
+    finite map is a rule too: see ``table_map``.  A map that wraps
+    another calls the other's ``rule``, not its ``on_key``, so each key
+    is checked and cached once.
 
+    ``on_key`` is the checked miss path.  The engine's loops read a key
+    with one lookup in the cache (``_cache``) and call ``on_key`` only
+    when it is absent, so a hit costs no call; ``on_key`` still answers
+    from the cache for any other caller.
     ``run`` applies the map to a bare coefficient dict; it is how
     compiled expressions call each other, and its result may be a
     cached output's own dict, so callers only read it.  A composition
     or tensor product compiled by ``expr`` replaces ``run`` with its own
     loop, which does not use the cache, and its rule runs that loop on
-    one key.
+    one key; ``GradedMap.run`` still reads its cache.
     ``__call__`` is the Element boundary: it checks the element's spaces
     once and wraps ``run``'s dict.
     """
@@ -565,6 +570,8 @@ class GradedMap:
         self.rule = rule
         self._name = name
         self._cache = {}
+        self._source_degrees = tuple(s.degree for s in self.source)
+        self._target_degrees = tuple(t.degree for t in self.target)
 
     @property
     def name(self):
@@ -581,33 +588,34 @@ class GradedMap:
         return len(self.target)
 
     def source_degree(self, key):
-        return sum(s.degree(n) for s, n in zip(self.source, key))
+        return sum([degree(n) for degree, n in zip(self._source_degrees, key)])
 
     def on_key(self, key):
         key = tuple(key)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        out = self._cache.get(key)
+        if out is not None:
+            return out
         if len(key) != len(self.source):
             raise ArityMismatch("map %s expects arity %d, got key %r"
                                 % (self.name, len(self.source), key))
-        out = self.rule(key)
-        if not _same_spaces(out.spaces, self.target):
-            raise ArityMismatch(
-                "map %s maps %r into %s, expected %s"
-                % (self.name, key, _spaces_key(out.spaces),
-                   _spaces_key(self.target)))
-        if not out.is_zero():
-            want = self.source_degree(key) + self.degree
+        out, target = self.rule(key), self.target
+        if out.spaces is not target:
+            if not _same_spaces(out.spaces, target):
+                raise ArityMismatch(
+                    "map %s maps %r into %s, expected %s"
+                    % (self.name, key, _spaces_key(out.spaces),
+                       _spaces_key(target)))
+            out = _trusted_element(target, self.field, out.coeffs)
+        if out.coeffs:
+            want = self.degree + self.source_degree(key)
+            degrees = self._target_degrees
             for okey in out.coeffs:
-                got = out.key_degree(okey)
+                got = sum([degree(n) for degree, n in zip(degrees, okey)])
                 if got != want:
                     raise DegreeError(
                         "map %s violates degree additivity on %r: output %r "
                         "has degree %d, expected %d"
                         % (self.name, key, okey, got, want))
-        if out.spaces is not self.target:
-            out = _trusted_element(self.target, self.field, out.coeffs)
         self._cache[key] = out
         return out
 
@@ -615,16 +623,21 @@ class GradedMap:
         """The map on a coefficient dict of source keys; returns the
         coefficient dict of the image.  ``coeffs`` is not mutated.  A
         single key with coefficient one returns its cached output's own
-        dict, which the caller only reads."""
-        field, on_key = self.field, self.on_key
+        dict, which the caller only reads.  Each key is read from the
+        cache, and ``on_key`` runs only on a miss."""
+        get = self._cache.get
         if len(coeffs) == 1:
             (key, value), = coeffs.items()
-            if field.is_one(value):
-                return on_key(key).coeffs
+            if value == 1:
+                out = get(key)
+                return (self.on_key(key) if out is None else out).coeffs
         acc = {}
-        add_into = field.accumulate
+        add_into = self.field.accumulate
         for key, value in coeffs.items():
-            add_into(acc, on_key(key).coeffs.items(), value)
+            out = get(key)
+            if out is None:
+                out = self.on_key(key)
+            add_into(acc, out.coeffs.items(), value)
         return acc
 
     def __call__(self, elem):
@@ -721,21 +734,25 @@ def tensor_factors(factors, spaces):
 
 def tensor_run(kernel, field):
     """The compiled loop of a tensor product over ``field``: it maps the
-    coefficient dict of an element to that of its image (see
-    ``field.accumulate``), and does not mutate its input.
+    coefficient dict of an element, whose coefficients are non-zero, to
+    that of its image (see ``field.accumulate``), and does not mutate
+    its input.
 
     Key x = x_1 (x) ... (x) x_k, block j feeding f_j, goes to
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
-    f_k(x_k); nothing is added when some f_j(x_j) vanishes.  The loop is
-    picked here, once per kernel.  A single non-identity block is either
-    at the start of the key (the whole key or a prefix), which has no
-    sign slots, or after the start (the middle, or a suffix with an
-    empty tail), whose sign slots all lie before it; its loop copies
-    the identity slots around the block's output with slices fixed ahead
-    of time, skips a vanishing output and adds a one-term output without
+    f_k(x_k); nothing is added when some f_j(x_j) vanishes.  Each block
+    output is read with one lookup in its map's cache, and ``on_key``
+    is called only on a miss (see ``_cache_get``).  The loop is picked
+    here, once per kernel.  A single non-identity block is either at the
+    start of the key (the whole key or a prefix), which has no sign
+    slots, or after the start (the middle, or a suffix with an empty
+    tail), whose sign slots all lie before it; its loop copies the
+    identity slots around the block's output with slices fixed ahead of
+    time, skips a vanishing output and adds a one-term output without
     building a list (on the sphere model about a third of the block
-    outputs vanish and over half have one term).  Several blocks (or
-    none) multiply their outputs out.
+    outputs vanish and over half have one term), storing it without a
+    kernel call when its coefficient is one and its key is new.  Several
+    blocks (or none) multiply their outputs out.
     The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
@@ -743,16 +760,23 @@ def tensor_run(kernel, field):
     if len(blocks) != 1:
         return _product_run(kernel, field)
     (start, end, on_key), = blocks
+    get = _cache_get(on_key)
     if start == 0:
         def run(coeffs):
             acc = {}
             for key, coeff in coeffs.items():
                 if len(key) != arity:
                     raise _arity_error(key, arity)
-                part = on_key(key[:end]).coeffs
+                block = key[:end]
+                out = get(block)
+                part = (on_key(block) if out is None else out).coeffs
                 if len(part) == 1:
                     (k, v), = part.items()
-                    add_into(acc, ((k + key[end:], v),), coeff)
+                    k += key[end:]
+                    if v == 1 and k not in acc:
+                        acc[k] = coeff
+                    else:
+                        add_into(acc, ((k, v),), coeff)
                 elif part:
                     tail = key[end:]
                     add_into(acc, [(k + tail, v) for k, v in part.items()],
@@ -766,10 +790,16 @@ def tensor_run(kernel, field):
                     raise _arity_error(key, arity)
                 if sign_slots and _odd(sign_slots, key):
                     coeff = neg(coeff)
-                part = on_key(key[start:end]).coeffs
+                block = key[start:end]
+                out = get(block)
+                part = (on_key(block) if out is None else out).coeffs
                 if len(part) == 1:
                     (k, v), = part.items()
-                    add_into(acc, ((key[:start] + k + key[end:], v),), coeff)
+                    k = key[:start] + k + key[end:]
+                    if v == 1 and k not in acc:
+                        acc[k] = coeff
+                    else:
+                        add_into(acc, ((k, v),), coeff)
                 elif part:
                     head, tail = key[:start], key[end:]
                     add_into(acc, [(head + k + tail, v) for k, v in
@@ -784,6 +814,8 @@ def _product_run(kernel, field):
     them."""
     arity, sign_slots, blocks = kernel
     neg, mul, one, add_into = field.neg, field.mul, field.one, field.accumulate
+    blocks = [(start, end, _cache_get(on_key), on_key)
+              for start, end, on_key in blocks]
 
     def run(coeffs):
         acc = {}
@@ -794,8 +826,10 @@ def _product_run(kernel, field):
                 coeff = neg(coeff)
             terms = [((), coeff)]
             pos = 0
-            for start, end, on_key in blocks:
-                part = on_key(key[start:end]).coeffs
+            for start, end, get, on_key in blocks:
+                block = key[start:end]
+                out = get(block)
+                part = (on_key(block) if out is None else out).coeffs
                 if not part:
                     break
                 gap = key[pos:start]
@@ -807,6 +841,19 @@ def _product_run(kernel, field):
                 add_into(acc, [(k + tail, v) for k, v in terms], one)
         return acc
     return run
+
+
+# the cache of a block function that is not a GradedMap's on_key
+_NO_CACHE = {}
+
+
+def _cache_get(on_key):
+    """The ``get`` of the cache ``on_key`` answers from: its GradedMap's
+    own when ``on_key`` is a map's bound ``on_key``, else that of an
+    empty dict, so any other function is called on every key.  A cached
+    output has passed ``on_key``'s checks."""
+    owner = getattr(on_key, "__self__", None)
+    return owner._cache.get if isinstance(owner, GradedMap) else _NO_CACHE.get
 
 
 def _odd(sign_slots, key):

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from types import MethodType
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
                    basis_element, koszul_sign, permute, scalar_element,
@@ -465,8 +466,17 @@ def compile_expr(node, ctx, in_spaces):
     outputs.  So a shared subexpression such as the derived bracket is
     summed once per basis key in a context, and a composite tensor
     factor such as ``lambda . eta`` on ``()`` runs once for every tensor
-    that uses it.  A composite is named by its node, which is printed
-    only when the name is read.
+    that uses it.  A streaming map is read through its cache where it
+    is a tensor factor, and where it is the tail of a composition after
+    a narrow cut: at the earliest cut between stages with the fewest
+    slots, when that is fewer than the source's and two or more stages
+    follow, those stages are compiled as one composite (hash-consed like
+    any other) and read through ``GradedMap.run``, so ``lambda . Delta .
+    mu`` computes ``lambda . Delta`` once per key of mu's outputs, not
+    once per input tuple, and ``(Delta (x) id) . lambda . mu`` reads the
+    same plan as ElevenTerm's fused factor ``(Delta (x) id) . lambda``.
+    A composite is named by its node, which is printed only when the
+    name is read.
 
     A composition compiles through its normal form ``sign * X . P``
     (``normal_form``): its stages fused by the interchange law, with a
@@ -517,7 +527,15 @@ def _compile(node, ctx, in_spaces, degree):
         for child in reversed(node.children):
             maps.append(compile_expr(child, ctx, in_spaces))
             in_spaces = maps[-1].target
-        stages = tuple(m.run for m in maps)
+        stages = [m.run for m in maps]
+        # the earliest cut with the fewest slots, if narrower than the
+        # source: two or more stages after it are one cached tail
+        cut = min(range(len(maps) - 1), key=lambda i: len(maps[i].target))
+        if len(maps[cut].target) < len(maps[0].source) and len(maps) - cut > 2:
+            tail = compile_expr(Compose(node.children[:len(maps) - 1 - cut]),
+                                ctx, maps[cut].target)
+            stages[cut + 1:] = [MethodType(GradedMap.run, tail)]
+        stages = tuple(stages)
 
         def run(coeffs):
             for stage in stages:

@@ -19,6 +19,26 @@ def test_summary_of_pairs():
     assert abs(relative - 0.2) < 1e-12
 
 
+def test_quartiles_of_runs():
+    assert ab_inproc.quartiles([3.0, 1.0, 2.0, 5.0, 4.0]) == (2.0, 3.0, 4.0)
+    assert ab_inproc.quartiles([0.5]) == (0.5, 0.5, 0.5)
+
+
+def test_runs_default_to_forty_and_print_the_quartiles(monkeypatch, capsys):
+    seconds = iter(range(1, 100))
+    monkeypatch.setattr(ab_inproc, "workload_commands", lambda *args: [])
+    monkeypatch.setattr(ab_inproc, "load_side", lambda checkout: {})
+    monkeypatch.setattr(ab_inproc, "run_once",
+                        lambda modules, commands, workdir: (next(seconds), []))
+    assert ab_inproc.main([REPO, REPO, "--workload", "sphere-deep"]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    # untimed runs take 1 and 2, then the side that goes first takes the
+    # next number: parent 3, 6, 7, 10, ..., change 4, 5, 8, 9, ...
+    assert last == ("median CPU seconds (quartiles): parent 42.5000 "
+                    "(22.7500-62.2500) change 42.5000 (23.2500-61.7500) "
+                    "(+0.0%); change wins 20 of 40 runs")
+
+
 def test_workload_commands_write_their_reports_and_keep_the_saved_doubles():
     commands = ab_inproc.workload_commands(REPO, "finite-negative", 5)
     assert all(argv[-2:] == ["--out", "report-%d.json" % index]

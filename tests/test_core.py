@@ -103,6 +103,30 @@ def test_degree_additivity_is_enforced():
         bad.on_key(("p",))
 
 
+@pytest.mark.parametrize("text,key", [
+    ("bad", ("p",)),                      # the map's own run
+    ("bad (x) id", ("p", "q")),           # a block at the start
+    ("id (x) bad", ("q", "p")),           # a block after the start
+    ("bad (x) bad", ("p", "q")),          # several blocks
+])
+def test_a_failing_output_raises_on_every_application(text, key):
+    space = FiniteSpace("V", {"p": 0, "q": -3})
+    field = g.QQ
+    bad = table_map((space,), (space,), 0, field,
+                    [(("p",), ("q",), 1), (("q",), ("q",), 1)], "bad")
+    ctx = g.OpContext({"bad": bad}, field)
+    gmap = compile_expr(parse(text), ctx, (space,) * len(key))
+    for _ in range(3):
+        with pytest.raises(DegreeError):
+            gmap.run({key: 1})
+        with pytest.raises(DegreeError):
+            gmap.run({key: 1, ("q",) * len(key): 2})
+        # the failing key is never cached; the good one is, once checked
+        assert ("p",) not in bad._cache
+    assert bad.run({("q",): 3}) == {("q",): 3}
+    assert list(bad._cache) == [("q",)]
+
+
 def test_arity_mismatch_raises(sphere):
     sp, field = sphere.space, sphere.field
     x = basis_element((sp,), field, ("U",))

@@ -17,7 +17,7 @@ def reference_accumulate(acc, terms, scalar, field):
     """The generic loop of field calls that the kernels inline."""
     if field.is_zero(scalar):
         return
-    scaled = not field.is_one(scalar)
+    scaled = scalar != field.one
     for key, value in terms:
         if scaled:
             value = field.mul(scalar, value)

@@ -336,21 +336,64 @@ def test_the_rewrite_follows_the_degrees_of_each_context():
             (1, parse(fused), None)
 
 
-def test_a_fused_factor_is_computed_once_per_slot_key(monkeypatch, tmp_path):
+def _sphere_deep_plans(monkeypatch, tmp_path):
+    """(instance, rule runs) of the sphere-deep benchmark command."""
     from gradedbv.cli import main
     runs, built = counted_rule_runs(monkeypatch), captured_models(monkeypatch)
-    # the sphere-deep benchmark command
     assert main(["check", "sphere:3", "--suite", "all", "--window", "10",
                  "--window3", "2", "--field", "Fp:101",
                  "--out", str(tmp_path / "report.json")]) == 0
     (inst,) = built
-    plans = inst.context().plans
-    (factor,) = [m for (node, _), m in plans.items()
-                 if node is parse("(Delta (x) id) . lambda")]
+    return inst, runs
+
+
+def _plan(ctx, text):
+    """The one plan of the node ``text`` in the context."""
+    (gmap,) = [m for (node, _), m in ctx.plans.items() if node is parse(text)]
+    return gmap
+
+
+def _mu_outputs(ctx):
+    return {okey for out in ctx.maps["mu"]._cache.values() for okey in out.coeffs}
+
+
+def test_a_fused_factor_is_computed_once_per_slot_key(monkeypatch, tmp_path):
+    inst, runs = _sphere_deep_plans(monkeypatch, tmp_path)
+    ctx = inst.context()
+    factor = _plan(ctx, "(Delta (x) id) . lambda")
     keys = [key for m, key in runs if m is factor]
-    assert 0 < len(factor._cache) <= len(Window(10).names_for(inst.space, 1))
+    # the keys of its own slot, as ElevenTerm's fused factor, and of mu's
+    # outputs, as the tail of (Delta (x) id) . lambda . mu
+    names = {(name,) for name in Window(10).names_for(inst.space, 1)}
+    assert 0 < len(factor._cache) <= len(Window(20).names_for(inst.space, 1))
+    assert set(factor._cache) <= names | _mu_outputs(ctx)
     assert sorted(keys) == sorted(factor._cache)
     assert all(runs[factor, key] == 1 for key in keys)
+
+
+def test_a_narrow_cut_tail_is_one_cached_plan(monkeypatch, tmp_path):
+    inst, runs = _sphere_deep_plans(monkeypatch, tmp_path)
+    ctx = inst.context()
+    names = {(name,) for name in Window(10).names_for(inst.space, 1)}
+    outputs = _mu_outputs(ctx)
+    # (Delta (x) id) . lambda is one plan: ElevenTerm's fused factor,
+    # read on the window's names, and the tail of (Delta (x) id) .
+    # lambda . mu, read on mu's outputs beyond them
+    factor, tail = (_plan(ctx, "(Delta (x) id) . lambda"),
+                    _plan(ctx, "lambda . Delta"))
+    assert set(factor._cache) - names
+    # lambda . Delta . mu reads lambda . Delta once per key of mu's
+    # outputs, not once per tuple
+    assert set(tail._cache) - names
+    assert set(tail._cache) <= outputs and len(tail._cache) < len(names) ** 2
+    for gmap in (factor, tail):
+        keys = [key for m, key in runs if m is gmap]
+        assert sorted(keys) == sorted(gmap._cache)
+        assert all(runs[gmap, key] == 1 for key in keys)
+    # so is (id (x) Delta) . lambda, for (id (x) Delta) . lambda . mu
+    other = _plan(ctx, "(id (x) Delta) . lambda")
+    assert set(other._cache) - names
+    assert set(other._cache) <= names | outputs
 
 
 @pytest.mark.parametrize("mutation", [None, "lambda-u-flip", "delta-au-doubled"])

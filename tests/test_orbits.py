@@ -10,7 +10,7 @@ from gradedbv.checks import (MAX_WITNESSES, Window, compile_relation,
                              relation_residual, residual_on_key, sign_mutations)
 from gradedbv.core import EngineError, FiniteSpace, GradedMap, basis_element
 from gradedbv.double import build_double
-from gradedbv.expr import Compose, compile_expr, normal_form, parse
+from gradedbv.expr import Compose, Gen, compile_expr, normal_form, parse
 from gradedbv.structures import builtin_relation, is_applicable, relation_ids
 
 
@@ -116,14 +116,51 @@ def test_witnesses_spread_across_orbits_are_the_first_in_canonical_order():
 
 def test_a_relation_without_shared_heads_has_one_tuple_orbits():
     inst = g.sphere_model(3)
-    for rid in ("Assoc", "Poisson", "SevenTermLambda", "CoJacobi"):
+    # memo index of each term's head: X, sigma . X and sigma2 . X share
+    # X through their output permutations, which generate no orbit
+    for rid, heads in (("Assoc", [None] * 2), ("Poisson", [None] * 3),
+                       ("SevenTermLambda", [None] + [0] * 3 + [1] * 3),
+                       ("CoJacobi", [0] * 3)):
         arity = builtin_relation(rid).arity
         relation = compile_relation(builtin_relation(rid), inst.context(),
                                     (inst.space,) * arity)
         key = ("AU",) * arity
         assert tuple(relation.orbit(key)) == (key,)
-        assert all(head is None for group in relation.groups
-                   for _, _, head, _ in _terms(group))
+        assert [head for group in relation.groups
+                for _, _, head, _, _ in _terms(group)] == heads, rid
+
+
+def test_an_output_permutation_reads_its_head_once_per_tuple():
+    inst = g.sphere_model(3)
+    ctx, sp = inst.context(), inst.space
+    window = Window(6)
+    names = window.names_for(sp, 1)
+    # the second stage of each shared head Y of SevenTermLambda, read
+    # by Y, sigma . Y and sigma2 . Y; counted before Y is compiled
+    seen = {}
+
+    def counted(run, calls):
+        def wrapper(coeffs):
+            calls.append(coeffs)
+            return run(coeffs)
+        return wrapper
+
+    for text in ("((Delta (x) id) . lambda) (x) id",
+                 "(lambda . Delta) (x) id"):
+        stage = compile_expr(parse(text), ctx, (sp, sp))
+        seen[text] = []
+        stage.run = counted(stage.run, seen[text])
+    report = relation_residual(builtin_relation("SevenTermLambda"), ctx, sp,
+                               window)
+    assert report.status == "pass"
+    # once per tuple whose lambda(x) does not vanish
+    lam = ctx.maps["lambda"]
+    expected = [lam.run({(name,): 1}) for name in names]
+    assert [calls for calls in seen.values()] == [
+        [value for value in expected if value]] * 2
+    # sigma . Y and sigma2 . Y compile to no composite of their own
+    assert not [node for node, _ in ctx.plans if isinstance(node, Compose)
+                and node.children[0] in (Gen("sigma"), Gen("sigma2"))]
 
 
 def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
@@ -156,12 +193,14 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "6"]) == 0
     # one group per arity: (arity, relations, memo indices, largest
-    # memo); the binary group's heads are read by two relations or more
-    # each, on orbits of two tuples, and NineTerm's sum is ElevenTerm's
-    # stored prefix, one more index; the ternary group's heads are read
-    # on orbits of three
+    # memo); the unary group's heads are read by two relations or two
+    # terms each (X and its output permutations sigma . X, sigma2 . X or
+    # tau . X), on one-tuple orbits; the binary group's heads are read by
+    # two relations or more each, on orbits of two tuples, and NineTerm's
+    # sum is ElevenTerm's stored prefix, one more index; the ternary
+    # group's heads are read on orbits of three
     assert sorted(map(tuple, entries)) == [
-        (0, 2, 0, 0), (1, 8, 2, 2), (2, 5, 10, 20), (3, 5, 4, 12)]
+        (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 10, 20), (3, 5, 4, 12)]
 
     inst = g.sphere_model(3)
 
@@ -188,7 +227,7 @@ def _terms(group):
 
 def _head_indices(relation):
     return {head for group in relation.groups
-            for _, _, head, _ in _terms(group) if head is not None}
+            for _, _, head, _, _ in _terms(group) if head is not None}
 
 
 def _memo_indices(relation):
@@ -212,7 +251,7 @@ def test_relations_of_one_arity_share_their_heads():
     # reads a head ElevenTerm computes into the orbit memo
     assert _head_indices(nine) <= _head_indices(eleven)
     assert all(head is not None for group in nine.groups
-               for _, _, head, _ in _terms(group))
+               for _, _, head, _, _ in _terms(group))
     assert _head_indices(comm).isdisjoint(_head_indices(eleven))
     assert eleven.orbit is nine.orbit is comm.orbit
     # alone, NineTerm's untwisted terms are their own unshared heads
@@ -299,8 +338,9 @@ def test_orbits_add_no_plan_and_no_cached_output():
         names = window.names_for(by_term.space, spec.arity)
         for key in itertools.product(names, repeat=spec.arity):
             assert _term_by_term(spec, by_term.context(), spaces, key) is None
-    # the walk compiles each term's head X and permutation P, never a
-    # whole term that is not its own head, nor the node it compiles as
+    # the walk compiles each term's head X, without its output
+    # permutation O, and its permutations P and O, never a whole term
+    # that is not its own head, nor the node it compiles as, nor O . X
     ctx = by_term.context()
     unread = set()
     for spec in holding:
@@ -308,9 +348,10 @@ def test_orbits_add_no_plan_and_no_cached_output():
         for group in spec.groups:
             for _, term in group:
                 if isinstance(term, Compose):
-                    head = normal_form(term, ctx)[1]
+                    form = normal_form(term, ctx)[1]
+                    head = checks._split_output(form)[0]
                     whole = parse(compile_expr(term, ctx, spaces).name)
-                    unread |= {(n, spec.arity) for n in (term, whole)
+                    unread |= {(n, spec.arity) for n in (term, whole, form)
                                if n is not head}
     assert unread
     assert ({(node, len(s)) for node, s in by_orbit.context().plans}

@@ -297,14 +297,16 @@ def test_relation_terms_are_compiled_once(sphere, monkeypatch, k):
         return compile_expr(node, ctx, in_spaces)
 
     def compiled(term, ctx):
-        # a composition's input permutation P, then its head X
+        # a composition's input permutation P, its head X without an
+        # output permutation O, then O
         if not isinstance(term, Compose):
             return [term]
         _, head, perm = normal_form(term, ctx)
-        return [head] if perm is None else [perm, head]
+        head, out = checks._split_output(head)
+        return [node for node in (perm, head, out) if node is not None]
 
     monkeypatch.setattr(checks, "compile_expr", counting)
-    for rid in ("Jacobi", "ElevenTerm", "Unit"):
+    for rid in ("Jacobi", "ElevenTerm", "Unit", "SevenTermLambda", "Cocomm"):
         spec = builtin_relation(rid)
         calls.clear()
         ctx = sphere.context()
@@ -328,28 +330,30 @@ def test_bracket_is_one_memoized_map_per_context(text, arity, rids):
     assert isinstance(shared, GradedMap)
     assert shared.name == print_expr(node)
 
-    rule, computed, used = shared.rule, Counter(), Counter()
-    on_key = shared.on_key
+    rule, computed, alone = shared.rule, Counter(), set()
 
     def counting_rule(key):
         computed[key] += 1
         return rule(key)
 
-    def counting_on_key(key):
-        used[rid] += 1
-        return on_key(key)
-
-    shared.rule, shared.on_key = counting_rule, counting_on_key
+    shared.rule = counting_rule
     for rid in rids:
         spec = builtin_relation(rid)
         checks.compile_relation(spec, ctx, (sp,) * spec.arity)
         assert compile_expr(node, ctx, (sp,) * arity) is shared
         report = relation_residual(spec, ctx, sp, Window(2))
         assert report.status == "pass", rid
-        assert used[rid] > 0, rid
+        # checked in a context of its own, the relation reads the bracket
+        own = g.sphere_model(3)
+        relation_residual(spec, own.context(), own.space, Window(2))
+        keys = set(compile_expr(node, own.context(),
+                                (own.space,) * arity)._cache)
+        assert keys, rid
+        alone |= keys
     assert computed and set(computed.values()) == {1}
-    # every key computed is cached once and only once
-    assert set(shared._cache) == set(computed)
+    # every key computed is cached once and only once, and the shared
+    # map holds the keys of all three relations
+    assert set(shared._cache) == set(computed) == alone
 
 
 def test_plans_are_keyed_on_space_identity():

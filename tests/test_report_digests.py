@@ -1,6 +1,7 @@
 """tools/report_digests.py: the comparison of two checkouts' reports."""
 
 import importlib.util
+import os
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
@@ -32,6 +33,31 @@ def test_a_missing_report_or_command_differs():
     assert [row[3] for row in rows] == [False, False]
     assert "not run" in report_digests.format_row(rows[1])
     assert "exit 0 -" in report_digests.format_row(rows[0])
+
+
+def test_a_command_only_the_change_can_run_is_new():
+    parent = {"a": (64, None), "b": (64, None), "c": (64, None),
+              "d": (0, "d1")}
+    change = {"a": (0, "dN"), "b": (64, None), "c": (3, None),
+              "d": (64, None)}
+    rows = report_digests.compare(parent, change)
+    assert [(row[3], row[4]) for row in rows] == [
+        (False, True), (True, False), (False, True), (False, False)]
+    assert report_digests.format_row(rows[0]).startswith("NEW a\n")
+    assert report_digests.format_row(rows[1]).startswith("same b\n")
+    # a command the change can no longer run differs
+    assert report_digests.format_row(rows[3]).startswith("DIFFERS d\n")
+
+
+def test_new_commands_do_not_set_the_exit_code(monkeypatch, capsys):
+    results = {"parent": (64, None), "change": (0, "d1")}
+    monkeypatch.setattr(report_digests, "COMMANDS", ("check new-model",))
+    # the report files are named after their side
+    monkeypatch.setattr(report_digests, "run_command",
+                        lambda checkout, command, out_path: results[
+                            os.path.basename(out_path).split("-")[0]])
+    assert report_digests.main([REPO, REPO]) == 0
+    assert "0 of 1 commands differ; 1 new" in capsys.readouterr().out
 
 
 def test_the_fixed_commands_cover_the_listed_runs():

@@ -1,7 +1,7 @@
 """In-process A/B timing of a benchmark workload in two checkouts.
 
     python3 tools/ab_inproc.py PARENT CHANGE --workload sphere-deep \\
-        --runs 20 --n 3
+        [--runs 40] [--n 3]
 
 PARENT and CHANGE are two checkouts of the repository.  Each checkout's
 ``src/gradedbv`` is imported as its own set of modules into this one
@@ -19,8 +19,13 @@ sides, the side that goes first alternating from round to round.  A
 run's time is the CPU seconds of the process (``time.process_time``)
 over its commands, after a garbage collection.
 
-The script prints each round, each side's median seconds, the relative
-change of the medians and the number of rounds the change wins.  It
+The script prints each round, each side's median seconds with its
+quartiles beside it, the relative change of the medians and the number
+of rounds the change wins.  ``--runs`` defaults to 40: on a loaded
+2-vCPU host a side's per-run CPU seconds can spread by a factor of two,
+and three 16-round readings of the same two trees read from -6.6% to
++16.5%, so a 16-round reading cannot decide a change of a few percent;
+compare the change of the medians with the spread of the quartiles.  It
 exits 1 when a command's exit code differs from the workload's, or when
 the two sides' ``--out`` reports differ, else 0.  Stdlib only; nothing
 in either checkout is written but Python's bytecode caches.
@@ -129,6 +134,14 @@ def report_digests(commands, workdir):
     return digests
 
 
+def quartiles(values):
+    """(lower quartile, median, upper quartile) of ``values`` (the
+    inclusive method); a single value is all three."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
 def summary(pairs):
     """(parent median, change median, relative change, change wins) of
     (parent, change) seconds pairs."""
@@ -142,7 +155,7 @@ def main(argv=None):
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--runs", type=int, required=True)
+    parser.add_argument("--runs", type=int, default=40)
     parser.add_argument("--n", type=int, default=3)
     args = parser.parse_args(argv)
 
@@ -178,9 +191,11 @@ def main(argv=None):
                      100 * (seconds["change"] / seconds["parent"] - 1)),
                   flush=True)
     parent, change, relative, wins = summary(pairs)
-    print("median CPU seconds: parent %.4f change %.4f (%+.1f%%); change "
-          "wins %d of %d runs" % (parent, change, 100 * relative, wins,
-                                  len(pairs)))
+    spread = [quartiles([pair[side] for pair in pairs]) for side in (0, 1)]
+    print("median CPU seconds (quartiles): parent %.4f (%.4f-%.4f) change "
+          "%.4f (%.4f-%.4f) (%+.1f%%); change wins %d of %d runs"
+          % (parent, spread[0][0], spread[0][2], change, spread[1][0],
+             spread[1][2], 100 * relative, wins, len(pairs)))
     if not correct:
         print("a run was not correct")
     return 0 if correct else 1

@@ -6,9 +6,12 @@ PARENT and CHANGE are two checkouts of the repository.  Each command of
 ``COMMANDS`` runs as ``python3 -m gradedbv.cli ... --out FILE`` with
 ``PYTHONPATH=<checkout>/src``, once per checkout; the script prints, per
 command, each side's exit code and the SHA-256 of its ``--out`` file
-("-" when none was written), and whether the two differ.  It exits 1
-when any command differs, else 0.  Stdlib only; the report files go to a
-temporary directory that is removed afterwards.
+("-" when none was written), and whether the two differ.  A command the
+parent cannot run (usage exit 64, no report) but the change can, such
+as one naming a model new in the change, is printed as NEW and does not
+count as differing.  It exits 1 when any other command differs, else 0.
+Stdlib only; the report files go to a temporary directory that is
+removed afterwards.
 """
 
 from __future__ import annotations
@@ -58,17 +61,25 @@ def run_command(checkout, command, out_path):
     return proc.returncode, digest
 
 
+# what a side that cannot run a command reports: usage exit, no report
+NOT_RUNNABLE = (64, None)
+
+
 def compare(parent, change):
-    """Rows (command, parent result, change result, same) for the
+    """Rows (command, parent result, change result, same, new) for the
     commands of two {command: (exit code, digest)} dicts, in the order of
-    ``parent``; a command missing from ``change`` differs."""
-    return [(command, result, change.get(command),
-             change.get(command) == result)
-            for command, result in parent.items()]
+    ``parent``; a command missing from ``change`` differs, and one the
+    parent cannot run but the change can is new."""
+    rows = []
+    for command, result in parent.items():
+        other = change.get(command)
+        new = result == NOT_RUNNABLE and other not in (None, NOT_RUNNABLE)
+        rows.append((command, result, other, other == result, new))
+    return rows
 
 
 def format_row(row):
-    command, parent, change, same = row
+    command, parent, change, same, new = row
 
     def side(result):
         if result is None:
@@ -76,8 +87,9 @@ def format_row(row):
         code, digest = result
         return "exit %d %s" % (code, digest or "-")
 
+    label = "same" if same else "NEW" if new else "DIFFERS"
     return "%s %s\n    parent %s\n    change %s" % (
-        "same" if same else "DIFFERS", command, side(parent), side(change))
+        label, command, side(parent), side(change))
 
 
 def main(argv=None):
@@ -96,8 +108,10 @@ def main(argv=None):
     rows = compare(results["parent"], results["change"])
     for row in rows:
         print(format_row(row))
-    differing = sum(not row[3] for row in rows)
-    print("%d of %d commands differ" % (differing, len(rows)))
+    differing = sum(not row[3] and not row[4] for row in rows)
+    new = sum(row[4] for row in rows)
+    print("%d of %d commands differ%s" % (
+        differing, len(rows), "; %d new" % new if new else ""))
     return 1 if differing else 0
 
 
