@@ -279,8 +279,10 @@ class GradedSpace:
     """A set of named basis elements with integer degrees.
 
     Spaces compare by identity; every instance owns its spaces.  A space
-    is either finite (explicit ordered basis) or rule-generated, in
-    which case checks enumerate a finite window of the basis.
+    is finite (explicit ordered basis), of finite type (rule-generated,
+    with finitely many names in each degree, see ``names_in_degree``),
+    or neither; checks enumerate a finite window of a rule-generated
+    basis.
     """
 
     name = "?"
@@ -311,6 +313,11 @@ class GradedSpace:
         """Canonically ordered basis names enumerated for window index k."""
         raise NotImplementedError
 
+    def names_in_degree(self, d):
+        """The sorted basis names of degree ``d`` on a space of finite
+        type; EngineError otherwise."""
+        raise EngineError("space %s is not of finite type" % self.name)
+
     def __repr__(self):
         return "<space %s>" % self.name
 
@@ -338,6 +345,9 @@ class FiniteSpace(GradedSpace):
 
     def window_names(self, k):
         return tuple(sorted(self._degrees))
+
+    def names_in_degree(self, d):
+        return tuple(sorted(n for n, e in self._degrees.items() if e == d))
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,20 @@ and the checks below verify the graded Jacobi and coJacobi identities,
 the compatibility between bracket and cobracket, and the transported
 forms of the nine-term and seven-term identities (pre/post-composed
 with mark and erase maps), which must agree with the inherited forms.
+
+The canonical data (``canonical_gysin``) exists on every space of
+finite type, built one way: a class ``[x]`` of B is a pivot name x of
+the degree-wise column reduction of Delta, and B's window is the
+classes of A's window names.
 """
 
 from __future__ import annotations
 
-from .core import (EngineError, FiniteSpace, GradedMap, GradedSpace,
-                   UnknownBasisName, basis_element, table_map, zero_element)
+from .core import (Element, EngineError, GradedMap, GradedSpace,
+                   UnknownBasisName)
 from .checks import (CheckReport, RelationSpec, Window, check_relations,
                      make_relation)
 from .expr import Compose, OpContext, compile_expr, parse
-from .models import SphereSpace, sphere_key, sphere_name
 from .structures import builtin_relation, check_structure
 
 
@@ -74,120 +78,113 @@ class GysinData:
         return True
 
 
-class SphereClassSpace(GradedSpace):
-    """Classes [AU^k], k >= 1: the quotient of the sphere model by the
-    kernel of its operator, read off the sphere space: ``[X]`` is a class
-    when X starts with ``AU`` and is a basis name of ``sphere`` (spelled
-    canonically, so ``[AU]``, not ``[AU^1]``), and has X's degree.
+class ClassSpace(GradedSpace):
+    """B = A / ker Delta for a space A of finite type.
+
+    The classes ``[x]`` are the pivot names x of the column reduction of
+    Delta, run one degree at a time on ``names_in_degree`` and memoized;
+    ``[x]`` has x's degree.  As Delta has degree 1, columns of different
+    degrees never share a lead, so this is the reduction over the whole
+    basis.  B is finite when A is, and its window is the classes of A's
+    window names.
     """
 
-    def __init__(self, sphere):
-        self.sphere = sphere
-        self.name = sphere.name + "/kerDelta"
+    def __init__(self, delta):
+        self.base, = delta.source
+        self.name = self.base.name + "/kerDelta"
+        self._delta = delta
+        self._degrees = {}      # class -> degree, stored once checked
+        self._coords = {}       # degree -> {name: {pivot: coefficient}}
+
+    def erase_coords(self, name):
+        """{pivot x: c} with Delta(name) = sum of c * Delta(x); a pivot
+        is its own only coordinate.  The first name of a degree reduces
+        the columns of every name of that degree."""
+        degree = self.base.degree(name)
+        coords = self._coords.get(degree)
+        if coords is None:
+            field, delta = self._delta.field, self._delta.on_key
+            pivots = {}     # lead -> (column, its combination of names)
+            coords = {}
+            for x in self.base.names_in_degree(degree):
+                vec = {k[0]: v for k, v in delta((x,)).coeffs.items()}
+                combo = {}
+                lead = min(vec, default=None)
+                while lead in pivots:
+                    pvec, pcombo = pivots[lead]
+                    c = field.mul(vec[lead], field.inv(pvec[lead]))
+                    field.accumulate(vec, pvec.items(), field.neg(c))
+                    field.accumulate(combo, pcombo.items(), c)
+                    lead = min(vec, default=None)
+                if lead is None:
+                    coords[x] = combo
+                else:
+                    pcombo = {y: field.neg(v) for y, v in combo.items()}
+                    pcombo[x] = field.one
+                    pivots[lead] = (vec, pcombo)
+                    coords[x] = {x: field.one}
+            self._coords[degree] = coords
+        return coords[name]
+
+    def _classes(self, names):
+        return tuple(sorted("[%s]" % x for x in names
+                            if x in self.erase_coords(x)))
 
     def degree(self, basis_name):
-        if basis_name.startswith("[AU") and basis_name.endswith("]"):
-            try:
-                return self.sphere.degree(basis_name[1:-1])
-            except UnknownBasisName:
-                pass
+        try:
+            return self._degrees[basis_name]
+        except KeyError:
+            pass
+        x = basis_name[1:-1]
+        if (basis_name == "[%s]" % x and self.base.contains(x)
+                and x in self.erase_coords(x)):
+            degree = self._degrees[basis_name] = self.base.degree(x)
+            return degree
         raise UnknownBasisName("%r is not a class of %s"
                                % (basis_name, self.name))
 
+    def is_finite(self):
+        return self.base.is_finite()
+
+    def basis_names(self):
+        return self._classes(self.base.basis_names())
+
     def window_names(self, k):
-        return tuple(sorted("[%s]" % sphere_name(True, i)
-                            for i in range(1, k + 1)))
+        return self._classes(self.base.window_names(k))
 
 
 def canonical_gysin(instance, window=Window()):
-    """Minimal Gysin data: B = A / ker Delta, E the projection, M the
-    map induced by Delta on classes."""
+    """Minimal Gysin data on a space A of finite type: B = A / ker Delta
+    (a ClassSpace), E the projection, sending each name to its class
+    combination, and M = Delta on the pivot of each class."""
     field = instance.field
     space = instance.space
+    delta = instance.delta
+    try:
+        space.names_in_degree(0)
+    except EngineError:
+        raise GysinError("no canonical construction: %s is not of finite "
+                         "type" % space.name) from None
     squared, = check_structure(instance, ("DeltaSquared",), window)
     if squared.witnesses:
         key, _, residual = squared.witnesses[0]
         raise GysinError("operator does not square to zero at %s: %s"
                          % (key[0], residual))
+    b_space = ClassSpace(delta)
 
-    if isinstance(space, SphereSpace):
-        b_space = SphereClassSpace(space)
+    def erase_rule(key):
+        return Element((b_space,), field, {
+            ("[%s]" % x,): v for x, v in b_space.erase_coords(key[0]).items()})
 
-        def erase_rule(key):
-            a, k = sphere_key(key[0])
-            if a and k >= 1:
-                return basis_element((b_space,), field,
-                                     ("[%s]" % sphere_name(True, k),))
-            return zero_element((b_space,), field)
+    def mark_rule(key):
+        b_space.degree(key[0])      # UnknownBasisName unless a class
+        return delta.rule((key[0][1:-1],))
 
-        def mark_rule(key):
-            b_space.degree(key[0])      # UnknownBasisName unless a class
-            k = sphere_key(key[0][1:-1])[1]
-            return basis_element((space,), field, (sphere_name(False, k - 1),), k)
-
-        erase = GradedMap((space,), (b_space,), 0, field, name="E",
-                          rule=erase_rule)
-        mark = GradedMap((b_space,), (space,), 1, field, name="M",
-                         rule=mark_rule)
-        data = GysinData(b_space, erase, mark)
-        data.validate(instance, window)
-        return data
-
-    if not space.is_finite():
-        raise GysinError("no canonical construction for rule-generated %s"
-                         % space.name)
-    return _finite_gysin(instance, window)
-
-
-def _finite_gysin(instance, window):
-    """Exact column reduction of the operator: pivot columns span a
-    complement of the kernel and become the classes of B."""
-    field = instance.field
-    space = instance.space
-    names = sorted(space.basis_names())
-    pivots = {}          # lead basis name -> (normalized vector, combo)
-    pivot_cols = []
-    erase_coords = {}    # basis name -> {pivot column: coefficient}
-
-    def reduce(vec):
-        vec = dict(vec)
-        combo = {}
-        while vec:
-            lead = min(vec)
-            if lead not in pivots:
-                return vec, combo, lead
-            pvec, pcombo = pivots[lead]
-            c = vec[lead]
-            field.accumulate(vec, pvec.items(), field.neg(c))
-            field.accumulate(combo, pcombo.items(), c)
-        return {}, combo, None
-
-    delta = instance.delta.on_key
-    for name in names:
-        vec = {k[0]: v for k, v in delta((name,)).coeffs.items()}
-        rest, combo, lead = reduce(vec)
-        if lead is None:
-            erase_coords[name] = combo
-        else:
-            inv = field.inv(rest[lead])
-            norm = {k: field.mul(inv, v) for k, v in rest.items()}
-            ncombo = {col: field.neg(field.mul(inv, v))
-                      for col, v in combo.items()}
-            ncombo[name] = inv
-            pivots[lead] = (norm, ncombo)
-            pivot_cols.append(name)
-            erase_coords[name] = {name: field.coerce(1)}
-
-    b_space = FiniteSpace(space.name + "/kerDelta",
-                          {"[%s]" % c: space.degree(c) for c in pivot_cols})
-    erase = table_map((space,), (b_space,), 0, field,
-                      [((name,), ("[%s]" % col,), v)
-                       for name, combo in erase_coords.items()
-                       for col, v in combo.items()], "E")
-    mark = table_map((b_space,), (space,), 1, field,
-                     [(("[%s]" % col,), okey, v) for col in pivot_cols
-                      for okey, v in delta((col,)).coeffs.items()], "M")
-    data = GysinData(b_space, erase, mark)
+    data = GysinData(b_space,
+                     GradedMap((space,), (b_space,), 0, field, name="E",
+                               rule=erase_rule),
+                     GradedMap((b_space,), (space,), 1, field, name="M",
+                               rule=mark_rule))
     data.validate(instance, window)
     return data
 

@@ -91,6 +91,13 @@ class SphereSpace(GradedSpace):
         names = [sphere_name(a, i) for a in (False, True) for i in range(k + 1)]
         return tuple(sorted(names))
 
+    def names_in_degree(self, d):
+        """U^k when k(n-1) = d, AU^k when k(n-1) - n = d: at most one
+        name, as n - 1 does not divide n."""
+        return tuple(sphere_name(a, (d + shift) // (self.n - 1))
+                     for a, shift in ((False, 0), (True, self.n))
+                     if d + shift >= 0 and (d + shift) % (self.n - 1) == 0)
+
 
 def sphere_model(n, field=QQ):
     """The odd-sphere loop homology instance; |lambda| = 1 - 2n."""

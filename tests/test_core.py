@@ -16,6 +16,20 @@ def sphere():
     return g.sphere_model(3)
 
 
+def test_finite_names_in_degree_read_the_table_sorted():
+    space = g.builtin_model("three-dim").space
+    assert space.names_in_degree(-1) == ("a", "b")
+    assert space.names_in_degree(0) == ("1",)
+    assert space.names_in_degree(1) == ()
+    assert FiniteSpace("f", {"z": 2, "b": 2, "m": 2, "c": 1}).names_in_degree(
+        2) == ("b", "m", "z")
+
+
+def test_a_space_not_of_finite_type_has_no_names_in_degree():
+    with pytest.raises(g.EngineError, match="not of finite type"):
+        g.GradedSpace().names_in_degree(0)
+
+
 def test_zero_coefficients_are_pruned(sphere):
     sp, field = sphere.space, sphere.field
     x = basis_element((sp,), field, ("U",), 2)

@@ -4,7 +4,8 @@ import pytest
 
 import gradedbv as g
 from gradedbv.checks import Window
-from gradedbv.core import (FiniteSpace, GradedMap, basis_element, table_map,
+from gradedbv.core import (Element, FiniteSpace, GradedMap, UnknownBasisName,
+                           basis_element, format_element, table_map,
                            zero_element)
 from gradedbv.gysin import GysinData, GysinError, canonical_gysin
 from gradedbv.structures import BVUIInstance
@@ -39,7 +40,7 @@ def test_sphere_classes_reject_non_canonical_names(sphere_gysin, name):
     from gradedbv.core import UnknownBasisName
     b = sphere_gysin.space_b
     assert b.contains("[AU]") and b.degree("[AU]") == -1
-    assert b.degree("[AU^2]") == b.sphere.degree("AU^2") == 1
+    assert b.degree("[AU^2]") == b.base.degree("AU^2") == 1
     assert not b.contains(name)
     for _ in range(2):      # rejected again once "[AU]" is memoized
         with pytest.raises(UnknownBasisName):
@@ -141,19 +142,33 @@ def test_degree_constraints_on_data(sphere):
         GysinData(sp, wrong, wrong)  # mark must have degree 1
 
 
-def _finite_delta_instance():
-    """Basis {1, z1, z2, w}: Delta z1 = w, Delta z2 = 2w, else zero."""
+def _finite_delta_instance(
+        degrees=(("z1", -2), ("z2", -2), ("w", -1)),
+        rows=((("z1",), ("w",), 1), (("z2",), ("w",), 2))):
+    """Basis 1 and ``degrees``, with the Delta ``rows``: by default
+    Delta z1 = w, Delta z2 = 2w, else zero."""
     field = g.QQ
-    space = FiniteSpace("fin", {"1": 0, "z1": -2, "z2": -2, "w": -1})
+    space = FiniteSpace("fin", dict((("1", 0),) + degrees))
     s1, s2 = (space,), (space, space)
     mu = table_map(s2, s1, 0, field, [
         (("1", n), (n,), 1) for n in space.basis_names()] + [
         ((n, "1"), (n,), 1) for n in space.basis_names() if n != "1"], "mu")
     lam = table_map(s1, s2, -1, field, [], "lambda")
-    delta = table_map(s1, s1, 1, field, [
-        (("z1",), ("w",), 1), (("z2",), ("w",), 2)], "Delta")
+    delta = table_map(s1, s1, 1, field, rows, "Delta")
     return BVUIInstance("fin", space, field, mu,
                         basis_element(s1, field, ("1",)), lam, delta, -1)
+
+
+def test_a_partly_reduced_column_becomes_a_pivot():
+    # Delta z2 = w1 + w2 leads at w1, taken by z1: its rest w2 makes z2 a
+    # pivot, and then Delta z3 = w2 = Delta z2 - Delta z1
+    inst = _finite_delta_instance(
+        (("z1", -2), ("z2", -2), ("z3", -2), ("w1", -1), ("w2", -1)),
+        ((("z1",), ("w1",), 1), (("z2",), ("w1",), 1), (("z2",), ("w2",), 1),
+         (("z3",), ("w2",), 1)))
+    data = canonical_gysin(inst, Window())
+    assert data.space_b.basis_names() == ("[z1]", "[z2]")
+    assert format_element(data.erase.on_key(("z3",))) == "-[z1] + [z2]"
 
 
 def test_finite_canonical_construction_by_elimination():
@@ -303,3 +318,193 @@ def test_each_bracket_key_runs_its_compiled_loop_once(sphere, sphere_gysin,
     assert all(r.status == "pass" for r in reports)
     assert {node for node, _ in runs} == loops
     assert max(runs.values()) == 1
+
+
+@pytest.mark.parametrize("field_name,classes", [
+    ("Fp:2", ("[AU]", "[AU^3]", "[AU^5]")),
+    ("Fp:3", ("[AU]", "[AU^2]", "[AU^4]", "[AU^5]")),
+])
+def test_classes_over_a_prime_field_are_the_pivots(field_name, classes):
+    # Delta(AU^k) = k U^{k-1} vanishes when p divides k: AU^k is then in
+    # the kernel, so it is no class, and M is nonzero on every class
+    inst = g.sphere_model(3, g.field_by_name(field_name))
+    data = canonical_gysin(inst, Window(6))
+    b = data.space_b
+    assert b.window_names(6) == classes
+    for name in classes:
+        assert not data.mark.on_key((name,)).is_zero()
+    assert data.erase.on_key(("AU^%s" % field_name[-1],)).is_zero()
+
+
+class _Line(g.GradedSpace):
+    """x0, x1, ... all in degree 0: rule-generated, not of finite type."""
+
+    name = "line"
+
+    def degree(self, basis_name):
+        if basis_name[:1] != "x" or not basis_name[1:].isdigit():
+            raise UnknownBasisName(basis_name)
+        return 0
+
+    def window_names(self, k):
+        return tuple("x%d" % i for i in range(k + 1))
+
+
+def test_canonical_refuses_a_space_not_of_finite_type():
+    field, space = g.QQ, _Line()
+    s1, s2 = (space,), (space, space)
+
+    def zero(spaces):
+        return lambda key: zero_element(spaces, field)
+
+    inst = BVUIInstance("line", space, field,
+                        GradedMap(s2, s1, 0, field, zero(s1), "mu"),
+                        basis_element(s1, field, ("x0",)),
+                        GradedMap(s1, s2, -1, field, zero(s2), "lambda"),
+                        GradedMap(s1, s1, 1, field, zero(s1), "Delta"), -1)
+    with pytest.raises(GysinError) as err:
+        canonical_gysin(inst, Window(2))
+    assert str(err.value) == ("no canonical construction: line is not of "
+                              "finite type")
+
+
+class _SpherePairs(g.GradedSpace):
+    """Names x_y for sphere names x and y, of degree |x| + |y|: a space of
+    finite type with several names in most degrees.  Records the degree
+    of each ``names_in_degree`` call."""
+
+    def __init__(self, sphere):
+        self.sphere = sphere
+        self.name = sphere.name + "^2"
+        self.calls = []
+
+    def degree(self, basis_name):
+        x, _, y = basis_name.partition("_")
+        if "_" in y:
+            raise UnknownBasisName(basis_name)
+        return self.sphere.degree(x) + self.sphere.degree(y)
+
+    def window_names(self, k):
+        names = self.sphere.window_names(k)
+        return tuple(sorted(x + "_" + y for x in names for y in names))
+
+    def names_in_degree(self, d):
+        self.calls.append(d)
+        sphere, n = self.sphere, self.sphere.n
+        return tuple(sorted(x + "_" + y for e in range(-n, d + n + 1)
+                            for x in sphere.names_in_degree(e)
+                            for y in sphere.names_in_degree(d - e)))
+
+
+def _sphere_pairs_instance(field):
+    """The tensor square of sphere:3 with lambda = 0: Delta and mu act
+    factor by factor with Koszul signs, and eta = 1_1."""
+    sphere = g.sphere_model(3, field)
+    space = _SpherePairs(sphere.space)
+    s1, s2 = (space,), (space, space)
+    deg = sphere.space.degree
+
+    def join(left, right, sign=1):
+        sign = field.coerce(sign)
+        return Element(s1, field, {
+            (a[0] + "_" + b[0],): field.mul(sign, field.mul(u, v))
+            for a, u in left.coeffs.items() for b, v in right.coeffs.items()})
+
+    def factor(x):
+        return basis_element((sphere.space,), field, (x,))
+
+    def delta_rule(key):
+        x, y = key[0].split("_")
+        return (join(sphere.delta.on_key((x,)), factor(y))
+                + join(factor(x), sphere.delta.on_key((y,)),
+                       -1 if deg(x) % 2 else 1))
+
+    def mu_rule(key):
+        (x1, y1), (x2, y2) = (name.split("_") for name in key)
+        return join(sphere.mu.on_key((x1, x2)), sphere.mu.on_key((y1, y2)),
+                    -1 if deg(y1) * deg(x2) % 2 else 1)
+
+    return BVUIInstance(
+        "sphere:3^2", space, field,
+        GradedMap(s2, s1, 0, field, mu_rule, "mu"),
+        basis_element(s1, field, ("1_1",)),
+        GradedMap(s1, s2, -11, field, lambda key: zero_element(s2, field),
+                  "lambda"),
+        GradedMap(s1, s1, 1, field, delta_rule, "Delta"), -11)
+
+
+def _rank(columns):
+    """Rank over Q of coefficient dicts, by elimination on the largest key."""
+    from fractions import Fraction
+    basis = []
+    for column in columns:
+        vec = {k: Fraction(v) for k, v in column.items()}
+        for key, row in basis:
+            c = vec.get(key, 0)
+            for k, v in row.items():
+                vec[k] = vec.get(k, 0) - c * v
+            vec = {k: v for k, v in vec.items() if v}
+        if vec:
+            key = max(vec)
+            basis.append((key, {k: v / vec[key] for k, v in vec.items()}))
+    return len(basis)
+
+
+def test_degree_wise_reduction_eliminates_on_a_product_space():
+    inst = _sphere_pairs_instance(g.QQ)
+    space, field = inst.space, inst.field
+    window = Window(1)
+    data = canonical_gysin(inst, window)
+    b = data.space_b
+    assert data.validate(inst, window)
+    eliminated = 0
+    for d in range(-6, 9):
+        names = space.names_in_degree(d)
+        columns = [inst.delta.on_key((x,)).coeffs for x in names]
+        pivots = [x for x in names if b.contains("[%s]" % x)]
+        assert len(pivots) == _rank(columns), d
+        eliminated += sum(1 for x, column in zip(names, columns)
+                          if column and x not in pivots)
+    assert eliminated
+    # Delta(U_AU^2) = Delta(AU^2_U) = 2 U_U: the later column is eliminated
+    assert [x for x in space.names_in_degree(3) if b.contains("[%s]" % x)
+            ] == ["1_AU^3", "AU^2_U", "AU^3_1"]
+    assert data.erase.on_key(("U_AU^2",)) == basis_element((b,), field,
+                                                          ("[AU^2_U]",))
+    # E on the products that the string bracket reaches from the classes
+    # of window 2, most of them outside the checked window
+    classes = b.window_names(2)
+    reached = set()
+    for c1 in classes:
+        for c2 in classes:
+            m1, m2 = data.mark.on_key((c1,)), data.mark.on_key((c2,))
+            for x1 in m1.coeffs:
+                for x2 in m2.coeffs:
+                    reached.update(
+                        k[0] for k in inst.mu.on_key(x1 + x2).coeffs)
+    assert reached - set(space.window_names(1))
+    for y in sorted(reached):
+        e = data.erase.on_key((y,))
+        assert data.mark(e) == inst.delta.on_key((y,)), y
+        assert all(data.erase(data.mark.on_key(c)).is_zero()
+                   for c in e.coeffs)
+    bracket = g.string_bracket(inst, data)
+    assert any(not bracket.on_key((c1, c2)).is_zero()
+               for c1 in classes for c2 in classes)
+
+
+def test_each_degree_is_reduced_once_and_only_when_read():
+    inst = _sphere_pairs_instance(g.QQ)
+    space = inst.space
+    data = canonical_gysin(inst, Window(1))
+    # the first call is the finite-type check, the rest one per degree read
+    probe, *reduced = space.calls
+    assert probe == 0 and len(reduced) == len(set(reduced))
+    window_degrees = {space.degree(x) for x in space.window_names(1)}
+    assert set(reduced) <= window_degrees | {d + 1 for d in window_degrees}
+    far = "AU^9_AU^9"
+    assert space.degree(far) not in set(reduced)
+    before = len(space.calls)
+    data.erase.on_key((far,))
+    assert data.space_b.contains("[%s]" % far)
+    assert space.calls[before:] == [space.degree(far)]

@@ -37,6 +37,19 @@ def test_sphere_names_roundtrip():
     assert normalize_sphere_name("W") is None
 
 
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_each_window_name_is_the_only_name_of_its_degree(n):
+    space = g.sphere_model(n).space
+    for name in space.window_names(10):
+        assert space.names_in_degree(space.degree(name)) == (name,)
+
+
+@pytest.mark.parametrize("n,degree", [(3, -2), (5, 1), (3, -4), (5, -6),
+                                      (7, -8), (7, -100)])
+def test_degrees_without_a_sphere_name_have_no_names(n, degree):
+    assert g.sphere_model(n).space.names_in_degree(degree) == ()
+
+
 def test_sphere_space_reads_input_names_canonically(sphere):
     from gradedbv.core import EngineError
     assert g.parse_element("U^1", (sphere.space,), g.QQ) == _elem(sphere, "U")

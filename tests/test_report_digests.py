@@ -62,7 +62,7 @@ def test_new_commands_do_not_set_the_exit_code(monkeypatch, capsys):
 
 def test_the_fixed_commands_cover_the_listed_runs():
     commands = report_digests.COMMANDS
-    assert len(commands) == len(set(commands)) == 18
+    assert len(commands) == len(set(commands)) == 20
     assert "check sphere:3 --suite all --window 4 --field Fp:101" in commands
     # a Gysin run over a prime field, where the transported signs matter
     assert "gysin sphere:5 --window 6 --field Fp:101" in commands

@@ -42,6 +42,8 @@ COMMANDS = (
     "double exterior",
     "check exterior-bv --suite all",
     "double exterior-bv",
+    "gysin exterior-bv",
+    "gysin exterior-bv --field Fp:101",
 )
 
 
