@@ -12,14 +12,13 @@ Maps are not combined here: composites, tensor products, sums and
 scalar multiples of maps are expressions, compiled by ``expr``.  The
 rule above is the only place tensor signs are introduced.
 ``tensor_factors`` lays out each tensor product of an expression once,
-and ``tensor_run`` compiles it over a field to one loop fixed to that
-layout: a single non-identity block has its slices fixed ahead of
-time, in one loop for a block at the start (the whole key or a prefix)
-and one for a block after the start (a suffix is a middle block with an
-empty tail), and several blocks multiply their outputs out.  A map's
-output on a key is checked once, by ``GradedMap.on_key``, and cached;
-the loops of ``tensor_run`` and ``GradedMap.run`` read a cached output
-with one dict lookup and call ``on_key`` only on a miss.  The
+each block holding its GradedMap, and ``tensor_run`` compiles it over a
+field to one loop fixed to that layout: a single non-identity block,
+wherever it lies, has one loop with its slices fixed ahead of time, and
+several blocks multiply their outputs out.  A map's output on a key is
+checked once, by ``GradedMap.on_key``, and cached; the loops of
+``tensor_run`` and ``GradedMap.run`` read a cached output with one
+dict lookup and call ``on_key`` only on a miss.  The
 parity of a basis name in a sign slot is read from a per-kernel dict,
 filled the first time the name is seen.  ``permute`` compiles each
 permutation map alike, to a fixed slot move and a sign from the
@@ -29,9 +28,9 @@ oracle.  Dualization (``double.dual_map``) carries its own sign.  No
 floating point is used anywhere.
 
 Scalar arithmetic on linear combinations runs in one kernel per field:
-``Rationals.accumulate`` and ``PrimeField.accumulate`` add a scaled list
-of terms into a coefficient dict with the field's arithmetic written
-inline, and every caller calls its field's kernel.
+``Rationals.accumulate`` and ``PrimeField.accumulate`` each add a scaled
+list of terms into a coefficient dict in one loop, with the field's
+arithmetic written inline, and every caller calls its field's kernel.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ class Rationals(_Field):
     arithmetic.  Both types compare, hash and print alike
     (``str(2) == str(Fraction(2))``).
 
-    ``accumulate`` is the field's kernel for linear combinations: the
+    ``accumulate`` is the field's kernel for linear combinations: one
     loop of ``add``, ``mul`` and ``is_zero`` with that arithmetic inline.
     """
 
@@ -118,25 +117,12 @@ class Rationals(_Field):
     def accumulate(self, acc, terms, scalar):
         """Add ``scalar * value`` into the dict ``acc`` for every (key,
         value) of ``terms``, dropping keys that cancel.  ``scalar`` is a
-        field element; the multiply is skipped when it is one, and
-        nothing is added when it is zero.  Values in ``terms`` must be
-        non-zero field elements.  Over Q an integral sum or product is
-        stored as an ``int``."""
+        field element; nothing is added when it is zero.  Values in
+        ``terms`` must be non-zero field elements.  Over Q an integral
+        sum or product is stored as an ``int``."""
         if scalar == 0:
             return
         get = acc.get
-        if scalar == 1:
-            for key, value in terms:
-                old = get(key)
-                if old is not None:
-                    value = old + value
-                    if not value:
-                        del acc[key]
-                        continue
-                    if value.__class__ is not int and value.denominator == 1:
-                        value = value.numerator
-                acc[key] = value
-            return
         for key, value in terms:
             value = scalar * value
             if value.__class__ is not int and value.denominator == 1:
@@ -204,16 +190,6 @@ class PrimeField(_Field):
             return
         p = self.p
         get = acc.get
-        if scalar == 1:
-            for key, value in terms:
-                old = get(key)
-                if old is not None:
-                    value = (old + value) % p
-                    if not value:
-                        del acc[key]
-                        continue
-                acc[key] = value
-            return
         for key, value in terms:
             value = scalar * value % p
             old = get(key)
@@ -713,26 +689,26 @@ class TensorKernel(namedtuple("TensorKernel", "arity sign_slots blocks")):
     for every odd f_l with l > j, so only slots counted an odd number of
     times are kept, with their space's ``degree`` function and a dict
     from basis name to degree mod 2.  ``blocks`` holds ``(start, end,
-    on_key)`` for each factor that is not an identity; identity blocks
-    (degree 0) are copied from the input key.
+    gmap)`` for each factor that is not an identity, with its
+    GradedMap; identity blocks (degree 0) are copied from the input key.
     """
 
     __slots__ = ()
 
 
 def tensor_factors(factors, spaces):
-    """Lay out a TensorKernel from (arity, degree, on_key) triples, one
-    per factor in order; ``on_key`` is None for an identity block, whose
-    degree is taken as 0.  ``spaces`` are the input slot spaces."""
+    """Lay out a TensorKernel from (arity, degree, gmap) triples, one per
+    factor in order; ``gmap`` is None for an identity block, whose degree
+    is taken as 0.  ``spaces`` are the input slot spaces."""
     sign_slots, blocks = [], []
     later_odd = 0
     pos = len(spaces)
-    for arity, degree, on_key in reversed(factors):
+    for arity, degree, gmap in reversed(factors):
         start = pos - arity
         if later_odd % 2:
             sign_slots.extend((i, spaces[i].degree, {}) for i in range(start, pos))
-        if on_key is not None:
-            blocks.append((start, pos, on_key))
+        if gmap is not None:
+            blocks.append((start, pos, gmap))
             later_odd += degree % 2
         pos = start
     if pos != 0:
@@ -752,69 +728,47 @@ def tensor_run(kernel, field):
     (-1)^{sum_j |f_j| * (|x_1| + ... + |x_{j-1}|)} f_1(x_1) (x) ... (x)
     f_k(x_k); nothing is added when some f_j(x_j) vanishes.  Each block
     output is read with one lookup in its map's cache, and ``on_key``
-    is called only on a miss (see ``_cache_get``).  The loop is picked
-    here, once per kernel.  A single non-identity block is either at the
-    start of the key (the whole key or a prefix), which has no sign
-    slots, or after the start (the middle, or a suffix with an empty
-    tail), whose sign slots all lie before it; its loop copies the
+    is called only on a miss.  The loop is picked here, once per kernel.
+    A single non-identity block has one loop, whose sign slots all lie
+    before the block (none for a block at the start); it copies the
     identity slots around the block's output with slices fixed ahead of
-    time, skips a vanishing output and adds a one-term output without
-    building a list (on the sphere model about a third of the block
-    outputs vanish and over half have one term), storing it without a
-    kernel call when its coefficient is one and its key is new.  Several
-    blocks (or none) multiply their outputs out.
+    time (an empty head at the start, an empty tail at the end), skips a
+    vanishing output and adds a one-term output without building a list
+    (on the sphere model about a third of the block outputs vanish and
+    over half have one term), storing it without a kernel call when its
+    coefficient is one and its key is new.  Several blocks (or none)
+    multiply their outputs out.
     The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
     neg, add_into = field.neg, field.accumulate
     if len(blocks) != 1:
         return _product_run(kernel, field)
-    (start, end, on_key), = blocks
-    get = _cache_get(on_key)
-    if start == 0:
-        def run(coeffs):
-            acc = {}
-            for key, coeff in coeffs.items():
-                if len(key) != arity:
-                    raise _arity_error(key, arity)
-                block = key[:end]
-                out = get(block)
-                part = (on_key(block) if out is None else out).coeffs
-                if len(part) == 1:
-                    (k, v), = part.items()
-                    k += key[end:]
-                    if v == 1 and k not in acc:
-                        acc[k] = coeff
-                    else:
-                        add_into(acc, ((k, v),), coeff)
-                elif part:
-                    tail = key[end:]
-                    add_into(acc, [(k + tail, v) for k, v in part.items()],
-                             coeff)
-            return acc
-    else:
-        def run(coeffs):
-            acc = {}
-            for key, coeff in coeffs.items():
-                if len(key) != arity:
-                    raise _arity_error(key, arity)
-                if sign_slots and _odd(sign_slots, key):
-                    coeff = neg(coeff)
-                block = key[start:end]
-                out = get(block)
-                part = (on_key(block) if out is None else out).coeffs
-                if len(part) == 1:
-                    (k, v), = part.items()
-                    k = key[:start] + k + key[end:]
-                    if v == 1 and k not in acc:
-                        acc[k] = coeff
-                    else:
-                        add_into(acc, ((k, v),), coeff)
-                elif part:
-                    head, tail = key[:start], key[end:]
-                    add_into(acc, [(head + k + tail, v) for k, v in
-                                   part.items()], coeff)
-            return acc
+    (start, end, gmap), = blocks
+    get, on_key = gmap._cache.get, gmap.on_key
+
+    def run(coeffs):
+        acc = {}
+        for key, coeff in coeffs.items():
+            if len(key) != arity:
+                raise _arity_error(key, arity)
+            if sign_slots and _odd(sign_slots, key):
+                coeff = neg(coeff)
+            block = key[start:end]
+            out = get(block)
+            part = (on_key(block) if out is None else out).coeffs
+            if len(part) == 1:
+                (k, v), = part.items()
+                k = key[:start] + k + key[end:]
+                if v == 1 and k not in acc:
+                    acc[k] = coeff
+                else:
+                    add_into(acc, ((k, v),), coeff)
+            elif part:
+                head, tail = key[:start], key[end:]
+                add_into(acc, [(head + k + tail, v) for k, v in
+                               part.items()], coeff)
+        return acc
     return run
 
 
@@ -824,8 +778,8 @@ def _product_run(kernel, field):
     them."""
     arity, sign_slots, blocks = kernel
     neg, mul, one, add_into = field.neg, field.mul, field.one, field.accumulate
-    blocks = [(start, end, _cache_get(on_key), on_key)
-              for start, end, on_key in blocks]
+    blocks = [(start, end, gmap._cache.get, gmap.on_key)
+              for start, end, gmap in blocks]
 
     def run(coeffs):
         acc = {}
@@ -851,19 +805,6 @@ def _product_run(kernel, field):
                 add_into(acc, [(k + tail, v) for k, v in terms], one)
         return acc
     return run
-
-
-# the cache of a block function that is not a GradedMap's on_key
-_NO_CACHE = {}
-
-
-def _cache_get(on_key):
-    """The ``get`` of the cache ``on_key`` answers from: its GradedMap's
-    own when ``on_key`` is a map's bound ``on_key``, else that of an
-    empty dict, so any other function is called on every key.  A cached
-    output has passed ``on_key``'s checks."""
-    owner = getattr(on_key, "__self__", None)
-    return owner._cache.get if isinstance(owner, GradedMap) else _NO_CACHE.get
 
 
 def _odd(sign_slots, key):

@@ -161,6 +161,10 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+# a whole number token, as the tokenizer reads it
+_NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+
+
 def tokenize(text):
     tokens = []
     pos = 0
@@ -764,9 +768,9 @@ def _compile_tensor(node, ctx, in_spaces, degree):
     field = ctx.field
     source = tuple(s for m in maps for s in m.source)
     target = tuple(t for m in maps for t in m.target)
-    # an ``id`` factor is an identity block, any other reads its on_key
+    # an ``id`` factor is an identity block, any other reads its map
     kernel = tensor_factors([(len(m.source), m.degree,
-                              None if child is ID else m.on_key)
+                              None if child is ID else m)
                              for child, m in zip(node.children, maps)], source)
     run = tensor_run(kernel, field)
     # a tensor product streams: its run is the loop, not the cache
@@ -801,7 +805,8 @@ def evaluate(node, ctx, elem):
 def parse_element(text, spaces, field):
     """Parse an element literal like ``2*A(x)1 - 2*1(x)A``.
 
-    ``spaces`` is the tuple of slot spaces; arity 0 parses a bare scalar.
+    ``spaces`` is the tuple of slot spaces; arity 0 parses a bare scalar
+    (``2``, ``1/2``, ``-3*1``).
     Each basis name is read by its space's ``canonical_name`` (the sphere
     model accepts U^0, U^1, AU^0, AU^1 for 1, U, A, AU).
     """
@@ -809,9 +814,10 @@ def parse_element(text, spaces, field):
     out = zero_element(spaces, field)
     for coeff, key in _literal_terms(parse(text)):
         if not spaces:
-            if key != ("1",):
+            # a bare number n reads as n*1 ("1" is the scalar's basis name)
+            if len(key) != 1 or not _NUMBER_RE.fullmatch(key[0]):
                 raise ParseError("expected a scalar literal, got %r" % (text,))
-            out = out + scalar_element(field, field.coerce(coeff))
+            out = out + scalar_element(field, coeff * _coefficient(key[0]))
             continue
         if len(key) != len(spaces):
             raise ArityMismatch(

@@ -170,6 +170,17 @@ def test_eval_output_format(capsys):
 def test_eval_scalar_input(capsys):
     assert main(["eval", "sphere:3", "--expr", "eta", "--input", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # a bare number on zero slots is that multiple of the scalar 1
+    for text, field, want in (("2", "Q", "2*1"), ("1/2", "Q", "1/2*1"),
+                              ("1/2", "Fp:101", "51*1"), ("0", "Q", "0")):
+        assert main(["eval", "sphere:3", "--expr", "eta", "--input", text,
+                     "--field", field]) == 0
+        assert capsys.readouterr().out.strip() == want, (text, field)
+    # a name that is not a number is no scalar literal
+    for text in ("x", "1e5", "1 (x) 1"):
+        assert main(["eval", "sphere:3", "--expr", "eta",
+                     "--input", text]) == 64
+        assert "expected a scalar literal" in capsys.readouterr().err
 
 
 def test_eval_reads_the_input_on_the_expressions_source(capsys):

@@ -120,7 +120,7 @@ def test_expression_tensor_agrees_with_the_koszul_formula():
                        ("Delta (x) lambda (x) Delta",
                         (sphere.delta, sphere.lam, sphere.delta))):
         expr = g.parse(text)
-        factors = [(1, f.degree, f.on_key) for f in maps]
+        factors = [(1, f.degree, f) for f in maps]
         arity = len(maps)
         for key in itertools.product(names, repeat=arity):
             x = basis_element((sp,) * arity, field, key)
@@ -176,14 +176,15 @@ def test_vanishing_tensor_factor_adds_nothing():
     from gradedbv.core import tensor_factors, tensor_run
     sphere = g.sphere_model(3)
     sp, field = sphere.space, sphere.field
-    calls = []
+    lam, calls = sphere.lam, []
 
-    def lam_on_key(block):
+    def lam_rule(block):
         calls.append(block)
-        return sphere.lam.on_key(block)
+        return lam.rule(block)
 
-    kernel = tensor_factors([(1, 1, sphere.delta.on_key),
-                             (1, sphere.lam.degree, lam_on_key)], (sp, sp))
+    counted = g.GradedMap(lam.source, lam.target, lam.degree, field, lam_rule)
+    kernel = tensor_factors([(1, 1, sphere.delta),
+                             (1, lam.degree, counted)], (sp, sp))
     # Delta(U) = 0: the first item adds nothing, lambda never sees it
     run = tensor_run(kernel, field)
     both = run({("U", "AU^2"): 5, ("AU", "AU^2"): 1})
@@ -206,10 +207,9 @@ def test_tensor_kernel_rejects_keys_of_the_wrong_length():
     from gradedbv.core import ArityMismatch, tensor_factors, tensor_run
     sphere = g.sphere_model(3)
     sp, field = sphere.space, sphere.field
-    single = tensor_factors([(1, 0, None), (1, 1, sphere.delta.on_key)],
-                            (sp, sp))
-    double = tensor_factors([(1, 1, sphere.delta.on_key), (1, 0, None),
-                             (1, 1, sphere.delta.on_key)], (sp, sp, sp))
+    single = tensor_factors([(1, 0, None), (1, 1, sphere.delta)], (sp, sp))
+    double = tensor_factors([(1, 1, sphere.delta), (1, 0, None),
+                             (1, 1, sphere.delta)], (sp, sp, sp))
     for kernel, arity in ((single, 2), (double, 3)):
         for key in (("AU",) * (arity - 1), ("AU",) * (arity + 1)):
             with pytest.raises(ArityMismatch):
@@ -218,7 +218,7 @@ def test_tensor_kernel_rejects_keys_of_the_wrong_length():
         g.compile_expr(g.parse("Delta (x) Delta"), sphere.context(),
                        (sp, sp)).on_key(("AU",))
     with pytest.raises(ArityMismatch):
-        tensor_factors([(1, 1, sphere.delta.on_key)], (sp, sp))
+        tensor_factors([(1, 1, sphere.delta)], (sp, sp))
 
 
 # (layout, factors): each layout with an odd and an even non-identity factor
@@ -247,7 +247,7 @@ def _layout(kernel):
 
 def _koszul_reference(factors, key, space, field):
     """(sign, f_1 (x) ... (x) f_k on one basis key) by the Koszul formula,
-    written out; ``factors`` are (arity, degree, on_key) with on_key None
+    written out; ``factors`` are (arity, degree, gmap) with gmap None
     for an identity, and nothing of the tensor kernel is called."""
     blocks, pos = [], 0
     for arity, _, _ in factors:
@@ -255,8 +255,8 @@ def _koszul_reference(factors, key, space, field):
         pos += arity
     sign = _block_sign(blocks, [degree for _, degree, _ in factors], space)
     out = {(): field.coerce(sign)}
-    for (_, _, on_key), block in zip(factors, blocks):
-        part = {block: field.one} if on_key is None else on_key(block).coeffs
+    for (_, _, gmap), block in zip(factors, blocks):
+        part = {block: field.one} if gmap is None else gmap.on_key(block).coeffs
         out = {k1 + k2: field.mul(v1, v2)
                for k1, v1 in out.items() for k2, v2 in part.items()}
     return sign, out
@@ -270,7 +270,7 @@ def test_every_kernel_layout_matches_the_koszul_formula(model, field_name):
     field = g.field_by_name(field_name)
     inst = g.builtin_model(model, field)
     sp = inst.space
-    factor = {name: (len(m.source), m.degree, m.on_key) for name, m in (
+    factor = {name: (len(m.source), m.degree, m) for name, m in (
         ("mu", inst.mu), ("lambda", inst.lam), ("Delta", inst.delta),
         ("tau", g.permute((1, 0), (sp, sp), field)))}
     factor["id"] = (1, 0, None)
@@ -305,8 +305,7 @@ def test_failed_parity_lookups_are_not_cached():
     from gradedbv.expr import compile_expr
     sphere = g.sphere_model(3)
     sp, field = sphere.space, sphere.field
-    kernel = tensor_factors([(1, 0, None), (1, 1, sphere.delta.on_key)],
-                            (sp, sp))
+    kernel = tensor_factors([(1, 0, None), (1, 1, sphere.delta)], (sp, sp))
     (_, _, parity), = kernel.sign_slots
     run = tensor_run(kernel, field)
     plan = compile_expr(g.parse("id (x) Delta"), sphere.context(), (sp, sp))

@@ -31,3 +31,11 @@ def test_cli_import_and_catalog_load_no_heavy_modules():
     loaded = set(json.loads(proc.stdout))
     assert "gradedbv.cli" in loaded and "gradedbv.structures" in loaded
     assert sorted(loaded.intersection(HEAVY)) == []
+
+
+def test_the_suite_tests_this_checkouts_package():
+    # pytest's ``pythonpath = ["src"]`` goes ahead of PYTHONPATH, so the
+    # suite always tests the tree it runs in
+    import gradedbv
+    package = Path(gradedbv.__file__).resolve().parent
+    assert package == (SRC / "gradedbv").resolve()
