@@ -10,25 +10,28 @@ Reports are deterministic: tuples are enumerated in canonical
 failures in that order, so two runs produce byte-identical output.
 
 Relations are evaluated one orbit at a time, all relations of one
-arity in one walk of their window (check_relations).  Each term is read
-from its normal form ``sign * X . P`` (``expr.normal_form``): its head X,
-its input permutation P, if any, and the sign of moving P there, which
-goes on the term's coefficient.  The catalog spells the cyclic and
+arity in one walk of their window (check_relations), under one orbit
+function for the walk.  Each term is read from its normal form ``sign
+* X . P`` (``expr.normal_form``): its head X, its input permutation P,
+if any, and the sign of moving P there, which goes on the term's
+coefficient.  P sends a basis tuple to one signed tuple, whose sign
+goes on the coefficient too, so every term is one path: its head on
+P's image, added once.  The catalog spells the cyclic and
 twist factors out as terms ``X``, ``X . sigma``, ``X . sigma2`` (or ``X
 . tau``), the transported Gysin terms carry them inside, as ``post . (X
 . tau) . (M (x) M)``, and some relations are stated with terms of
 others (NineTerm is the first nine terms of ElevenTerm); on a window
 closed under permuting slots, each orbit of basis tuples computes such a
-shared head X once per tuple, and every term of every relation of the
-walk reads it, signed by its permutation.  A head whose last stage is a
-whole ``tau``, ``sigma`` or ``sigma2`` O, as in the terms ``X``,
-``sigma . X`` and ``sigma2 . X`` of SevenTermLambda and CoJacobi, is
-compiled without O, and the term applies O's cached map to the head's
-value: the three terms read one X per tuple from the memo.  A group
-whose terms begin with another group's whole term tuple reads that
-prefix's partial sum from the same orbit memo, so ElevenTerm adds its
-last two terms to NineTerm's sum, and the nine shared terms are summed
-once per tuple.
+shared head X once per tuple, memoized under the map X itself, and
+every term of every relation of the walk reads it.  A head whose last
+stage is a whole ``tau``, ``sigma`` or ``sigma2`` O, as in the terms
+``X``, ``sigma . X`` and ``sigma2 . X`` of SevenTermLambda and
+CoJacobi, is compiled without O, and the term applies O's cached map to
+the head's value: the three terms read one X per tuple from the memo.
+A group whose terms begin with another group's whole term tuple reads
+that prefix's partial sum from the same orbit memo, under the prefix's
+store index, so ElevenTerm adds its last two terms to NineTerm's sum,
+and the nine shared terms are summed once per tuple.
 Each report is the same as
 from evaluating its relation's every term on every tuple in canonical
 order, and an error is the one a check of each relation in turn raises.
@@ -120,29 +123,20 @@ class CheckReport(namedtuple("CheckReport", "relation description instance windo
     __slots__ = ()
 
 
-class CompiledRelation(namedtuple("CompiledRelation", "groups orbit")):
-    """A relation typed on its input slots, see compile_relations.
-
-    ``groups`` holds (target, base, terms, store) per signed group, a
-    term being (coefficient, run, head, perm, out); ``base`` is None or the
-    compiled group of a prefix of the group's terms, ``store`` None or
-    the memo index of the group's sum (see _group_sums).  ``orbit(key)``
-    is the orbit of a basis tuple under the slot permutations of the
-    shared heads, least member first, or () when ``key`` is not that
-    least member.
-    """
-
-    __slots__ = ()
-
-
 def _typed_terms(spec, ctx, spaces):
     """Each signed group of ``spec`` as a list of terms (coefficient,
-    head map, P's map, P's slot map, O's map), typed on ``spaces`` from
-    each term's normal form, P's two None when there is no P; see
-    compile_relations.  O is the head's last stage when that stage is a
-    whole ``tau``, ``sigma`` or ``sigma2``: the head is compiled without
-    it, and O's map (or None) is applied to the head's value.  The terms
-    of a group must share a target, since their values are summed."""
+    head map, P's map, P's slot map, O's map), typed on ``spaces``, with
+    every coefficient in the context's field.
+
+    A composition ``c * term`` with the normal form ``sign * X . P``
+    (``expr.normal_form``) has the head X, read through P, an ``id``,
+    ``tau``, ``sigma`` or ``sigma2``, with the coefficient ``c * sign``;
+    any other term is its own head, and P's two are None.  O is the
+    head's last stage when that stage is a whole ``tau``, ``sigma`` or
+    ``sigma2``: the head is compiled without it, and O's map (or None)
+    is applied to the head's value.  Only the head, P and O are
+    compiled.  The terms of a group must share a target, since their
+    values are summed."""
     field = ctx.field
     typed = []
     for group in spec.groups:
@@ -176,34 +170,36 @@ def _split_output(head):
 
 
 def _link(typed, arity):
-    """One CompiledRelation per relation of ``typed`` (each a list of
-    _typed_terms groups), with one index space for the orbit memo and one
-    orbit.  The memo holds the values of shared heads and the partial
-    sums of shared groups, see _group_sums."""
-    uses = Counter(id(term[1]) for groups in typed
-                   for terms in groups for term in terms)
-    shared, generators, linked = {}, set(), []
-    for groups in typed:
-        compiled_groups = []
-        for terms in groups:
-            compiled = []
-            for coeff, head, perm, slots, out in terms:
-                index = None
-                if uses[id(head)] > 1:
-                    index = shared.setdefault(id(head), len(shared))
-                    generators.add(slots)
-                compiled.append((coeff, head.run, index, perm, out and out.run))
-            compiled_groups.append(((terms[0][4] or terms[0][1]).target,
-                                    tuple(compiled)))
-        linked.append(compiled_groups)
-    sums = _group_sums([group for groups in linked for group in groups],
-                       len(shared))
-    orbit = _orbits(generators - {None}, arity)
-    return [CompiledRelation(tuple(sums[terms] for _, terms in groups), orbit)
-            for groups in linked]
+    """The relations of ``typed`` (each a list of _typed_terms groups),
+    all typed on ``arity`` slots, compiled for one walk: (relations,
+    orbit), each relation its tuple of compiled groups (see
+    _group_sums).
+
+    A term ``c * O . X . P`` compiles to (c, X's run, X or None, P's map
+    or None, O's run or None).  Heads are the context's hash-consed
+    GradedMaps (``compile_expr``), so two terms share a head when they
+    use the same map object, in one relation or in two.  A shared head
+    is its own key into the orbit memo of residual_on_key, and an
+    unshared one (None) runs on each tuple.  ``orbit(key)`` is the orbit
+    of a basis tuple under the slot maps of the shared heads' input
+    permutations, least member first, or () when ``key`` is not that
+    least member.
+    """
+    uses = Counter(term[1] for groups in typed for terms in groups
+                   for term in terms)
+    generators = {slots for groups in typed for terms in groups
+                  for _, head, _, slots, _ in terms if uses[head] > 1}
+    linked = [[((terms[0][4] or terms[0][1]).target,
+                tuple((coeff, head.run, head if uses[head] > 1 else None,
+                       perm, out and out.run)
+                      for coeff, head, perm, _, out in terms))
+               for terms in groups] for groups in typed]
+    sums = _group_sums([group for groups in linked for group in groups])
+    return ([tuple(sums[terms] for _, terms in groups) for groups in linked],
+            _orbits(generators - {None}, arity))
 
 
-def _group_sums(groups, first_index):
+def _group_sums(groups):
     """{term tuple: compiled group} for the (target, term tuple) pairs of
     ``groups``, a compiled group being (target, base, terms, store).
 
@@ -211,10 +207,9 @@ def _group_sums(groups, first_index):
     nine terms begin ElevenTerm's eleven) has that prefix's compiled
     group as its ``base``, the longest such, and only the terms after it
     as ``terms``; any other has no base.  A tuple that is some group's
-    base, or the terms of two groups, gets a memo index ``store``, from
-    ``first_index`` on, under which its partial sum is kept per basis
-    tuple; any other stores nothing.  Equal tuples are one compiled
-    group."""
+    base, or the terms of two groups, gets an integer memo index
+    ``store``, under which its partial sum is kept per basis tuple; any
+    other stores nothing.  Equal tuples are one compiled group."""
     count = Counter(terms for _, terms in groups)
     target = {terms: target for target, terms in groups}
     base = {}
@@ -224,8 +219,7 @@ def _group_sums(groups, first_index):
         if prefix:
             base[terms] = prefix
     stored = set(base.values()) | {t for t, n in count.items() if n > 1}
-    store = {terms: first_index + i for i, terms in enumerate(
-        t for t in count if t in stored)}
+    store = {terms: i for i, terms in enumerate(t for t in count if t in stored)}
     compiled = {}
     for terms in sorted(count, key=len):    # each base before its users
         prefix = base.get(terms, ())
@@ -234,34 +228,10 @@ def _group_sums(groups, first_index):
     return compiled
 
 
-def compile_relations(specs, ctx, spaces):
-    """The relations ``specs``, all of arity ``len(spaces)``, with every
-    term typed on ``spaces`` and every coefficient in the context's
-    field.
-
-    A composition ``c * term`` with the normal form ``sign * X . P``
-    (``expr.normal_form``) has the head X, read through P, an ``id``,
-    ``tau``, ``sigma`` or ``sigma2``, or none, with the coefficient ``c
-    * sign``; any other term is its own head.  When X is ``O . X'`` for
-    a whole ``tau``, ``sigma`` or ``sigma2`` O, the head is X' and O is
-    applied to its value.  Only the head, P and O are compiled, to the
-    context's hash-consed GradedMaps (``compile_expr``), so two terms
-    share a head when they use the same map object, in one relation or
-    in two; a term reads only the head's ``run`` and ``target``, P's
-    cache and O's ``run``.  Each term is (coefficient, head.run, index,
-    P's map or None, O's run or None): a head used by one term has the
-    index None and runs on each tuple, and a shared head gets an index,
-    one index space for all of ``specs``, into the orbit memo of
-    residual_on_key.  Every relation
-    gets the same ``orbit``, generated by the slot maps of all the
-    shared heads.
-    """
-    return _link([_typed_terms(spec, ctx, spaces) for spec in specs], len(spaces))
-
-
 def compile_relation(spec, ctx, spaces):
-    """compile_relations of one relation."""
-    return compile_relations((spec,), ctx, spaces)[0]
+    """The relation ``spec`` typed on ``spaces`` and compiled alone (see
+    _link): its tuple of compiled groups."""
+    return _link([_typed_terms(spec, ctx, spaces)], len(spaces))[0][0]
 
 
 def _orbits(generators, arity):
@@ -292,20 +262,20 @@ def _orbits(generators, arity):
 def residual_on_key(spec, ctx, spaces, key, memo=None):
     """Evaluate each signed group on one basis tuple.
 
-    ``spec`` is a RelationSpec or one of compile_relations.  Returns
+    ``spec`` is a RelationSpec or a relation compiled by _link.  Returns
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
-    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for the (k',
-    sign) of P on ``key`` (k' is ``key`` when there is no P, and O is
-    the identity when there is no O).  A shared head X is
-    read from ``memo``, keyed on (head index, basis tuple), and computed
-    into it on a miss; an unshared one runs on P's output.  A group's
-    base, the partial sum of the terms it shares with another group, is
-    read from the memo in the same way, keyed on (its store index, basis
-    tuple), whichever relation reaches the tuple first computing it.  A
-    value that raises is not stored, so every use raises again.  Without
-    a memo, a fresh one serves this tuple only.
+    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for P's one
+    signed image (k', sign) of ``key`` (k' is ``key`` and the sign one
+    when there is no P, and O is the identity when there is no O).  A
+    shared head X is read from ``memo``, keyed on (X, k'), and computed
+    into it on a miss; an unshared one runs on k'.  A group's base, the
+    partial sum of the terms it shares with another group, is read from
+    the memo in the same way, keyed on (its store index, basis tuple),
+    whichever relation reaches the tuple first computing it.  A value
+    that raises is not stored, so every use raises again.  Without a
+    memo, a fresh one serves this tuple only.
     """
     relation = spec
     if isinstance(spec, RelationSpec):
@@ -316,45 +286,43 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
         memo = {}
     field = ctx.field
     key = tuple(key)
-    x = {key: field.one}
-    for gi, group in enumerate(relation.groups):
-        acc = _group_sum(group, key, x, memo, field)
+    for gi, group in enumerate(relation):
+        acc = _group_sum(group, key, memo, field)
         if acc:
             return gi, _trusted_element(group[0], field, acc)
     return None
 
 
-def _group_sum(group, key, x, memo, field):
-    """The sum of a compiled group's signed terms on ``key`` (``x`` is
-    ``{key: one}``): its base's stored sum, computed on a miss, plus its
-    own terms; stored when the group has a store index.  P's output on
-    ``key`` is read with one lookup in its cache, and its ``on_key``
-    called only on a miss.  A vanishing term value adds nothing.  A
-    stored sum is never changed, so a residual may hold it."""
+def _group_sum(group, key, memo, field):
+    """The sum of a compiled group's signed terms on ``key``: its base's
+    stored sum, computed on a miss, plus its own terms; stored when the
+    group has a store index.  P's image of ``key``, one signed key, is
+    read with one lookup in P's cache, and its ``on_key`` called only on
+    a miss; the sign goes on the term's coefficient.  A vanishing term
+    value adds nothing.  A stored sum is never changed, so a residual
+    may hold it."""
     _, base, terms, store = group
     if store is not None:
         acc = memo.get((store, key))
         if acc is not None:
             return acc
-    acc = {} if base is None else dict(_group_sum(base, key, x, memo, field))
+    acc = {} if base is None else dict(_group_sum(base, key, memo, field))
     one, add_into = field.one, field.accumulate
     for coeff, run, head, perm, out in terms:
-        images = x
+        image, sign = key, one
         if perm is not None:
-            images = perm._cache.get(key)
-            images = (perm.on_key(key) if images is None else images).coeffs
+            value = perm._cache.get(key)
+            (image, sign), = (perm.on_key(key) if value is None
+                              else value).coeffs.items()
         if head is None:
-            value = run(images)
-            if value:
-                add_into(acc, (out(value) if out else value).items(), coeff)
-            continue
-        for image, sign in images.items():
+            value = run({image: one})
+        else:
             value = memo.get((head, image))
             if value is None:
                 value = memo[head, image] = run({image: one})
-            if value:
-                add_into(acc, (out(value) if out else value).items(),
-                         coeff if sign == one else field.mul(coeff, sign))
+        if value:
+            add_into(acc, (out(value) if out else value).items(),
+                     coeff if sign == one else field.mul(coeff, sign))
     if store is not None:
         memo[store, key] = acc
     return acc
@@ -383,9 +351,10 @@ class _Walk:
             self.cut = last if self.cut is None else min(self.cut, last)
 
 
-def _walk(relations, ctx, spaces, names):
+def _walk(relations, orbit_of, ctx, spaces, names):
     """Walk the window's tuples once, one orbit at a time, for relations
-    compiled together; one _Walk per relation.
+    compiled together and their ``orbit`` (see _link); one _Walk per
+    relation.
 
     A tuple is evaluated with its orbit, when it is the orbit's least
     member, and the orbit's tuples share one memo of the shared heads'
@@ -393,7 +362,6 @@ def _walk(relations, ctx, spaces, names):
     skipped for that relation, and the walk ends once every relation is
     past its cut: every tuple below the current one has been evaluated.
     """
-    orbit_of = relations[0].orbit
     walks = live = [_Walk(relation) for relation in relations]
     for key in itertools.product(names, repeat=len(spaces)):
         orbit = orbit_of(key)
@@ -459,8 +427,8 @@ def check_relations(specs, ctx, space, window, instance_name="?",
     for arity, members in by_arity.items():
         spaces = (space,) * arity
         names = window.names_for(space, arity)
-        relations = _link([typed for _, typed in members], arity)
-        walks = _walk(relations, ctx, spaces, names)
+        relations, orbit = _link([typed for _, typed in members], arity)
+        walks = _walk(relations, orbit, ctx, spaces, names)
         for (index, _), w in zip(members, walks):
             if w.error is not None and w.error[0] == w.cut:
                 raised[index] = w.error[1]   # fewer than MAX_WITNESSES before it

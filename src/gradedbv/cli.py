@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .checks import Window
-from .core import EngineError, field_by_name
+from .core import QQ, EngineError, field_by_name
 from .double import DoubleError, build_double
 from .expr import (NoSourceSpaces, ParseError, compile_expr, evaluate, parse,
                    parse_element, source_arity)
@@ -38,11 +38,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _resolve(target, field):
-    """A built-in model name or a path to an instance file."""
+def _resolve(target, field_name):
+    """A built-in model name or a path to an instance file, over the
+    field named ``field_name``; without one, a built-in model is over Q
+    and an instance file over the ``field`` it declares."""
     import os
+    field = None if field_name is None else field_by_name(field_name)
     try:
-        return builtin_model(target, field)
+        return builtin_model(target, field or QQ)
     except EngineError as exc:
         looks_like_path = (os.sep in target or target.endswith(".json")
                            or os.path.exists(target))
@@ -85,9 +88,11 @@ def _full_suite(instance):
     return base + CONSEQUENCES + ("NineTerm",)
 
 
-def _report(args, command, name, field, window, reports, extra=None):
-    """Print a run's report document, and write it to ``--out`` if given."""
-    doc = report_document(command, name, field, window, reports, extra)
+def _report(args, command, instance, window, reports, extra=None):
+    """Print a run's report document on ``instance``, named with its
+    field, and write it to ``--out`` if given."""
+    doc = report_document(command, instance.name, instance.field, window,
+                          reports, extra)
     print(render_document(doc))
     if args.out:
         write_report(doc, args.out)
@@ -103,17 +108,15 @@ def _exit_for(reports):
 
 
 def cmd_check(args):
-    field = field_by_name(args.field)
-    instance = _resolve(args.target, field)
+    instance = _resolve(args.target, args.field)
     window = _window(args)
     reports = check_structure(instance, _suite_for(args, instance), window)
-    _report(args, "check", instance.name, field, window, reports)
+    _report(args, "check", instance, window, reports)
     return _exit_for(reports)
 
 
 def cmd_eval(args):
-    field = field_by_name(args.field)
-    instance = _resolve(args.target, field)
+    instance = _resolve(args.target, args.field)
     ctx = instance.context()
     expr = parse(args.expr)
     try:
@@ -122,15 +125,14 @@ def cmd_eval(args):
     except NoSourceSpaces:
         # it meets id, tau, sigma or sigma2 first: the instance's slots
         spaces = (instance.space,) * source_arity(expr, ctx)
-    value = parse_element(args.input, spaces, field)
+    value = parse_element(args.input, spaces, instance.field)
     result = evaluate(expr, ctx, value)
     print(result)
     return EXIT_OK
 
 
 def cmd_double(args):
-    field = field_by_name(args.field)
-    instance = _resolve(args.target, field)
+    instance = _resolve(args.target, args.field)
     try:
         doubled = build_double(instance)
     except DoubleError as exc:
@@ -138,7 +140,7 @@ def cmd_double(args):
         return EXIT_VALIDATION
     window = _window(args)
     reports = check_structure(doubled, FROBENIUS_FULL, window)
-    _report(args, "double", doubled.name, field, window, reports)
+    _report(args, "double", doubled, window, reports)
     if args.save:
         save_instance(doubled, args.save)
         print("wrote %s" % args.save)
@@ -146,8 +148,7 @@ def cmd_double(args):
 
 
 def cmd_gysin(args):
-    field = field_by_name(args.field)
-    instance = _resolve(args.target, field)
+    instance = _resolve(args.target, args.field)
     window = _window(args)
     try:
         data = gysin_from_section(instance.gysin_section, instance)
@@ -159,17 +160,17 @@ def cmd_gysin(args):
         print("gysin data invalid: %s" % exc, file=sys.stderr)
         return EXIT_VALIDATION
     reports = check_lie_bialgebra(instance, data, window)
-    _report(args, "gysin", instance.name, field, window, reports)
+    _report(args, "gysin", instance, window, reports)
     return _exit_for(reports)
 
 
 def cmd_mutate(args):
-    field = field_by_name(args.field)
+    field = QQ if args.field is None else field_by_name(args.field)
     instance = builtin_model(args.target, field)
     mutated = mutate(instance, args.mutation)
     window = _window(args)
     reports = check_structure(mutated, _full_suite(mutated), window)
-    _report(args, "mutate", mutated.name, field, window, reports,
+    _report(args, "mutate", mutated, window, reports,
             extra={"mutation": args.mutation})
     failed = any(r.status == "fail" for r in reports)
     if args.mutation == "identity":
@@ -191,7 +192,9 @@ def build_parser():
         p.add_argument("target",
                        help="built-in model (%s) or instance file path"
                             % ", ".join(BUILTIN_MODEL_NAMES))
-        p.add_argument("--field", default="Q", help="Q or Fp:<prime>")
+        p.add_argument("--field", default=None,
+                       help="Q or Fp:<prime> (default: Q for a built-in "
+                            "model, the file's field for an instance file)")
         if window:
             p.add_argument("--window", type=_window_index, default=4,
                            help="max basis index per input slot")

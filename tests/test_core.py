@@ -1,11 +1,15 @@
 """Elements, graded maps, composition and tensor examples."""
 
+from fractions import Fraction
+
 import pytest
 
 import gradedbv as g
-from gradedbv.core import (ArityMismatch, DegreeError, FiniteSpace, GradedMap,
-                           PrimeField, basis_element, format_element,
-                           scalar_element, table_map, zero_element)
+from gradedbv.core import (ArityMismatch, DegreeError, Element, FiniteSpace,
+                           GradedMap, PrimeField, basis_element,
+                           format_element, scalar_element, table_map,
+                           zero_element)
+from gradedbv.double import dual_space
 from gradedbv.expr import compile_expr, evaluate, parse
 
 from helpers import expr_map, homogeneous_parts
@@ -14,6 +18,34 @@ from helpers import expr_map, homogeneous_parts
 @pytest.fixture(scope="module")
 def sphere():
     return g.sphere_model(3)
+
+
+@pytest.mark.parametrize("field", [g.QQ, PrimeField(101)], ids=["Q", "Fp:101"])
+def test_negation_is_scaling_by_minus_one(field):
+    space = FiniteSpace("V", {"a": 0, "b": 1})
+    e = Element((space, space), field, {("a", "b"): field.coerce(2),
+                                        ("b", "b"): field.coerce(Fraction(1, 3))})
+    assert -e == e.scale(-1)
+    assert (-e).coeffs == {("a", "b"): field.coerce(-2),
+                           ("b", "b"): field.coerce(Fraction(-1, 3))}
+    assert -(-e) == e and (e + -e).is_zero()
+
+
+def test_equal_elements_hash_equal():
+    space = FiniteSpace("V", {"a": 0, "b": 1})
+    ints = Element((space,), g.QQ, {("a",): 2, ("b",): -1})
+    # Fractions with denominator one, inserted in the other order
+    fractions = Element((space,), g.QQ, {("b",): Fraction(-2, 2),
+                                         ("a",): Fraction(4, 2)})
+    assert ints == fractions and hash(ints) == hash(fractions)
+    assert {ints: "x"}[fractions] == "x"
+    # two duals of one space are two space objects with one name
+    first, second = dual_space(space), dual_space(space)
+    assert first is not second
+    x = Element((first,), g.QQ, {("a^",): 1, ("b^",): Fraction(1, 2)})
+    y = Element((second,), g.QQ, {("b^",): Fraction(1, 2), ("a^",): 1})
+    assert x == y and hash(x) == hash(y)
+    assert len({x, y, ints, fractions}) == 2
 
 
 def test_finite_names_in_degree_read_the_table_sorted():

@@ -131,6 +131,18 @@ def test_prime_field_kernel_reduces_mod_p():
     assert acc == {("y",): 4}
 
 
+@pytest.mark.parametrize("p", [3, 101, 2 ** 61 - 1])
+def test_prime_field_inverse(p):
+    field = PrimeField(p)
+    for a in (1, 2, p - 1, p + 2, -1, 12345):
+        if a % p:
+            assert field.mul(a, field.inv(a)) == 1, a
+            assert 0 < field.inv(a) < p
+    for zero in (0, p, -p, 2 * p):
+        with pytest.raises(g.EngineError, match="division by zero in Fp:%d" % p):
+            field.inv(zero)
+
+
 # ---------------------------------------------------------------------------
 # moduli
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ import pytest
 import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import (MAX_WITNESSES, RelationSpec, Window,
-                             check_relations, compile_relations,
-                             relation_residual)
+                             check_relations, relation_residual)
 from gradedbv.core import (EngineError, FiniteSpace, Rationals, basis_element,
                            table_map)
 from gradedbv.double import build_double, build_double_data
@@ -410,8 +409,9 @@ def test_eleven_and_nine_terms_walked_together_match_each_alone(mutation):
     if mutation is not None:
         assert [len(r.witnesses) for r in together] == [MAX_WITNESSES] * 2
     # ElevenTerm reads NineTerm's sum, stored in the memo, and adds two
-    eleven, nine = compile_relations(specs, ctx, (inst.space,) * 2)
-    (nine_group,), (eleven_group,) = nine.groups, eleven.groups
+    (eleven, nine), _ = checks._link(
+        [checks._typed_terms(spec, ctx, (inst.space,) * 2) for spec in specs], 2)
+    (nine_group,), (eleven_group,) = nine, eleven
     assert eleven_group[1] is nine_group and len(eleven_group[2]) == 2
     assert nine_group[1] is None and nine_group[3] is not None
 

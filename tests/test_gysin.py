@@ -450,25 +450,49 @@ def _rank(columns):
     return len(basis)
 
 
-def test_degree_wise_reduction_eliminates_on_a_product_space():
-    inst = _sphere_pairs_instance(g.QQ)
+def _rank_mod(columns, p):
+    """_rank over Fp: the same elimination with every value reduced mod
+    the prime ``p``."""
+    basis = []
+    for column in columns:
+        vec = {k: v % p for k, v in column.items() if v % p}
+        for key, row in basis:
+            c = vec.get(key, 0)
+            for k, v in row.items():
+                vec[k] = (vec.get(k, 0) - c * v) % p
+            vec = {k: v for k, v in vec.items() if v}
+        if vec:
+            key = max(vec)
+            inverse = pow(vec[key], -1, p)
+            basis.append((key, {k: v * inverse % p for k, v in vec.items()}))
+    return len(basis)
+
+
+def _check_degree_wise_reduction(field, pivots_3, eliminated):
+    """Reduce the sphere-pairs space over ``field`` degree by degree and
+    check the pivots, the eliminated columns and E on what the string
+    bracket reaches."""
+    inst = _sphere_pairs_instance(field)
     space, field = inst.space, inst.field
+    rank = (_rank if field is g.QQ
+            else lambda columns: _rank_mod(columns, field.p))
     window = Window(1)
     data = canonical_gysin(inst, window)
     b = data.space_b
     assert data.validate(inst, window)
-    eliminated = 0
+    # nonzero columns reduced to zero against pivots that share a lead
+    reduced = 0
     for d in range(-6, 9):
         names = space.names_in_degree(d)
         columns = [inst.delta.on_key((x,)).coeffs for x in names]
         pivots = [x for x in names if b.contains("[%s]" % x)]
-        assert len(pivots) == _rank(columns), d
-        eliminated += sum(1 for x, column in zip(names, columns)
-                          if column and x not in pivots)
-    assert eliminated
+        assert len(pivots) == rank(columns), d
+        reduced += sum(1 for x, column in zip(names, columns)
+                       if column and x not in pivots)
+    assert reduced == eliminated
     # Delta(U_AU^2) = Delta(AU^2_U) = 2 U_U: the later column is eliminated
     assert [x for x in space.names_in_degree(3) if b.contains("[%s]" % x)
-            ] == ["1_AU^3", "AU^2_U", "AU^3_1"]
+            ] == pivots_3
     assert data.erase.on_key(("U_AU^2",)) == basis_element((b,), field,
                                                           ("[AU^2_U]",))
     # E on the products that the string bracket reaches from the classes
@@ -491,6 +515,22 @@ def test_degree_wise_reduction_eliminates_on_a_product_space():
     bracket = g.string_bracket(inst, data)
     assert any(not bracket.on_key((c1, c2)).is_zero()
                for c1 in classes for c2 in classes)
+
+
+def test_degree_wise_reduction_eliminates_on_a_product_space():
+    _check_degree_wise_reduction(g.QQ, ["1_AU^3", "AU^2_U", "AU^3_1"], 15)
+
+
+@pytest.mark.parametrize("field_name,pivots_3,eliminated", [
+    ("Fp:101", ["1_AU^3", "AU^2_U", "AU^3_1"], 15),
+    # Delta(AU^3) = 3 U^2 vanishes mod 3, so 1_AU^3 and AU^3_1 are no
+    # pivots, and AU_U^2, U^2_AU are
+    ("Fp:3", ["AU^2_U", "AU_U^2", "U^2_AU"], 10),
+])
+def test_degree_wise_reduction_eliminates_over_a_prime_field(
+        field_name, pivots_3, eliminated):
+    _check_degree_wise_reduction(g.field_by_name(field_name), pivots_3,
+                                 eliminated)
 
 
 def test_each_degree_is_reduced_once_and_only_when_read():

@@ -367,6 +367,36 @@ def test_field_flag_runs_suite_over_fp():
                  "--window", "2", "--window3", "2"]) == 0
 
 
+def test_an_instance_file_is_checked_over_its_declared_field(tmp_path, capsys):
+    saved = tmp_path / "D.json"
+    assert main(["double", "exterior-bv", "--field", "Fp:101",
+                 "--save", str(saved)]) == 0
+    assert json.loads(saved.read_text())["field"] == "Fp:101"
+    capsys.readouterr()
+    # without --field the file's field is used: -1 is read as -1 mod 101
+    out = tmp_path / "check.json"
+    assert main(["check", str(saved), "--out", str(out)]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.endswith(" over Fp:101")
+    assert lines[-1] == "summary: 26 pass, 0 fail, 1 skipped"
+    assert json.loads(out.read_text())["field"] == "Fp:101"
+    # an explicit --field overrides it: over Q the residues 100 are not -1
+    assert main(["check", str(saved), "--field", "Q", "--out", str(out)]) == 3
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.endswith(" over Q")
+    assert lines[-1] == "summary: 12 pass, 14 fail, 1 skipped"
+    assert json.loads(out.read_text())["field"] == "Q"
+    # over another prime the same residues are other numbers still
+    assert main(["check", str(saved), "--field", "Fp:3"]) == 3
+
+
+def test_a_built_in_model_is_over_q_without_field(capsys):
+    assert main(["check", "exterior-bv", "--suite", "bvui"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith(" over Q")
+    assert main(["eval", "sphere:3", "--expr", "eta", "--input", "1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "1/2*1"
+
+
 def _gysin_doc():
     # basis {1, z, w} with Delta z = w; classes {c} with E(z) = c, M(c) = w
     return {

@@ -85,11 +85,17 @@ def test_orbits_match_the_tuple_by_tuple_reference(field):
     assert failing > 100
 
 
-def _orbit_of(relation, key):
-    """Every member of ``key``'s orbit, least first, whichever member
-    ``key`` is."""
+def _linked(specs, ctx, spaces):
+    """(relations, orbit) of ``specs`` compiled for one walk."""
+    return checks._link([checks._typed_terms(spec, ctx, spaces)
+                         for spec in specs], len(spaces))
+
+
+def _orbit_of(orbit, key):
+    """Every member of ``key``'s orbit under the walk's ``orbit``, least
+    first, whichever member ``key`` is."""
     for least in sorted(set(itertools.permutations(key))):
-        members = relation.orbit(least)
+        members = orbit(least)
         if key in members:
             return members
     raise AssertionError(key)
@@ -102,31 +108,34 @@ def test_witnesses_spread_across_orbits_are_the_first_in_canonical_order():
     spec = sign_mutations(builtin_relation("PermMu"))[1]
     window = Window(2)
     report = _assert_matches_reference(spec, inst, window)
-    relation = compile_relation(spec, ctx, spaces)
+    (relation,), orbit = _linked([spec], ctx, spaces)
     keys = [key for key, _, _ in report.witnesses]
     failing = [key for key in itertools.product(window.names_for(inst.space, 3),
                                                 repeat=3)
                if residual_on_key(relation, ctx, spaces, key)]
     assert keys == failing[:MAX_WITNESSES]
-    assert len({tuple(_orbit_of(relation, key)) for key in failing}) > MAX_WITNESSES
+    assert len({tuple(_orbit_of(orbit, key)) for key in failing}) > MAX_WITNESSES
     # some witness is a later member of an orbit, found before the least
     # members of orbits that come after it
-    assert any(not relation.orbit(key) for key in keys)
+    assert any(not orbit(key) for key in keys)
 
 
 def test_a_relation_without_shared_heads_has_one_tuple_orbits():
     inst = g.sphere_model(3)
-    # memo index of each term's head: X, sigma . X and sigma2 . X share
-    # X through their output permutations, which generate no orbit
+    # each term's shared head, numbered in order of first use: X,
+    # sigma . X and sigma2 . X share X through their output
+    # permutations, which generate no orbit
     for rid, heads in (("Assoc", [None] * 2), ("Poisson", [None] * 3),
                        ("SevenTermLambda", [None] + [0] * 3 + [1] * 3),
                        ("CoJacobi", [0] * 3)):
         arity = builtin_relation(rid).arity
-        relation = compile_relation(builtin_relation(rid), inst.context(),
-                                    (inst.space,) * arity)
+        (relation,), orbit = _linked([builtin_relation(rid)], inst.context(),
+                                     (inst.space,) * arity)
         key = ("AU",) * arity
-        assert tuple(relation.orbit(key)) == (key,)
-        assert [head for group in relation.groups
+        assert tuple(orbit(key)) == (key,)
+        numbers = {}
+        assert [head and numbers.setdefault(head, len(numbers))
+                for group in relation
                 for _, _, head, _, _ in _terms(group)] == heads, rid
 
 
@@ -166,21 +175,22 @@ def test_an_output_permutation_reads_its_head_once_per_tuple():
 def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     from gradedbv import cli
     link_original, residual_original = checks._link, checks.residual_on_key
-    groups = {}     # id of a compiled relation -> its group's entry
-    entries = []    # [arity, relations, shared heads, largest memo] per group
+    groups = {}     # id of a compiled relation -> (its group's entry, orbit)
+    entries = []    # [arity, relations, memo keys, largest memo] per group
 
     def linking(typed, arity):
-        relations = link_original(typed, arity)
-        heads = set().union(*map(_memo_indices, relations))
-        entry = [arity, len(relations), len(heads), 0]
+        relations, orbit_of = link_original(typed, arity)
+        keys = set().union(*map(_memo_keys, relations))
+        entry = [arity, len(relations), len(keys), 0]
         entries.append(entry)
-        groups.update((id(relation), entry) for relation in relations)
-        return relations
+        groups.update((id(relation), (entry, orbit_of))
+                      for relation in relations)
+        return relations, orbit_of
 
     def watched(relation, ctx, spaces, key, memo=None):
         hit = residual_original(relation, ctx, spaces, key, memo)
-        orbit = _orbit_of(relation, key)
-        entry = groups[id(relation)]
+        entry, orbit_of = groups[id(relation)]
+        orbit = _orbit_of(orbit_of, key)
         # only this orbit's tuples, at most one value per shared head of
         # the group each
         assert {image for _, image in memo} <= set(orbit), key
@@ -192,12 +202,12 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     monkeypatch.setattr(checks, "residual_on_key", watched)
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "6"]) == 0
-    # one group per arity: (arity, relations, memo indices, largest
+    # one group per arity: (arity, relations, memo keys, largest
     # memo); the unary group's heads are read by two relations or two
     # terms each (X and its output permutations sigma . X, sigma2 . X or
     # tau . X), on one-tuple orbits; the binary group's heads are read by
     # two relations or more each, on orbits of two tuples, and NineTerm's
-    # sum is ElevenTerm's stored prefix, one more index; the ternary
+    # sum is ElevenTerm's stored prefix, one more key; the ternary
     # group's heads are read on orbits of three
     assert sorted(map(tuple, entries)) == [
         (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 10, 20), (3, 5, 4, 12)]
@@ -225,38 +235,41 @@ def _terms(group):
     return (_terms(base) if base else ()) + terms
 
 
-def _head_indices(relation):
-    return {head for group in relation.groups
+def _shared_heads(relation):
+    return {head for group in relation
             for _, _, head, _, _ in _terms(group) if head is not None}
 
 
-def _memo_indices(relation):
-    """The memo indices a relation reads: its shared heads' and the
-    stored sums of its groups and their bases."""
-    stores, todo = set(), list(relation.groups)
+def _memo_keys(relation):
+    """The memo keys a relation reads, besides the basis tuple: its
+    shared heads and the store indices of its groups and their bases."""
+    stores, todo = set(), list(relation)
     while todo:
         _, base, _, store = todo.pop()
         stores.add(store)
         todo += [base] if base else []
-    return _head_indices(relation) | (stores - {None})
+    return _shared_heads(relation) | (stores - {None})
 
 
 def test_relations_of_one_arity_share_their_heads():
     inst = g.sphere_model(3)
     ctx, spaces = inst.context(), (inst.space,) * 2
-    eleven, nine, comm = checks.compile_relations(
+    (eleven, nine, comm), orbit = _linked(
         [builtin_relation(rid) for rid in ("ElevenTerm", "NineTerm", "Comm")],
         ctx, spaces)
     # NineTerm is the first nine terms of ElevenTerm: each of its terms
     # reads a head ElevenTerm computes into the orbit memo
-    assert _head_indices(nine) <= _head_indices(eleven)
-    assert all(head is not None for group in nine.groups
+    assert _shared_heads(nine) <= _shared_heads(eleven)
+    assert all(head is not None for group in nine
                for _, _, head, _, _ in _terms(group))
-    assert _head_indices(comm).isdisjoint(_head_indices(eleven))
-    assert eleven.orbit is nine.orbit is comm.orbit
+    assert _shared_heads(comm).isdisjoint(_shared_heads(eleven))
+    # the walk's one orbit swaps the two slots, which the twisted terms'
+    # tau moves
+    assert orbit(("AU", "U")) == [("AU", "U"), ("U", "AU")]
+    assert orbit(("U", "AU")) == ()
     # alone, NineTerm's untwisted terms are their own unshared heads
     alone = compile_relation(builtin_relation("NineTerm"), ctx, spaces)
-    assert len(_head_indices(alone)) < len(_head_indices(nine))
+    assert len(_shared_heads(alone)) < len(_shared_heads(nine))
 
 
 def _raising_context(bad_f=None, bad_g=None):
@@ -285,7 +298,7 @@ def _raising_context(bad_f=None, bad_g=None):
 def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
     space, ctx, spec, calls = _raising_context(bad_f=("a1", "a0"))
     relation = compile_relation(spec, ctx, (space, space))
-    assert len(_head_indices(relation)) == 1
+    assert len(_shared_heads(relation)) == 1
     memo = {}
     for attempt in range(1, 4):
         with pytest.raises(EngineError, match="f fails on"):

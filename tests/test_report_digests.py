@@ -1,4 +1,5 @@
-"""tools/report_digests.py: the comparison of two checkouts' reports."""
+"""tools/report_digests.py: the comparison of two checkouts' reports and
+work counts."""
 
 import importlib.util
 import os
@@ -60,6 +61,19 @@ def test_new_commands_do_not_set_the_exit_code(monkeypatch, capsys):
     assert "0 of 1 commands differ; 1 new" in capsys.readouterr().out
 
 
+def test_differing_counts_do_not_set_the_exit_code(monkeypatch, capsys):
+    results = {"parent": (0, "d1", 10, 20), "change": (0, "d1", 10, 21)}
+    monkeypatch.setattr(report_digests, "COMMANDS", ("check x",))
+    monkeypatch.setattr(report_digests, "run_command",
+                        lambda checkout, command, out_path: results[
+                            os.path.basename(out_path).split("-")[0]])
+    assert report_digests.main([REPO, REPO]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("same check x\n")
+    assert out.endswith("0 of 1 commands differ\n"
+                        "work counts differ on 1 of 1 commands\n")
+
+
 def test_the_fixed_commands_cover_the_listed_runs():
     commands = report_digests.COMMANDS
     assert len(commands) == len(set(commands)) == 20
@@ -76,5 +90,52 @@ def test_a_checkout_agrees_with_itself(monkeypatch, capsys):
     assert report_digests.main([REPO, REPO]) == 0
     out = capsys.readouterr().out
     assert "0 of 2 commands differ" in out
-    # the rejected field writes no report and exits 64 on both sides
-    assert "exit 64 -" in out
+    # the rejected field writes no report and exits 64 on both sides,
+    # having run no rule
+    assert "exit 64 -, 0 rule runs, 0 accumulate calls" in out
+
+
+def test_a_checkout_has_the_same_work_counts_as_itself(monkeypatch, capsys):
+    monkeypatch.setattr(report_digests, "COMMANDS",
+                        ("check trivial --suite bvui",))
+    assert report_digests.main([REPO, REPO]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("same check trivial --suite bvui\n")
+    assert out.endswith("    counts: same\n"
+                        "0 of 1 commands differ\n"
+                        "work counts differ on 0 of 1 commands\n")
+
+
+def test_counts_do_not_depend_on_the_hash_seed(monkeypatch, tmp_path):
+    results = []
+    for seed in ("0", "7"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        results.append(report_digests.run_command(
+            REPO, "check exterior-bv --suite all",
+            str(tmp_path / ("%s.json" % seed))))
+    code, digest, rule_runs, accumulate_calls = results[0]
+    assert code == 0 and digest and rule_runs > 0 and accumulate_calls > 0
+    assert results[1] == results[0]
+
+
+def test_rows_read_same_only_for_equal_counts():
+    def row(parent, change):
+        (row,) = report_digests.compare({"gysin x": parent},
+                                        {"gysin x": change})
+        return report_digests.format_row(row)
+
+    assert row((0, "d1", 1234, 5), (0, "d1", 1234, 5)) == (
+        "same gysin x\n"
+        "    parent exit 0 d1, 1,234 rule runs, 5 accumulate calls\n"
+        "    change exit 0 d1, 1,234 rule runs, 5 accumulate calls\n"
+        "    counts: same")
+    # counts never decide whether a command differs
+    assert row((0, "d1", 1, 5), (0, "d1", 1, 6)).startswith("same gysin x\n")
+    assert row((0, "d1", 1, 5), (0, "d1", 1, 6)).endswith("counts: DIFFERS")
+    assert row((0, "d1", 1, 5), (0, "d2", 1, 5)).startswith("DIFFERS")
+    assert row((0, "d1", 1, 5), (0, "d2", 1, 5)).endswith("counts: same")
+    # a side without counts never reads same
+    assert "no counts" in row((0, "d1"), (0, "d1"))
+    assert row((0, "d1"), (0, "d1")).endswith("counts: DIFFERS")
+    assert row((0, "d1", 1, 5), (0, "d1")).endswith("counts: DIFFERS")
+    assert row((0, "d1", 1, 5), None).endswith("counts: DIFFERS")
