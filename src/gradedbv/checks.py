@@ -9,25 +9,29 @@ Reports are deterministic: tuples are enumerated in canonical
 (lexicographic by basis name) order and witnesses record the first
 failures in that order, so two runs produce byte-identical output.
 
-Relations are evaluated one orbit at a time, all relations of one
-arity in one walk of their window (check_relations), under one orbit
-function for the walk.  Each term is read from its normal form ``sign
-* X . P`` (``expr.normal_form``): its head X, its input permutation P,
-if any, and the sign of moving P there, which goes on the term's
-coefficient.  P sends a basis tuple to one signed tuple, whose sign
-goes on the coefficient too, so every term is one path: its head on
-P's image, added once.  The catalog spells the cyclic and
-twist factors out as terms ``X``, ``X . sigma``, ``X . sigma2`` (or ``X
-. tau``), the transported Gysin terms carry them inside, as ``post . (X
-. tau) . (M (x) M)``, and some relations are stated with terms of
-others (NineTerm is the first nine terms of ElevenTerm); on a window
-closed under permuting slots, each orbit of basis tuples computes such a
-shared head X once per tuple, memoized under the map X itself, and
-every term of every relation of the walk reads it.  A head whose last
-stage is a whole ``tau``, ``sigma`` or ``sigma2`` O, as in the terms
-``X``, ``sigma . X`` and ``sigma2 . X`` of SevenTermLambda and
-CoJacobi, is compiled without O, and the term applies O's cached map to
-the head's value: the three terms read one X per tuple from the memo.
+Relations are evaluated one orbit at a time, all relations of one arity
+in one walk of their window (check_relations), under one orbit function
+for the walk.  Each term is read from its normal form ``sign * X . P``
+(``expr.normal_form``): its head X, its input permutation P, if any, and
+the sign of moving P there, which goes on the term's coefficient.  P
+sends a basis tuple to one signed tuple, whose sign goes on the
+coefficient too, so every term is one path: its head on P's image, read
+one key at a time (``GradedMap.key_run``), added once.  P is read
+through its ``signed`` function (``core.permute``), not its map's cache,
+and its image of a tuple is memoized in the orbit memo, so no
+permutation map runs its rule for a term's P or O.  The catalog spells
+the cyclic and twist factors out as terms ``X``, ``X . sigma``, ``X .
+sigma2`` (or ``X . tau``), the transported Gysin terms carry them
+inside, as ``post . (X . tau) . (M (x) M)``, and some relations are
+stated with terms of others (NineTerm is the first nine terms of
+ElevenTerm); on a window closed under permuting slots, each orbit of
+basis tuples computes such a shared head X once per tuple, memoized
+under the map X itself, and every term of every relation of the walk
+reads it.  A head whose last stage is a whole ``tau``, ``sigma`` or
+``sigma2`` O, as in the terms ``X``, ``sigma . X`` and ``sigma2 . X`` of
+SevenTermLambda and CoJacobi, is compiled without O, and the term
+applies O's ``signed`` function to the head's value key by key, with no
+cache: the three terms read one X per tuple from the memo.
 A group whose terms begin with another group's whole term tuple reads
 that prefix's partial sum from the same orbit memo, under the prefix's
 store index, so ElevenTerm adds its last two terms to NineTerm's sum,
@@ -175,23 +179,23 @@ def _link(typed, arity):
     orbit), each relation its tuple of compiled groups (see
     _group_sums).
 
-    A term ``c * O . X . P`` compiles to (c, X's run, X or None, P's map
-    or None, O's run or None).  Heads are the context's hash-consed
-    GradedMaps (``compile_expr``), so two terms share a head when they
-    use the same map object, in one relation or in two.  A shared head
-    is its own key into the orbit memo of residual_on_key, and an
-    unshared one (None) runs on each tuple.  ``orbit(key)`` is the orbit
+    A term ``c * O . X . P`` compiles to (c, X's key_run, X or None, P's
+    signed function or None, O's signed function or None).  Heads are the
+    context's hash-consed GradedMaps (``compile_expr``), so two terms share
+    a head when they use the same map object, in one relation or in two.  A
+    shared head is its own key into the orbit memo of residual_on_key, and
+    an unshared one (None) runs on each tuple.  ``orbit(key)`` is the orbit
     of a basis tuple under the slot maps of the shared heads' input
-    permutations, least member first, or () when ``key`` is not that
-    least member.
+    permutations, least member first, or () when ``key`` is not that least
+    member.
     """
     uses = Counter(term[1] for groups in typed for terms in groups
                    for term in terms)
     generators = {slots for groups in typed for terms in groups
                   for _, head, _, slots, _ in terms if uses[head] > 1}
     linked = [[((terms[0][4] or terms[0][1]).target,
-                tuple((coeff, head.run, head if uses[head] > 1 else None,
-                       perm, out and out.run)
+                tuple((coeff, head.key_run, head if uses[head] > 1 else None,
+                       perm and perm.signed, out and out.signed)
                       for coeff, head, perm, _, out in terms))
                for terms in groups] for groups in typed]
     sums = _group_sums([group for groups in linked for group in groups])
@@ -266,16 +270,17 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
-    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for P's one
-    signed image (k', sign) of ``key`` (k' is ``key`` and the sign one
-    when there is no P, and O is the identity when there is no O).  A
-    shared head X is read from ``memo``, keyed on (X, k'), and computed
-    into it on a miss; an unshared one runs on k'.  A group's base, the
-    partial sum of the terms it shares with another group, is read from
+    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for P's one signed
+    image (k', sign) of ``key`` (k' is ``key`` and the sign one when there
+    is no P, and O is the identity when there is no O).  P's image is read
+    from ``memo``, keyed on (P's signed function, key), and computed into it
+    on a miss.  A shared head X is read from ``memo``, keyed on (X, k'), and
+    computed into it on a miss; an unshared one runs on k'.  A group's base,
+    the partial sum of the terms it shares with another group, is read from
     the memo in the same way, keyed on (its store index, basis tuple),
-    whichever relation reaches the tuple first computing it.  A value
-    that raises is not stored, so every use raises again.  Without a
-    memo, a fresh one serves this tuple only.
+    whichever relation reaches the tuple first computing it.  A value that
+    raises is not stored, so every use raises again.  Without a memo, a
+    fresh one serves this tuple only.
     """
     relation = spec
     if isinstance(spec, RelationSpec):
@@ -297,8 +302,10 @@ def _group_sum(group, key, memo, field):
     """The sum of a compiled group's signed terms on ``key``: its base's
     stored sum, computed on a miss, plus its own terms; stored when the
     group has a store index.  P's image of ``key``, one signed key, is
-    read with one lookup in P's cache, and its ``on_key`` called only on
-    a miss; the sign goes on the term's coefficient.  A vanishing term
+    read from the memo, and P's ``signed`` called only on a miss; the
+    sign goes on the term's coefficient.  The head runs on one key
+    (``key_run``).  O moves the value's keys one at a time through its
+    ``signed``, negating a value whose sign is odd.  A vanishing term
     value adds nothing.  A stored sum is never changed, so a residual
     may hold it."""
     _, base, terms, store = group
@@ -307,21 +314,25 @@ def _group_sum(group, key, memo, field):
         if acc is not None:
             return acc
     acc = {} if base is None else dict(_group_sum(base, key, memo, field))
-    one, add_into = field.one, field.accumulate
-    for coeff, run, head, perm, out in terms:
+    one, neg, add_into = field.one, field.neg, field.accumulate
+    for coeff, key_run, head, perm, out in terms:
         image, sign = key, one
         if perm is not None:
-            value = perm._cache.get(key)
-            (image, sign), = (perm.on_key(key) if value is None
-                              else value).coeffs.items()
+            signed = memo.get((perm, key))
+            if signed is None:
+                signed = memo[perm, key] = perm(key)
+            image, sign = signed
         if head is None:
-            value = run({image: one})
+            value = key_run(image)
         else:
             value = memo.get((head, image))
             if value is None:
-                value = memo[head, image] = run({image: one})
+                value = memo[head, image] = key_run(image)
         if value:
-            add_into(acc, (out(value) if out else value).items(),
+            items = value.items() if out is None else [
+                (k, v if s == one else neg(v))
+                for (k, s), v in zip(map(out, value), value.values())]
+            add_into(acc, items,
                      coeff if sign == one else field.mul(coeff, sign))
     if store is not None:
         memo[store, key] = acc
@@ -358,9 +369,10 @@ def _walk(relations, orbit_of, ctx, spaces, names):
 
     A tuple is evaluated with its orbit, when it is the orbit's least
     member, and the orbit's tuples share one memo of the shared heads'
-    values, dropped after the orbit.  A member above a relation's cut is
-    skipped for that relation, and the walk ends once every relation is
-    past its cut: every tuple below the current one has been evaluated.
+    values and the input permutations' signed images, dropped after the
+    orbit.  A member above a relation's cut is skipped for that relation,
+    and the walk ends once every relation is past its cut: every tuple below
+    the current one has been evaluated.
     """
     walks = live = [_Walk(relation) for relation in relations]
     for key in itertools.product(names, repeat=len(spaces)):

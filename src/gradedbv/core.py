@@ -17,15 +17,17 @@ field to one loop fixed to that layout: a single non-identity block,
 wherever it lies, has one loop with its slices fixed ahead of time, and
 several blocks multiply their outputs out.  A map's output on a key is
 checked once, by ``GradedMap.on_key``, and cached; the loops of
-``tensor_run`` and ``GradedMap.run`` read a cached output with one
-dict lookup and call ``on_key`` only on a miss.  The
-parity of a basis name in a sign slot is read from a per-kernel dict,
-filled the first time the name is seen.  ``permute`` compiles each
-permutation map alike, to a fixed slot move and a sign from the
-parities of its inverted slot pairs, read from per-slot dicts;
-``koszul_sign`` computes that sign from scratch and is the tests'
-oracle.  Dualization (``double.dual_map``) carries its own sign.  No
-floating point is used anywhere.
+``tensor_run``, ``GradedMap.run`` and ``GradedMap.key_run`` read a
+cached output with one dict lookup and call ``on_key`` only on a miss.
+The parity of a basis name in a sign slot is read from a per-kernel
+dict, filled the first time the name is seen.  ``permute`` compiles
+each permutation map alike, to one function ``signed(key) -> (image,
+sign)``: a fixed slot move and a sign from the parities of its inverted
+slot pairs, read from per-slot dicts; the map's rule wraps it, and the
+relation walker calls it without the cache.  ``koszul_sign`` computes
+that sign from scratch and is the tests' oracle.  Dualization
+(``double.dual_map``) carries its own sign.  No floating point is used
+anywhere.
 
 Scalar arithmetic on linear combinations runs in one kernel per field:
 ``Rationals.accumulate`` and ``PrimeField.accumulate`` each add a scaled
@@ -540,10 +542,14 @@ class GradedMap:
     from the cache for any other caller.
     ``run`` applies the map to a bare coefficient dict; it is how
     compiled expressions call each other, and its result may be a
-    cached output's own dict, so callers only read it.  A composition
-    or tensor product compiled by ``expr`` replaces ``run`` with its own
-    loop, which does not use the cache, and its rule runs that loop on
-    one key; ``GradedMap.run`` still reads its cache.
+    cached output's own dict, so callers only read it.  ``key_run`` is
+    ``run`` on one basis key with coefficient one, the relation
+    walker's read of a head: the cached output's own dict.  A
+    composition or tensor product compiled by ``expr`` replaces ``run``
+    and ``key_run`` with its own loops, which do not use the cache, and
+    its rule runs that loop on one key; ``GradedMap.run`` still reads
+    its cache.  A permutation's ``key_run`` reads its signed key, also
+    without the cache (``permute``).
     ``__call__`` is the Element boundary: it checks the element's spaces
     once and wraps ``run``'s dict.
     """
@@ -625,6 +631,13 @@ class GradedMap:
                 out = self.on_key(key)
             add_into(acc, out.coeffs.items(), value)
         return acc
+
+    def key_run(self, key):
+        """The coefficient dict of the map on one basis key, which the
+        caller only reads: the cached output's, ``on_key`` run only on a
+        miss."""
+        out = self._cache.get(key)
+        return (self.on_key(key) if out is None else out).coeffs
 
     def __call__(self, elem):
         if not _same_spaces(elem.spaces, self.source):
@@ -737,7 +750,8 @@ def tensor_run(kernel, field):
     (on the sphere model about a third of the block outputs vanish and
     over half have one term), storing it without a kernel call when its
     coefficient is one and its key is new.  Several blocks (or none)
-    multiply their outputs out.
+    multiply their outputs out.  ``tensor_key_run`` is the single
+    block's loop on one key with coefficient one.
     The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
@@ -770,6 +784,34 @@ def tensor_run(kernel, field):
                                part.items()], coeff)
         return acc
     return run
+
+
+def tensor_key_run(kernel, field):
+    """``tensor_run`` of a kernel with one non-identity block on one
+    basis key with coefficient one: the block's output read from its
+    map's cache (``on_key`` only on a miss), re-keyed between the
+    identity slots and negated when the key's sign slots are odd, a
+    one-term output without a comprehension.  None for a kernel with
+    several blocks or none."""
+    arity, sign_slots, blocks = kernel
+    if len(blocks) != 1:
+        return None
+    (start, end, gmap), = blocks
+    get, on_key, neg = gmap._cache.get, gmap.on_key, field.neg
+
+    def key_run(key):
+        if len(key) != arity:
+            raise _arity_error(key, arity)
+        odd = sign_slots and _odd(sign_slots, key)
+        block = key[start:end]
+        out = get(block)
+        part = (on_key(block) if out is None else out).coeffs
+        head, tail = key[:start], key[end:]
+        if len(part) == 1:
+            (k, v), = part.items()
+            return {head + k + tail: neg(v) if odd else v}
+        return {head + k + tail: neg(v) if odd else v for k, v in part.items()}
+    return key_run
 
 
 def _product_run(kernel, field):
@@ -830,13 +872,21 @@ def permute(perm, spaces, field):
     """Signed permutation map; perm[i] is the 0-indexed target slot of
     factor i.  tau = permute((1, 0), ...), sigma = permute((1, 2, 0), ...).
 
-    The map is compiled once: the key's names move to their target slots
-    by a fixed ``itemgetter`` of the inverse permutation, and the sign is
-    the parity of the inverted pairs (i < j, perm[i] > perm[j]) whose two
-    names are odd, those index pairs being fixed here too.  Each name's
-    parity is read from its slot's dict as in ``_odd``; ``koszul_sign``
-    computes the same sign from scratch.  ``GradedMap.on_key`` checks each output once, as it does
-    any rule's.
+    The map is compiled once, to ``signed(key) -> (image, sign)``: the
+    key's names move to their target slots by a fixed ``itemgetter`` of
+    the inverse permutation, and the sign is the parity of the inverted
+    pairs (i < j, perm[i] > perm[j]) whose two names are odd, those index
+    pairs being fixed here too.  ``signed`` checks the key's length
+    (ArityMismatch) and reads every slot's name through its slot's parity
+    dict as in ``_odd``, so an unknown name raises UnknownBasisName and is
+    not stored.  It does not check degree additivity per key, which holds
+    by construction: the target slots are the source slots moved by the
+    same ``itemgetter``, and the degree is 0.  ``koszul_sign`` computes
+    the same sign from scratch.  The map's rule wraps ``signed``, so
+    expressions read the map through ``GradedMap.on_key``'s checked
+    cache like any other; the relation walker calls ``signed``, the
+    map's ``signed`` attribute, or the map's ``key_run`` for a
+    permutation head, and caches nothing in the map.
     """
     perm = tuple(perm)
     n = len(perm)
@@ -848,21 +898,27 @@ def permute(perm, spaces, field):
     move = itemgetter(*map(perm.index, range(n))) if n > 1 else tuple
     target = move(tuple(spaces))    # the slot spaces move like a key
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]]
-    slots = [(i, spaces[i].degree, {}) for i in sorted({i for p in pairs for i in p})]
+    slots = [(space.degree, {}) for space in spaces]
     signs = (field.one, field.coerce(-1))
 
-    def rule(key):
-        bits = {}
-        for i, degree, parity in slots:
-            name = key[i]
+    def signed(key):
+        if len(key) != n:
+            raise _arity_error(key, n)
+        bits = []
+        for name, (degree, parity) in zip(key, slots):
             bit = parity.get(name)
             if bit is None:
                 bit = parity[name] = degree(name) % 2
-            bits[i] = bit
+            bits.append(bit)
         odd = 0
         for i, j in pairs:
             odd ^= bits[i] & bits[j]
-        return _trusted_element(target, field, {move(key): signs[odd]})
+        return move(key), signs[odd]
 
-    return GradedMap(spaces, target, 0, field, name="perm%s" % (perm,), rule=rule)
+    def key_run(key):
+        return dict((signed(key),))
 
+    gmap = GradedMap(spaces, target, 0, field, name="perm%s" % (perm,),
+                     rule=lambda key: _trusted_element(target, field, key_run(key)))
+    gmap.signed, gmap.key_run = signed, key_run
+    return gmap

@@ -36,8 +36,8 @@ from types import MethodType
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
                    basis_element, koszul_sign, permute, scalar_element,
-                   tensor_factors, tensor_run, zero_element, _spaces_key,
-                   _trusted_element)
+                   tensor_factors, tensor_key_run, tensor_run,
+                   zero_element, _spaces_key, _trusted_element)
 
 
 class ParseError(EngineError):
@@ -463,7 +463,10 @@ def compile_expr(node, ctx, in_spaces):
     Every map is one of two kinds.  A composition or tensor product
     streams: its ``run`` is its compiled loop, which does not use the
     cache, while its ``on_key`` runs that loop on one key and caches the
-    checked output.  Every other node caches: a generator, ``dual(f)``
+    checked output.  Its ``key_run`` streams one key: a composition from
+    its first stage's ``key_run``, a tensor product with one non-identity
+    block from that block's cache (``core.tensor_key_run``), any other
+    tensor product through its loop.  Every other node caches: a generator, ``dual(f)``
     or a permutation (``id`` included) is its own map, and a Sum or a
     scalar multiple (a Sum of one term) is a map whose rule adds its
     scaled summands; each ``run`` reads its per-key cache of checked
@@ -540,6 +543,7 @@ def _compile(node, ctx, in_spaces, degree):
                                 ctx, maps[cut].target)
             stages[cut + 1:] = [MethodType(GradedMap.run, tail)]
         stages = tuple(stages)
+        first, rest = maps[0].key_run, stages[1:]
 
         def run(coeffs):
             for stage in stages:
@@ -548,9 +552,17 @@ def _compile(node, ctx, in_spaces, degree):
                 coeffs = stage(coeffs)
             return coeffs
 
+        def key_run(key):
+            coeffs = first(key)
+            for stage in rest:
+                if not coeffs:
+                    break
+                coeffs = stage(coeffs)
+            return coeffs
+
         # a composition streams: its run is the loop, not the cache
         gmap = _compiled(node, maps[0].source, in_spaces, degree, field, run)
-        gmap.run = run
+        gmap.run, gmap.key_run = run, key_run
         return gmap
     if isinstance(node, Tensor):
         return _compile_tensor(node, ctx, in_spaces, degree)
@@ -759,7 +771,8 @@ def _linear_run(terms, field):
 def _compile_tensor(node, ctx, in_spaces, degree):
     """Each factor compiled on its typed share of the input slots (on
     None when the tensor determines its own source), then laid out as
-    one kernel."""
+    one kernel, run by ``tensor_run`` and, on one key, ``tensor_key_run``
+    or the loop."""
     maps, pos = [], 0
     for child in node.children:
         arity = source_arity(child, ctx)
@@ -776,6 +789,8 @@ def _compile_tensor(node, ctx, in_spaces, degree):
     # a tensor product streams: its run is the loop, not the cache
     gmap = _compiled(node, source, target, degree, field, run)
     gmap.run = run
+    gmap.key_run = (tensor_key_run(kernel, field)
+                    or (lambda key: run({key: field.one})))
     return gmap
 
 

@@ -6,7 +6,9 @@ probes counting rule runs and capturing the CLI's models."""
 from collections import Counter
 
 from gradedbv import cli
-from gradedbv.core import Element, GradedMap, table_map
+from gradedbv.checks import make_relation
+from gradedbv.core import (QQ, Element, EngineError, FiniteSpace, GradedMap,
+                           basis_element, table_map, zero_element)
 from gradedbv.expr import OpContext, ParseError, _literal_terms, compile_expr, parse
 
 
@@ -127,3 +129,29 @@ def captured_models(monkeypatch):
 
     monkeypatch.setattr(cli, "builtin_model", capture)
     return built
+
+
+def raising_context(bad_f=None, bad_g=None):
+    """(space, context, relation, calls): two maps f and g from V (x) V
+    to V, f raising on the key ``bad_f`` and g on ``bad_g``, the relation
+    ``f . tau + f + g`` and the list of keys f's rule was called on."""
+    space = FiniteSpace("V", {"a%d" % i: 0 for i in range(5)})
+    field = QQ
+    calls = []
+
+    def f_rule(key):
+        calls.append(key)
+        if key == bad_f:
+            raise EngineError("f fails on %s" % (key,))
+        return basis_element((space,), field, key[:1])
+
+    def g_rule(key):
+        if key == bad_g:
+            raise EngineError("g fails on %s" % (key,))
+        return zero_element((space,), field)
+
+    maps = {"f": GradedMap((space, space), (space,), 0, field, name="f", rule=f_rule),
+            "g": GradedMap((space, space), (space,), 0, field, name="g", rule=g_rule)}
+    spec = make_relation("Twisted", 2, "f . tau + f + g", [[
+        (1, "f . tau"), (1, "f"), (1, "g")]])
+    return space, OpContext(maps, field), spec, calls

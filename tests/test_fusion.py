@@ -18,7 +18,7 @@ from gradedbv.expr import (PERMS, Compose, Gen, OpContext, Scal, Sum,
 from gradedbv.gysin import _gysin_context, _transported, canonical_gysin
 from gradedbv.structures import _CATALOG_SOURCE, builtin_relation
 
-from helpers import captured_models, counted_rule_runs
+from helpers import captured_models, counted_rule_runs, raising_context
 
 
 def _stagewise(node, ctx, elem):
@@ -474,3 +474,52 @@ def test_a_raising_shared_term_raises_for_the_first_relation(order):
     # again and raises, and the error of the first in spec order is raised
     assert len(raised) == 2
     assert info.value is raised[0]
+
+
+def _key_run_instance(model, field):
+    if model.startswith("D("):
+        return build_double(g.builtin_model(model[2:-1], field))
+    return g.builtin_model(model, field)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+@pytest.mark.parametrize("model", ["sphere:3", "three-dim", "exterior-bv",
+                                   "D(three-dim)"])
+def test_every_walked_head_reads_one_key_as_its_run(model, field_name):
+    inst = _key_run_instance(model, g.field_by_name(field_name))
+    ctx, one, window = inst.context(), inst.field.one, Window(2)
+    heads = {}
+    for rid in _CATALOG_SOURCE:
+        spec = builtin_relation(rid)
+        if "epsilon" in spec.requires and not inst.has_counit:
+            continue
+        spaces = (inst.space,) * spec.arity
+        for terms in checks._typed_terms(spec, ctx, spaces):
+            for _, head, perm, _, _ in terms:
+                heads[head] = perm.target if perm else spaces
+    assert {len(spaces) for spaces in heads.values()} == {0, 1, 2, 3}
+    # every kind of head: a cached map, a composition and a tensor
+    # product, with one non-identity block or several
+    assert {type(head.key_run).__name__ for head in heads} == {
+        "method", "function"}
+    for head, spaces in heads.items():
+        names = window.names_for(inst.space, len(spaces))
+        for key in itertools.product(names, repeat=len(spaces)):
+            assert head.key_run(key) == head.run({key: one}), (head, key)
+
+
+def test_a_raising_rule_raises_through_every_key_run():
+    space, ctx, spec, calls = raising_context(bad_f=("a1", "a0"))
+    heads = [head for terms in checks._typed_terms(spec, ctx, (space, space))
+             for _, head, _, _, _ in terms]
+    f = ctx.maps["f"]
+    assert f in heads
+    # a composition whose first stage is a tensor product with f's block
+    streaming = compile_expr(parse("f . (f (x) id)"), ctx, (space,) * 3)
+    for gmap, key in ((f, ("a1", "a0")), (streaming, ("a1", "a0", "a2"))):
+        for attempt in range(1, 4):
+            before = len(calls)
+            with pytest.raises(EngineError, match="f fails on"):
+                gmap.key_run(key)
+            assert calls[before:] == [("a1", "a0")]
+            assert ("a1", "a0") not in f._cache and not streaming._cache

@@ -332,10 +332,12 @@ def _slot_space(model, field):
 
 
 def _parity_dicts(gmap):
-    """The per-slot parity dicts a permutation map's rule has filled."""
-    cells = dict(zip(gmap.rule.__code__.co_freevars,
-                     (cell.cell_contents for cell in gmap.rule.__closure__)))
-    return [parity for _, _, parity in cells["slots"]]
+    """The per-slot parity dicts a permutation map's ``signed`` function,
+    which its rule wraps, has filled."""
+    signed = gmap.signed
+    cells = dict(zip(signed.__code__.co_freevars,
+                     (cell.cell_contents for cell in signed.__closure__)))
+    return [parity for _, parity in cells["slots"]]
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
@@ -379,6 +381,45 @@ def test_permutation_keys_of_unknown_names_or_the_wrong_arity_raise():
                 assert key not in gmap._cache
             gmap.on_key(("A",) * arity)
             assert any(_parity_dicts(gmap)) or perm == tuple(range(arity))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+@pytest.mark.parametrize("model", ["sphere:3", "three-dim", "D(three-dim)"])
+def test_walker_permutation_reads_match_the_map_and_the_oracle(model, field_name):
+    from gradedbv.checks import Window, _group_sum
+    from gradedbv.core import ArityMismatch, UnknownBasisName
+    field = g.field_by_name(field_name)
+    space = _slot_space(model, field)
+    for arity in (1, 2, 3):
+        spaces = (space,) * arity
+        keys = list(itertools.product(Window(3, 2).names_for(space, arity),
+                                      repeat=arity))
+        # a multi-term value, every coefficient non-zero in both fields
+        value = {key: field.coerce(i % 7 - 3 or 5) for i, key in enumerate(keys)}
+        for perm in itertools.permutations(range(arity)):
+            gmap = g.permute(perm, spaces, field)
+            for key in keys:
+                image, sign = gmap.signed(key)
+                assert {image: sign} == gmap.on_key(key).coeffs
+                assert sign == field.coerce(g.koszul_sign(
+                    perm, [space.degree(n) for n in key]))
+            # the walker applies an output permutation O key by key
+            term = (field.one, lambda key: value, None, None, gmap.signed)
+            group = (gmap.target, None, (term,), None)
+            assert _group_sum(group, keys[0], {}, field) == gmap.run(value)
+            # a fresh map: nothing cached, no parity stored
+            gmap = g.permute(perm, spaces, field)
+            for slot in range(arity):
+                bad = keys[-1][:slot] + ("B",) + keys[-1][slot + 1:]
+                for _ in range(2):
+                    with pytest.raises(UnknownBasisName):
+                        gmap.signed(bad)
+            for bad in (keys[0][1:], keys[0] + keys[0][:1]):
+                with pytest.raises(ArityMismatch):
+                    gmap.signed(bad)
+            assert not gmap._cache
+            assert all("B" not in parity for parity in _parity_dicts(gmap))
+            assert len(_parity_dicts(gmap)) == arity
 
 
 def test_a_permutation_cache_miss_builds_no_element(monkeypatch):

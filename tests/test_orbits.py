@@ -8,10 +8,13 @@ import gradedbv as g
 from gradedbv import checks
 from gradedbv.checks import (MAX_WITNESSES, Window, compile_relation,
                              relation_residual, residual_on_key, sign_mutations)
-from gradedbv.core import EngineError, FiniteSpace, GradedMap, basis_element
+from gradedbv.core import EngineError
 from gradedbv.double import build_double
-from gradedbv.expr import Compose, Gen, compile_expr, normal_form, parse
+from gradedbv.expr import (PERMS, Compose, Gen, Tensor, compile_expr,
+                           normal_form, parse)
 from gradedbv.structures import builtin_relation, is_applicable, relation_ids
+
+from helpers import raising_context
 
 
 def _instances(field):
@@ -191,8 +194,8 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
         hit = residual_original(relation, ctx, spaces, key, memo)
         entry, orbit_of = groups[id(relation)]
         orbit = _orbit_of(orbit_of, key)
-        # only this orbit's tuples, at most one value per shared head of
-        # the group each
+        # only this orbit's tuples, at most one value per shared head,
+        # input permutation and store of the group each
         assert {image for _, image in memo} <= set(orbit), key
         assert len(memo) <= entry[2] * len(orbit)
         entry[3] = max(entry[3], len(memo))
@@ -206,11 +209,12 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
     # memo); the unary group's heads are read by two relations or two
     # terms each (X and its output permutations sigma . X, sigma2 . X or
     # tau . X), on one-tuple orbits; the binary group's heads are read by
-    # two relations or more each, on orbits of two tuples, and NineTerm's
-    # sum is ElevenTerm's stored prefix, one more key; the ternary
-    # group's heads are read on orbits of three
+    # two relations or more each, on orbits of two tuples, NineTerm's
+    # sum is ElevenTerm's stored prefix, one more key, and tau's signed
+    # reads one more; the ternary group's heads and the signed reads of
+    # sigma and sigma2 are read on orbits of three
     assert sorted(map(tuple, entries)) == [
-        (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 10, 20), (3, 5, 4, 12)]
+        (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 11, 22), (3, 5, 6, 18)]
 
     inst = g.sphere_model(3)
 
@@ -221,11 +225,12 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
         (entry,) = entries
         return entry[3]
 
-    # checked alone: two heads on orbits of three tuples; three heads
-    # under tau; one head
-    assert largest("SevenTermMu") == 6
-    assert largest("ElevenTerm") == 6 and largest("NineTerm") == 4
-    assert largest("Jacobi") == largest("PermMu") == 3
+    # checked alone: two heads and the signed reads of sigma and sigma2
+    # on orbits of three tuples; three heads and tau's reads under tau;
+    # one head and one or two permutations
+    assert largest("SevenTermMu") == 12
+    assert largest("ElevenTerm") == 8 and largest("NineTerm") == 6
+    assert largest("Jacobi") == 9 and largest("PermMu") == 6
     assert largest("Assoc") == largest("Poisson") == 0
 
 
@@ -240,15 +245,22 @@ def _shared_heads(relation):
             for _, _, head, _, _ in _terms(group) if head is not None}
 
 
+def _input_permutations(relation):
+    return {perm for group in relation
+            for _, _, _, perm, _ in _terms(group) if perm is not None}
+
+
 def _memo_keys(relation):
     """The memo keys a relation reads, besides the basis tuple: its
-    shared heads and the store indices of its groups and their bases."""
+    shared heads, its input permutations' signed reads and the store
+    indices of its groups and their bases."""
     stores, todo = set(), list(relation)
     while todo:
         _, base, _, store = todo.pop()
         stores.add(store)
         todo += [base] if base else []
-    return _shared_heads(relation) | (stores - {None})
+    return (_shared_heads(relation) | _input_permutations(relation)
+            | (stores - {None}))
 
 
 def test_relations_of_one_arity_share_their_heads():
@@ -272,31 +284,8 @@ def test_relations_of_one_arity_share_their_heads():
     assert len(_shared_heads(alone)) < len(_shared_heads(nine))
 
 
-def _raising_context(bad_f=None, bad_g=None):
-    space = FiniteSpace("V", {"a%d" % i: 0 for i in range(5)})
-    field = g.QQ
-    calls = []
-
-    def f_rule(key):
-        calls.append(key)
-        if key == bad_f:
-            raise EngineError("f fails on %s" % (key,))
-        return basis_element((space,), field, key[:1])
-
-    def g_rule(key):
-        if key == bad_g:
-            raise EngineError("g fails on %s" % (key,))
-        return g.zero_element((space,), field)
-
-    maps = {"f": GradedMap((space, space), (space,), 0, field, name="f", rule=f_rule),
-            "g": GradedMap((space, space), (space,), 0, field, name="g", rule=g_rule)}
-    spec = checks.make_relation("Twisted", 2, "f . tau + f + g", [[
-        (1, "f . tau"), (1, "f"), (1, "g")]])
-    return space, g.OpContext(maps, field), spec, calls
-
-
 def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
-    space, ctx, spec, calls = _raising_context(bad_f=("a1", "a0"))
+    space, ctx, spec, calls = raising_context(bad_f=("a1", "a0"))
     relation = compile_relation(spec, ctx, (space, space))
     assert len(_shared_heads(relation)) == 1
     memo = {}
@@ -315,7 +304,7 @@ def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
     (("a1", "a0"), True),    # the sixth tuple: raised before ten failures
 ])
 def test_an_error_is_raised_only_where_the_canonical_walk_meets_it(bad, raises):
-    space, ctx, spec, _ = _raising_context(bad_g=bad)
+    space, ctx, spec, _ = raising_context(bad_g=bad)
     names = sorted(space.basis_names())
     if raises:
         with pytest.raises(EngineError, match="g fails on"):
@@ -371,4 +360,22 @@ def test_orbits_add_no_plan_and_no_cached_output():
             == {(node, len(s)) for node, s in ctx.plans} - unread)
     by_term_keys = {name: keys for name, keys in _cached_keys(ctx).items()
                     if name not in unread}
-    assert _cached_keys(by_orbit.context()) == by_term_keys
+    # the walk reads the permutations P and O, and a permutation head,
+    # as signed keys: a permutation map caches only the keys a tensor
+    # product reads as its block (tau in Poisson's id (x) tau), and every
+    # other map the same keys as term by term
+    by_orbit_keys = _cached_keys(by_orbit.context())
+    perms = {name for name in by_orbit_keys
+             if isinstance(name[0], Gen) and name[0].name in PERMS}
+    blocks = {child.name for node, _ in by_orbit.context().plans
+              if isinstance(node, Tensor) for child in node.children
+              if isinstance(child, Gen) and child.name in PERMS}
+    assert {name[0].name for name in perms} == {"id", "tau", "sigma", "sigma2"}
+    assert blocks == {"id", "tau"}
+    for name in perms:
+        assert by_orbit_keys[name] <= by_term_keys[name]
+        assert not by_orbit_keys[name] or name[0].name == "tau", name
+    assert ({name: keys for name, keys in by_orbit_keys.items()
+             if name not in perms}
+            == {name: keys for name, keys in by_term_keys.items()
+                if name not in perms})

@@ -70,7 +70,11 @@ def test_differing_counts_do_not_set_the_exit_code(monkeypatch, capsys):
     assert report_digests.main([REPO, REPO]) == 0
     out = capsys.readouterr().out
     assert out.startswith("same check x\n")
-    assert out.endswith("0 of 1 commands differ\n"
+    assert out.endswith("    counts: DIFFERS\n"
+                        "totals over 1 commands: parent 10 rule runs, 20 "
+                        "accumulate calls; change 10 rule runs, 21 accumulate "
+                        "calls; rule runs +0.0%, accumulate calls +5.0%\n"
+                        "0 of 1 commands differ\n"
                         "work counts differ on 1 of 1 commands\n")
 
 
@@ -101,7 +105,10 @@ def test_a_checkout_has_the_same_work_counts_as_itself(monkeypatch, capsys):
     assert report_digests.main([REPO, REPO]) == 0
     out = capsys.readouterr().out
     assert out.startswith("same check trivial --suite bvui\n")
-    assert out.endswith("    counts: same\n"
+    totals = out.splitlines()[-3]
+    assert totals.startswith("totals over 1 commands: parent ")
+    assert totals.endswith("; rule runs +0.0%, accumulate calls +0.0%")
+    assert out.endswith("    counts: same\n" + totals + "\n"
                         "0 of 1 commands differ\n"
                         "work counts differ on 0 of 1 commands\n")
 
@@ -139,3 +146,20 @@ def test_rows_read_same_only_for_equal_counts():
     assert row((0, "d1"), (0, "d1")).endswith("counts: DIFFERS")
     assert row((0, "d1", 1, 5), (0, "d1")).endswith("counts: DIFFERS")
     assert row((0, "d1", 1, 5), None).endswith("counts: DIFFERS")
+
+
+def test_the_totals_line_sums_the_counted_commands():
+    rows = report_digests.compare(
+        {"a": (0, "d1", 2820, 15684), "b": (0, "d2", 3586, 26733),
+         "c": (64, None), "d": (0, "d3", 5, 5)},
+        {"a": (0, "d1", 810, 13108), "b": (0, "d2", 1404, 19786),
+         "c": (0, "d4", 7, 7)})
+    # a command either side did not count (c, d) is left out of both sums
+    assert report_digests.format_totals(rows) == (
+        "totals over 2 commands: parent 6,406 rule runs, 42,417 accumulate "
+        "calls; change 2,214 rule runs, 32,894 accumulate calls; rule runs "
+        "-65.4%, accumulate calls -22.5%")
+    # no counted work on the parent's side: no percent change
+    (row,) = report_digests.compare({"e": (0, "d", 0, 0)}, {"e": (0, "d", 0, 3)})
+    assert report_digests.format_totals([row]).endswith(
+        "rule runs n/a, accumulate calls n/a")

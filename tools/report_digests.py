@@ -15,13 +15,15 @@ discarded).  The child counts two kinds of work:
 The script prints, per command, each side's exit code, the SHA-256 of
 its ``--out`` file ("-" when none was written) and its two counts,
 whether the two sides' exit codes and reports differ, and then
-``counts: same`` or ``counts: DIFFERS``.  A command the parent cannot
-run (usage exit 64, no report) but the change can, such as one naming a
-model new in the change, is printed as NEW and does not count as
-differing.  It exits 1 when any other command differs, else 0.  The
-counts are exact, so a change that claims to keep the engine's work
-must read ``counts: same`` on every command; they never set the exit
-code.
+``counts: same`` or ``counts: DIFFERS``.  After the rows, one totals
+line gives each side's rule runs and ``accumulate`` calls summed over
+the commands both sides counted, with the percent change of each sum.
+A command the parent cannot run (usage exit 64, no report) but the
+change can, such as one naming a model new in the change, is printed
+as NEW and does not count as differing.  It exits 1 when any other
+command differs, else 0.  The counts are exact, so a change that claims
+to keep the engine's work must read ``counts: same`` on every command;
+they never set the exit code.
 Stdlib only; the report files go to a temporary directory that is
 removed afterwards.
 """
@@ -156,6 +158,25 @@ def format_row(row):
         "same" if same_counts else "DIFFERS")
 
 
+def format_totals(rows):
+    """One line: each side's rule runs and ``accumulate`` calls summed
+    over the rows both sides counted, and each sum's percent change."""
+    counted = [(row[1][2:], row[2][2:]) for row in rows
+               if len(row[1]) > 2 and row[2] is not None and len(row[2]) > 2]
+    sums = [[sum(counts[side][i] for counts in counted) for i in (0, 1)]
+            for side in (0, 1)]
+
+    def change(i):
+        before, after = sums[0][i], sums[1][i]
+        return "%+.1f%%" % (100.0 * (after - before) / before) if before else "n/a"
+
+    return ("totals over %d commands: parent %s rule runs, %s accumulate "
+            "calls; change %s rule runs, %s accumulate calls; rule runs %s, "
+            "accumulate calls %s" % (
+                len(counted), *(format(n, ",") for side in sums for n in side),
+                change(0), change(1)))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
@@ -172,6 +193,7 @@ def main(argv=None):
     rows = compare(results["parent"], results["change"])
     for row in rows:
         print(format_row(row))
+    print(format_totals(rows))
     differing = sum(not row[3] and not row[4] for row in rows)
     new = sum(row[4] for row in rows)
     print("%d of %d commands differ%s" % (
