@@ -10,32 +10,35 @@ Reports are deterministic: tuples are enumerated in canonical
 failures in that order, so two runs produce byte-identical output.
 
 Relations are evaluated one orbit at a time, all relations of one arity
-in one walk of their window (check_relations), under one orbit function
-for the walk.  Each term is read from its normal form ``sign * X . P``
-(``expr.normal_form``): its head X, its input permutation P, if any, and
-the sign of moving P there, which goes on the term's coefficient.  P
-sends a basis tuple to one signed tuple, whose sign goes on the
-coefficient too, so every term is one path: its head on P's image, read
-one key at a time (``GradedMap.key_run``), added once.  P is read
-through its ``signed`` function (``core.permute``), not its map's cache,
-and its image of a tuple is memoized in the orbit memo, so no
-permutation map runs its rule for a term's P or O.  The catalog spells
-the cyclic and twist factors out as terms ``X``, ``X . sigma``, ``X .
-sigma2`` (or ``X . tau``), the transported Gysin terms carry them
-inside, as ``post . (X . tau) . (M (x) M)``, and some relations are
-stated with terms of others (NineTerm is the first nine terms of
-ElevenTerm); on a window closed under permuting slots, each orbit of
-basis tuples computes such a shared head X once per tuple, memoized
-under the map X itself, and every term of every relation of the walk
-reads it.  A head whose last stage is a whole ``tau``, ``sigma`` or
-``sigma2`` O, as in the terms ``X``, ``sigma . X`` and ``sigma2 . X`` of
-SevenTermLambda and CoJacobi, is compiled without O, and the term
-applies O's ``signed`` function to the head's value key by key, with no
-cache: the three terms read one X per tuple from the memo.
+in one walk of their window (check_relations), under one permutation
+action for the walk (_Action).  Each term is read from its normal form
+``sign * X . P`` (``expr.normal_form``): its head X, its input
+permutation P, if any, and the sign of moving P there, which goes on the
+term's coefficient.  P sends a basis tuple to one signed tuple, so every
+term is one path: its head on P's image, read one key at a time
+(``GradedMap.key_run``), added once.  The slot maps of the walk's input
+permutations generate a group G of slot moves, built once per walk with
+two tables: which element moves as "g, then P", and the parity of P's
+Koszul sign on g's image of a tuple, by the parities of its names.  An
+orbit of G reads its base tuple's parities once, and each member finds
+P's image and sign there by index, so no permutation map, and no
+``signed`` function of an input permutation, runs during a walk.  The
+catalog spells the cyclic and twist factors out as terms ``X``, ``X .
+sigma``, ``X . sigma2`` (or ``X . tau``), the transported Gysin terms
+carry them inside, as ``post . (X . tau) . (M (x) M)``, and some
+relations are stated with terms of others (NineTerm is the first nine
+terms of ElevenTerm); on a window closed under permuting slots, each
+orbit computes such a shared head X once per member, kept in the
+orbit's state under the map X itself, and every term of every relation
+of the walk reads it.  A head whose last stage is a whole ``tau``,
+``sigma`` or ``sigma2`` O, as in the terms ``X``, ``sigma . X`` and
+``sigma2 . X`` of SevenTermLambda and CoJacobi, is compiled without O,
+and the term applies O's ``signed`` function to the head's value key by
+key, with no cache: the three terms read one X per member.
 A group whose terms begin with another group's whole term tuple reads
-that prefix's partial sum from the same orbit memo, under the prefix's
-store index, so ElevenTerm adds its last two terms to NineTerm's sum,
-and the nine shared terms are summed once per tuple.
+that prefix's partial sum from the same orbit state, under the
+prefix's store index, so ElevenTerm adds its last two terms to
+NineTerm's sum, and the nine shared terms are summed once per tuple.
 Each report is the same as
 from evaluating its relation's every term on every tuple in canonical
 order, and an error is the one a check of each relation in turn raises.
@@ -176,31 +179,43 @@ def _split_output(head):
 def _link(typed, arity):
     """The relations of ``typed`` (each a list of _typed_terms groups),
     all typed on ``arity`` slots, compiled for one walk: (relations,
-    orbit), each relation its tuple of compiled groups (see
-    _group_sums).
+    action), each relation a _Relation of compiled groups (see
+    _group_sums) and ``action`` the walk's _Action.
 
-    A term ``c * O . X . P`` compiles to (c, X's key_run, X or None, P's
-    signed function or None, O's signed function or None).  Heads are the
-    context's hash-consed GradedMaps (``compile_expr``), so two terms share
-    a head when they use the same map object, in one relation or in two.  A
-    shared head is its own key into the orbit memo of residual_on_key, and
-    an unshared one (None) runs on each tuple.  ``orbit(key)`` is the orbit
-    of a basis tuple under the slot maps of the shared heads' input
-    permutations, least member first, or () when ``key`` is not that least
-    member.
+    A term ``c * O . X . P`` compiles to ((c, -c), X's key_run, X or
+    None, P's index, O's signed function or None); the pair is read at
+    the parity of P's sign.  Heads are the context's hash-consed
+    GradedMaps (``compile_expr``), so two terms share a head when they
+    use the same map object, in one relation or in two.  A shared head
+    is its own key into an orbit member's values, and an unshared one
+    (None) runs on each image.  P's index numbers the distinct slot maps
+    of the terms' input permutations, the generators of the action, the
+    identity first: a term without P reads P 0.
     """
     uses = Counter(term[1] for groups in typed for terms in groups
                    for term in terms)
-    generators = {slots for groups in typed for terms in groups
-                  for _, head, _, slots, _ in terms if uses[head] > 1}
+    identity = tuple(range(arity))
+    perms = list(dict.fromkeys([identity] + [
+        slots or identity for groups in typed for terms in groups
+        for _, _, _, slots, _ in terms]))
     linked = [[((terms[0][4] or terms[0][1]).target,
-                tuple((coeff, head.key_run, head if uses[head] > 1 else None,
-                       perm and perm.signed, out and out.signed)
-                      for coeff, head, perm, _, out in terms))
+                tuple(((coeff, head.field.neg(coeff)), head.key_run,
+                       head if uses[head] > 1 else None,
+                       perms.index(slots or identity), out and out.signed)
+                      for coeff, head, _, slots, out in terms))
                for terms in groups] for groups in typed]
     sums = _group_sums([group for groups in linked for group in groups])
-    return ([tuple(sums[terms] for _, terms in groups) for groups in linked],
-            _orbits(generators - {None}, arity))
+    action = _Action(perms, arity)
+    relations = [_Relation(sums[terms] for _, terms in groups)
+                 for groups in linked]
+    for relation in relations:
+        relation.action = action
+    return relations, action
+
+
+class _Relation(tuple):
+    """A relation compiled by _link: its tuple of compiled groups, read
+    under ``action``, its walk's _Action."""
 
 
 def _group_sums(groups):
@@ -211,9 +226,9 @@ def _group_sums(groups):
     nine terms begin ElevenTerm's eleven) has that prefix's compiled
     group as its ``base``, the longest such, and only the terms after it
     as ``terms``; any other has no base.  A tuple that is some group's
-    base, or the terms of two groups, gets an integer memo index
-    ``store``, under which its partial sum is kept per basis tuple; any
-    other stores nothing.  Equal tuples are one compiled group."""
+    base, or the terms of two groups, gets an integer index ``store``,
+    under which its partial sum is kept per orbit member; any other
+    stores nothing.  Equal tuples are one compiled group."""
     count = Counter(terms for _, terms in groups)
     target = {terms: target for target, terms in groups}
     base = {}
@@ -234,33 +249,73 @@ def _group_sums(groups):
 
 def compile_relation(spec, ctx, spaces):
     """The relation ``spec`` typed on ``spaces`` and compiled alone (see
-    _link): its tuple of compiled groups."""
+    _link)."""
     return _link([_typed_terms(spec, ctx, spaces)], len(spaces))[0][0]
 
 
-def _orbits(generators, arity):
-    """The ``orbit`` function of the permutation group of ``arity`` slots
-    that ``generators`` generate (slot maps as in ``expr.PERMS``)."""
-    perms = {tuple(range(arity))}
-    todo = list(perms)
-    while todo:
-        p = todo.pop()
-        for g in generators:
-            q = tuple([p[i] for i in g])
-            if q not in perms:
-                perms.add(q)
-                todo.append(q)
-    if len(perms) == 1:
-        return lambda key: (key,)
-    moves = [itemgetter(*p) for p in perms]
+class _Action:
+    """The permutation group G of ``arity`` slots that the slot maps
+    ``generators`` of a walk's input permutations (``expr.PERMS``)
+    generate, acting on basis tuples, with its tables.
 
-    def orbit(key):
-        images = [move(key) for move in moves]
+    G's elements are slot moves g, g sending a tuple k to (k[g[0]], ...),
+    the identity first.  ``compose[g][P]`` is the element that moves as
+    g, then P (generator P's move, ``core.permute``'s).
+    ``signs[g][pattern][P]`` is the parity of P's sign on g's image of a
+    tuple whose names have the parities of ``pattern`` (bit i for slot
+    i): the number of P's inverted slot pairs whose two names are odd,
+    as ``core.permute`` counts them.
+    """
+
+    __slots__ = ("moves", "compose", "signs")
+
+    def __init__(self, generators, arity):
+        inverses = [tuple(map(p.index, range(arity))) for p in generators]
+        elements, rows = [tuple(range(arity))], []
+        for g in elements:      # grows until G is closed
+            rows.append([tuple([g[i] for i in move]) for move in inverses])
+            elements += [h for h in dict.fromkeys(rows[-1]) if h not in elements]
+        pairs = [[(i, j) for j in range(arity) for i in range(j) if p[i] > p[j]]
+                 for p in generators]
+        self.moves = [itemgetter(*g) if arity > 1 else tuple for g in elements]
+        self.compose = [[elements.index(h) for h in row] for row in rows]
+        self.signs = [[[sum(pattern >> g[i] & pattern >> g[j] & 1
+                            for i, j in inverted) & 1 for inverted in pairs]
+                       for pattern in range(1 << arity)] for g in elements]
+
+    def __call__(self, key):
+        """``key``'s orbit under G, its members sorted, or () when ``key``
+        is not its least member."""
+        images = [move(key) for move in self.moves]
         if min(images) < key:
             return ()
         return sorted(set(images))
 
-    return orbit
+    def state(self, base, slots, members=None):
+        """The state of ``base``'s orbit, ``members`` (sorted; computed
+        when not given): (members, rows, values).  The parity of
+        ``base``'s name in slot i is read through that slot's (degree,
+        parity dict) of ``slots``, stored the first time it is read (a
+        lookup that raises is not stored).  ``rows[m]`` gives, for each
+        input permutation, the member index of its image of member m
+        and the parity of its sign there; ``values[m]`` holds m's shared
+        head values and stored sums, keyed by head map and store index.
+        """
+        pattern = 0
+        for i, (name, (degree, parity)) in enumerate(zip(base, slots)):
+            bit = parity.get(name)
+            if bit is None:
+                bit = parity[name] = degree(name) % 2
+            pattern |= bit << i
+        images = [move(base) for move in self.moves]
+        members = members or sorted(set(images))
+        at = {member: m for m, member in enumerate(members)}
+        member_of = [at[image] for image in images]
+        rows = [None] * len(members)
+        for g, m in enumerate(member_of):
+            rows[m] = ([member_of[h] for h in self.compose[g]],
+                       self.signs[g][pattern])
+        return members, rows, [{} for _ in members]
 
 
 def residual_on_key(spec, ctx, spaces, key, memo=None):
@@ -270,17 +325,12 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     (group index, residual) for the first non-vanishing group, or None
     when the relation holds on this input.
 
-    A term ``c * O . X . P`` adds ``sign * c * O(X(k'))`` for P's one signed
-    image (k', sign) of ``key`` (k' is ``key`` and the sign one when there
-    is no P, and O is the identity when there is no O).  P's image is read
-    from ``memo``, keyed on (P's signed function, key), and computed into it
-    on a miss.  A shared head X is read from ``memo``, keyed on (X, k'), and
-    computed into it on a miss; an unshared one runs on k'.  A group's base,
-    the partial sum of the terms it shares with another group, is read from
-    the memo in the same way, keyed on (its store index, basis tuple),
-    whichever relation reaches the tuple first computing it.  A value that
-    raises is not stored, so every use raises again.  Without a memo, a
-    fresh one serves this tuple only.
+    ``key`` is the base tuple of an orbit state of the relation's action
+    (_Action.state), its names' parities read from ``spaces``, and is
+    evaluated as that state's member (see _group_sum).  ``memo`` keeps
+    the state under ``key``, so calls on one key with one memo share its
+    values; a value that raises is not stored, so every use raises
+    again.  Without a memo, a fresh state serves this tuple only.
     """
     relation = spec
     if isinstance(spec, RelationSpec):
@@ -291,51 +341,54 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
         memo = {}
     field = ctx.field
     key = tuple(key)
+    state = memo.get(key)
+    if state is None:
+        state = memo[key] = relation.action.state(
+            key, [(space.degree, {}) for space in spaces])
+    m = state[0].index(key)
     for gi, group in enumerate(relation):
-        acc = _group_sum(group, key, memo, field)
+        acc = _group_sum(group, m, state, field)
         if acc:
             return gi, _trusted_element(group[0], field, acc)
     return None
 
 
-def _group_sum(group, key, memo, field):
-    """The sum of a compiled group's signed terms on ``key``: its base's
-    stored sum, computed on a miss, plus its own terms; stored when the
-    group has a store index.  P's image of ``key``, one signed key, is
-    read from the memo, and P's ``signed`` called only on a miss; the
-    sign goes on the term's coefficient.  The head runs on one key
-    (``key_run``).  O moves the value's keys one at a time through its
-    ``signed``, negating a value whose sign is odd.  A vanishing term
-    value adds nothing.  A stored sum is never changed, so a residual
-    may hold it."""
+def _group_sum(group, m, state, field):
+    """The sum of a compiled group's signed terms on member ``m`` of the
+    orbit ``state`` (see _Action.state): its base's stored sum, computed
+    on a miss, plus its own terms; stored in m's values when it has a
+    store index.  A term's image is P's image of m, read from m's row,
+    and its coefficient the pair's entry at the parity of P's sign, also
+    read from the row: no permutation map runs.  A shared head is read
+    from the image's values, computed on a miss; an unshared one runs on
+    the image's tuple (``key_run``).  O moves the value's keys one at a
+    time through its ``signed``, negating a value whose sign is odd.  A
+    vanishing term value adds nothing.  A stored sum is never changed, so
+    a residual may hold it, and a value that raises is not stored."""
     _, base, terms, store = group
+    members, rows, values = state
     if store is not None:
-        acc = memo.get((store, key))
+        acc = values[m].get(store)
         if acc is not None:
             return acc
-    acc = {} if base is None else dict(_group_sum(base, key, memo, field))
+    acc = {} if base is None else dict(_group_sum(base, m, state, field))
     one, neg, add_into = field.one, field.neg, field.accumulate
-    for coeff, key_run, head, perm, out in terms:
-        image, sign = key, one
-        if perm is not None:
-            signed = memo.get((perm, key))
-            if signed is None:
-                signed = memo[perm, key] = perm(key)
-            image, sign = signed
+    images, bits = rows[m]
+    for pair, key_run, head, perm, out in terms:
+        image = images[perm]
         if head is None:
-            value = key_run(image)
+            value = key_run(members[image])
         else:
-            value = memo.get((head, image))
+            value = values[image].get(head)
             if value is None:
-                value = memo[head, image] = key_run(image)
+                value = values[image][head] = key_run(members[image])
         if value:
             items = value.items() if out is None else [
                 (k, v if s == one else neg(v))
                 for (k, s), v in zip(map(out, value), value.values())]
-            add_into(acc, items,
-                     coeff if sign == one else field.mul(coeff, sign))
+            add_into(acc, items, pair[bits[perm]])
     if store is not None:
-        memo[store, key] = acc
+        values[m][store] = acc
     return acc
 
 
@@ -362,38 +415,43 @@ class _Walk:
             self.cut = last if self.cut is None else min(self.cut, last)
 
 
-def _walk(relations, orbit_of, ctx, spaces, names):
+def _walk(relations, action, ctx, spaces, names):
     """Walk the window's tuples once, one orbit at a time, for relations
-    compiled together and their ``orbit`` (see _link); one _Walk per
+    compiled together and their ``action`` (see _link); one _Walk per
     relation.
 
     A tuple is evaluated with its orbit, when it is the orbit's least
-    member, and the orbit's tuples share one memo of the shared heads'
-    values and the input permutations' signed images, dropped after the
+    member, the base tuple of the orbit's state (_Action.state): its
+    names' parities are read once, through one dict for the walk, and
+    the orbit's members share the state's values, dropped after the
     orbit.  A member above a relation's cut is skipped for that relation,
-    and the walk ends once every relation is past its cut: every tuple below
-    the current one has been evaluated.
+    and the walk ends once every relation is past its cut: every tuple
+    below the current one has been evaluated.
     """
     walks = live = [_Walk(relation) for relation in relations]
+    field, parity = ctx.field, {}
+    slots = [(space.degree, parity) for space in spaces]
     for key in itertools.product(names, repeat=len(spaces)):
-        orbit = orbit_of(key)
-        if not orbit:
+        members = action(key)
+        if not members:
             continue    # evaluated with its orbit's least member
         live = [w for w in live if w.cut is None or key <= w.cut]
         if not live:
             break
-        memo = {}
-        for member in orbit:
+        state = action.state(key, slots, members)
+        for m, member in enumerate(members):
             for w in live:
                 if w.cut is not None and member > w.cut:
                     continue
                 try:
-                    hit = residual_on_key(w.relation, ctx, spaces, member, memo)
+                    for gi, group in enumerate(w.relation):
+                        acc = _group_sum(group, m, state, field)
+                        if acc:
+                            w.failed(member, (gi, _trusted_element(
+                                group[0], field, acc)))
+                            break
                 except Exception as exc:
                     w.error, w.cut = (member, exc), member
-                    continue
-                if hit is not None:
-                    w.failed(member, hit)
     return walks
 
 
@@ -439,8 +497,8 @@ def check_relations(specs, ctx, space, window, instance_name="?",
     for arity, members in by_arity.items():
         spaces = (space,) * arity
         names = window.names_for(space, arity)
-        relations, orbit = _link([typed for _, typed in members], arity)
-        walks = _walk(relations, orbit, ctx, spaces, names)
+        relations, action = _link([typed for _, typed in members], arity)
+        walks = _walk(relations, action, ctx, spaces, names)
         for (index, _), w in zip(members, walks):
             if w.error is not None and w.error[0] == w.cut:
                 raised[index] = w.error[1]   # fewer than MAX_WITNESSES before it

@@ -745,17 +745,18 @@ def tensor_run(kernel, field):
     A single non-identity block has one loop, whose sign slots all lie
     before the block (none for a block at the start); it copies the
     identity slots around the block's output with slices fixed ahead of
-    time (an empty head at the start, an empty tail at the end), skips a
-    vanishing output and adds a one-term output without building a list
-    (on the sphere model about a third of the block outputs vanish and
-    over half have one term), storing it without a kernel call when its
-    coefficient is one and its key is new.  Several blocks (or none)
-    multiply their outputs out.  ``tensor_key_run`` is the single
-    block's loop on one key with coefficient one.
+    time (an empty head at the start, an empty tail at the end), reads
+    the sign slots' parities as ``_odd`` does, inline, skips a vanishing
+    output and adds a one-term output without building a list (on the
+    sphere model about a third of the block outputs vanish and over half
+    have one term), storing it at a new key with one field multiply, none
+    when the output's coefficient is one, and no kernel call.  Several
+    blocks (or none) multiply their outputs out.  ``tensor_key_run`` is
+    the single block's loop on one key with coefficient one.
     The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
-    neg, add_into = field.neg, field.accumulate
+    neg, mul, add_into = field.neg, field.mul, field.accumulate
     if len(blocks) != 1:
         return _product_run(kernel, field)
     (start, end, gmap), = blocks
@@ -766,7 +767,14 @@ def tensor_run(kernel, field):
         for key, coeff in coeffs.items():
             if len(key) != arity:
                 raise _arity_error(key, arity)
-            if sign_slots and _odd(sign_slots, key):
+            odd = 0
+            for i, degree, parity in sign_slots:    # _odd, inline
+                name = key[i]
+                bit = parity.get(name)
+                if bit is None:
+                    bit = parity[name] = degree(name) % 2
+                odd ^= bit
+            if odd:
                 coeff = neg(coeff)
             block = key[start:end]
             out = get(block)
@@ -774,8 +782,8 @@ def tensor_run(kernel, field):
             if len(part) == 1:
                 (k, v), = part.items()
                 k = key[:start] + k + key[end:]
-                if v == 1 and k not in acc:
-                    acc[k] = coeff
+                if k not in acc:
+                    acc[k] = coeff if v == 1 else mul(coeff, v)
                 else:
                     add_into(acc, ((k, v),), coeff)
             elif part:
@@ -791,8 +799,10 @@ def tensor_key_run(kernel, field):
     basis key with coefficient one: the block's output read from its
     map's cache (``on_key`` only on a miss), re-keyed between the
     identity slots and negated when the key's sign slots are odd, a
-    one-term output without a comprehension.  None for a kernel with
-    several blocks or none."""
+    one-term output without a comprehension.  A vanishing output is
+    returned before the identity slots are sliced; the sign slots'
+    parities are read first, so an unknown name there raises on every
+    path.  None for a kernel with several blocks or none."""
     arity, sign_slots, blocks = kernel
     if len(blocks) != 1:
         return None
@@ -806,6 +816,8 @@ def tensor_key_run(kernel, field):
         block = key[start:end]
         out = get(block)
         part = (on_key(block) if out is None else out).coeffs
+        if not part:
+            return part
         head, tail = key[:start], key[end:]
         if len(part) == 1:
             (k, v), = part.items()
@@ -884,9 +896,10 @@ def permute(perm, spaces, field):
     same ``itemgetter``, and the degree is 0.  ``koszul_sign`` computes
     the same sign from scratch.  The map's rule wraps ``signed``, so
     expressions read the map through ``GradedMap.on_key``'s checked
-    cache like any other; the relation walker calls ``signed``, the
-    map's ``signed`` attribute, or the map's ``key_run`` for a
-    permutation head, and caches nothing in the map.
+    cache like any other; the relation walker calls an output
+    permutation's ``signed``, the map's ``signed`` attribute, or the
+    map's ``key_run`` for a permutation head, and caches nothing in the
+    map (it reads input permutations from its own tables).
     """
     perm = tuple(perm)
     n = len(perm)

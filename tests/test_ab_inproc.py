@@ -80,3 +80,46 @@ def test_an_unexpected_exit_code_is_not_correct(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "parent exit codes [64], expected [0]" in out
     assert "a run was not correct" in out
+
+
+def test_all_workloads_run_in_turn_with_one_summary_line_each(monkeypatch,
+                                                              capsys):
+    assert ab_inproc.benchmark_workloads(REPO) == [
+        "sphere-wide", "sphere-deep", "finite-negative"]
+    seen = []
+    seconds = iter(range(1, 100))
+
+    def commands(checkout, workload, n):
+        seen.append(workload)
+        return []
+
+    monkeypatch.setattr(ab_inproc, "workload_commands", commands)
+    monkeypatch.setattr(ab_inproc, "load_side", lambda checkout: {})
+    monkeypatch.setattr(ab_inproc, "run_once",
+                        lambda modules, commands, workdir: (next(seconds), []))
+    assert ab_inproc.main([REPO, REPO, "--workload", "all",
+                           "--runs", "2"]) == 0
+    assert seen == ["sphere-wide", "sphere-deep", "finite-negative"]
+    out = capsys.readouterr().out.splitlines()
+    # each workload: two untimed runs, then rounds of two runs
+    assert sum(line.startswith("run ") for line in out) == 6
+    # parent 3, 6 and change 4, 5 in the first workload's rounds, then 7
+    # onwards in the next
+    assert out[-3:] == [
+        "sphere-wide: median CPU seconds (quartiles): parent 4.5000 "
+        "(3.7500-5.2500) change 4.5000 (4.2500-4.7500) (+0.0%); change "
+        "wins 1 of 2 runs",
+        "sphere-deep: median CPU seconds (quartiles): parent 10.5000 "
+        "(9.7500-11.2500) change 10.5000 (10.2500-10.7500) (+0.0%); change "
+        "wins 1 of 2 runs",
+        "finite-negative: median CPU seconds (quartiles): parent 16.5000 "
+        "(15.7500-17.2500) change 16.5000 (16.2500-16.7500) (+0.0%); "
+        "change wins 1 of 2 runs"]
+
+
+def test_all_workloads_on_the_real_package(capsys):
+    assert ab_inproc.main([REPO, REPO, "--workload", "all", "--runs", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[-3:]] == [
+        "sphere-wide", "sphere-deep", "finite-negative"]
+    assert "not correct" not in "\n".join(out)

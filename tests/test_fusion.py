@@ -408,7 +408,7 @@ def test_eleven_and_nine_terms_walked_together_match_each_alone(mutation):
     assert together == alone
     if mutation is not None:
         assert [len(r.witnesses) for r in together] == [MAX_WITNESSES] * 2
-    # ElevenTerm reads NineTerm's sum, stored in the memo, and adds two
+    # ElevenTerm reads NineTerm's sum, stored in the orbit state, and adds two
     (eleven, nine), _ = checks._link(
         [checks._typed_terms(spec, ctx, (inst.space,) * 2) for spec in specs], 2)
     (nine_group,), (eleven_group,) = nine, eleven

@@ -175,46 +175,92 @@ def test_an_output_permutation_reads_its_head_once_per_tuple():
                 and node.children[0] in (Gen("sigma"), Gen("sigma2"))]
 
 
-def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
+def test_a_walk_calls_no_input_permutations_signed(monkeypatch):
     from gradedbv import cli
-    link_original, residual_original = checks._link, checks.residual_on_key
-    groups = {}     # id of a compiled relation -> (its group's entry, orbit)
-    entries = []    # [arity, relations, memo keys, largest memo] per group
+    link_original, walk_original = checks._link, checks._walk
+    guarded, walked = {}, set()     # input permutation -> its signed
+
+    def unread(key):
+        raise AssertionError("an input permutation's signed read %r" % (key,))
 
     def linking(typed, arity):
-        relations, orbit_of = link_original(typed, arity)
-        keys = set().union(*map(_memo_keys, relations))
-        entry = [arity, len(relations), len(keys), 0]
-        entries.append(entry)
-        groups.update((id(relation), (entry, orbit_of))
-                      for relation in relations)
-        return relations, orbit_of
+        # every input permutation that is not also a term's output
+        # permutation: its signed must not run in this walk
+        terms = [term for groups in typed for group in groups for term in group]
+        outs = {term[4] for term in terms}
+        for _, _, perm, _, _ in terms:
+            if perm is not None and perm not in outs:
+                guarded.setdefault(perm, perm.signed)
+                perm.signed = unread
+        return link_original(typed, arity)
 
-    def watched(relation, ctx, spaces, key, memo=None):
-        hit = residual_original(relation, ctx, spaces, key, memo)
-        entry, orbit_of = groups[id(relation)]
-        orbit = _orbit_of(orbit_of, key)
-        # only this orbit's tuples, at most one value per shared head,
-        # input permutation and store of the group each
-        assert {image for _, image in memo} <= set(orbit), key
-        assert len(memo) <= entry[2] * len(orbit)
-        entry[3] = max(entry[3], len(memo))
-        return hit
+    def walking(*args):
+        try:
+            return walk_original(*args)
+        finally:    # maps are shared: a later walk may read one as O
+            for perm, signed in guarded.items():
+                perm.signed = signed
+            walked.update(guarded)
+            guarded.clear()
 
     monkeypatch.setattr(checks, "_link", linking)
-    monkeypatch.setattr(checks, "residual_on_key", watched)
+    monkeypatch.setattr(checks, "_walk", walking)
+    assert cli.main(["check", "sphere:3", "--suite", "all",
+                     "--window", "4"]) == 0
+    # tau on two slots, sigma and sigma2 on three, on the sphere and on
+    # the Gysin layer's class space
+    assert {perm.name for perm in walked} == {
+        "perm(1, 0)", "perm(1, 2, 0)", "perm(2, 0, 1)"}
+
+
+def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
+    from gradedbv import cli
+    link_original, state_original = checks._link, checks._Action.state
+    groups = {}     # id of a walk's action -> (its group's entry, value keys)
+    entries = []    # [arity, relations, value keys, largest state] per group
+    states = []     # (action, orbit state) of each orbit walked
+
+    def linking(typed, arity):
+        relations, action = link_original(typed, arity)
+        keys = set().union(*map(_value_keys, relations))
+        entry = [arity, len(relations), len(keys), 0]
+        entries.append(entry)
+        groups[id(action)] = entry, keys
+        return relations, action
+
+    def watched(action, base, slots, members=None):
+        state = state_original(action, base, slots, members)
+        states.append((action, state))
+        return state
+
+    def bounded():
+        # only this orbit's tuples, at most one value per shared head and
+        # store of the group each per member, and no permutation image
+        for action, (members, rows, values) in states:
+            entry, keys = groups[id(action)]
+            assert members == action(members[0])
+            assert len(rows) == len(values) == len(members)
+            assert set().union(*values) <= keys
+            count = sum(map(len, values))
+            assert count <= entry[2] * len(members)
+            entry[3] = max(entry[3], count)
+        states.clear()
+
+    monkeypatch.setattr(checks, "_link", linking)
+    monkeypatch.setattr(checks._Action, "state", watched)
     assert cli.main(["check", "sphere:3", "--suite", "all",
                      "--window", "6"]) == 0
-    # one group per arity: (arity, relations, memo keys, largest
-    # memo); the unary group's heads are read by two relations or two
+    bounded()
+    # one group per arity: (arity, relations, value keys, largest
+    # state); the unary group's heads are read by two relations or two
     # terms each (X and its output permutations sigma . X, sigma2 . X or
     # tau . X), on one-tuple orbits; the binary group's heads are read by
-    # two relations or more each, on orbits of two tuples, NineTerm's
-    # sum is ElevenTerm's stored prefix, one more key, and tau's signed
-    # reads one more; the ternary group's heads and the signed reads of
-    # sigma and sigma2 are read on orbits of three
+    # two relations or more each, on orbits of two tuples, and NineTerm's
+    # sum is ElevenTerm's stored prefix, one more key; the ternary
+    # group's heads are read on orbits of three; the input permutations'
+    # images and signs are read from the tables, never stored
     assert sorted(map(tuple, entries)) == [
-        (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 11, 22), (3, 5, 6, 18)]
+        (0, 2, 0, 0), (1, 8, 6, 6), (2, 5, 10, 20), (3, 5, 4, 12)]
 
     inst = g.sphere_model(3)
 
@@ -222,15 +268,15 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
         entries.clear()
         relation_residual(builtin_relation(rid), inst.context(), inst.space,
                           Window(6))
+        bounded()
         (entry,) = entries
         return entry[3]
 
-    # checked alone: two heads and the signed reads of sigma and sigma2
-    # on orbits of three tuples; three heads and tau's reads under tau;
-    # one head and one or two permutations
-    assert largest("SevenTermMu") == 12
-    assert largest("ElevenTerm") == 8 and largest("NineTerm") == 6
-    assert largest("Jacobi") == 9 and largest("PermMu") == 6
+    # checked alone: two heads on orbits of three tuples; three heads
+    # under tau; one head on orbits of three or two tuples
+    assert largest("SevenTermMu") == 6
+    assert largest("ElevenTerm") == 6 and largest("NineTerm") == 4
+    assert largest("Jacobi") == 3 and largest("PermMu") == 3
     assert largest("Assoc") == largest("Poisson") == 0
 
 
@@ -245,22 +291,15 @@ def _shared_heads(relation):
             for _, _, head, _, _ in _terms(group) if head is not None}
 
 
-def _input_permutations(relation):
-    return {perm for group in relation
-            for _, _, _, perm, _ in _terms(group) if perm is not None}
-
-
-def _memo_keys(relation):
-    """The memo keys a relation reads, besides the basis tuple: its
-    shared heads, its input permutations' signed reads and the store
-    indices of its groups and their bases."""
+def _value_keys(relation):
+    """The keys of a relation's values in an orbit member's state: its
+    shared heads and the store indices of its groups and their bases."""
     stores, todo = set(), list(relation)
     while todo:
         _, base, _, store = todo.pop()
         stores.add(store)
         todo += [base] if base else []
-    return (_shared_heads(relation) | _input_permutations(relation)
-            | (stores - {None}))
+    return _shared_heads(relation) | (stores - {None})
 
 
 def test_relations_of_one_arity_share_their_heads():
@@ -270,7 +309,7 @@ def test_relations_of_one_arity_share_their_heads():
         [builtin_relation(rid) for rid in ("ElevenTerm", "NineTerm", "Comm")],
         ctx, spaces)
     # NineTerm is the first nine terms of ElevenTerm: each of its terms
-    # reads a head ElevenTerm computes into the orbit memo
+    # reads a head ElevenTerm computes into the orbit state
     assert _shared_heads(nine) <= _shared_heads(eleven)
     assert all(head is not None for group in nine
                for _, _, head, _, _ in _terms(group))
@@ -292,7 +331,11 @@ def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
     for attempt in range(1, 4):
         with pytest.raises(EngineError, match="f fails on"):
             residual_on_key(relation, ctx, (space, space), ("a0", "a1"), memo)
-        assert all(image != ("a1", "a0") for _, image in memo)
+        # the memo keeps the key's orbit state, with no value at f . tau's
+        # image ("a1", "a0")
+        (members, _, values), = memo.values()
+        assert members == [("a0", "a1"), ("a1", "a0")]
+        assert not values[members.index(("a1", "a0"))]
         assert calls.count(("a1", "a0")) == attempt
     for _ in range(2):
         with pytest.raises(EngineError, match="f fails on"):
@@ -379,3 +422,90 @@ def test_orbits_add_no_plan_and_no_cached_output():
              if name not in perms}
             == {name: keys for name, keys in by_term_keys.items()
                 if name not in perms})
+
+
+def _walks(inst):
+    """{arity: (typed relations, relations, action)} of every catalog
+    relation that applies to ``inst``, linked one walk per arity as
+    check_relations links them."""
+    ctx, typed = inst.context(), {}
+    for rid in relation_ids():
+        spec = builtin_relation(rid)
+        if is_applicable(spec, inst)[0]:
+            typed.setdefault(spec.arity, []).append(checks._typed_terms(
+                spec, ctx, (inst.space,) * spec.arity))
+    return {arity: (groups,) + tuple(checks._link(groups, arity))
+            for arity, groups in typed.items()}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
+@pytest.mark.parametrize("model", ["sphere:3", "three-dim", "D(three-dim)"])
+def test_action_tables_match_signed_and_the_koszul_oracle(model, field_name):
+    field = g.field_by_name(field_name)
+    inst = (build_double(g.builtin_model(model[2:-1], field))
+            if model.startswith("D(") else g.builtin_model(model, field))
+    space, one = inst.space, field.one
+    walks = _walks(inst)
+    assert set(walks) == {0, 1, 2, 3}
+    stabilized = set()
+    for arity, (typed, relations, action) in walks.items():
+        # each input permutation by its index: its map and its slot map
+        perms = {}
+        for groups, relation in zip(typed, relations):
+            for terms, group in zip(groups, relation):
+                for term, linked in zip(terms, _terms(group)):
+                    assert linked[0] == (term[0], field.neg(term[0]))
+                    if term[3] is None:
+                        assert linked[3] == 0
+                    else:
+                        assert perms.setdefault(linked[3], term[2:4])[1] == term[3]
+        # P 0 is the identity, read by every term without P
+        generators = len(action.compose[0])
+        assert set(perms) | {0} == set(range(generators))
+        assert (generators > 1) == (arity > 1)
+        names = Window(2).names_for(space, arity)
+        for key in itertools.product(names, repeat=arity):
+            members = action(key)
+            if not members:
+                continue
+            members_, rows, values = action.state(
+                key, [(space.degree, {})] * arity, members)
+            assert members_ is members and values == [{}] * len(members)
+            assert set(members) <= set(itertools.permutations(key))
+            if len(members) < len(action.moves):
+                stabilized.add(key)
+            for member, (images, bits) in zip(members, rows):
+                assert members[images[0]] == member and bits[0] == 0
+                degrees = [space.degree(n) for n in member]
+                for p, (gmap, slots) in perms.items():
+                    image, sign = gmap.signed(member)
+                    assert members[images[p]] == image, (member, slots)
+                    assert (one, field.neg(one))[bits[p]] == sign
+                    assert sign == field.coerce(g.koszul_sign(slots, degrees))
+    if model == "sphere:3":
+        # orbits with a stabilizer: equal names, fixed by every element
+        assert {("U", "U", "U"), ("AU", "AU"), ("U", "U")} <= stabilized
+        # a repeated name under the cyclic group: no stabilizer, all
+        # three rotations are members
+        assert ("AU", "U", "U") not in stabilized
+        assert walks[3][2](("AU", "U", "U")) == [
+            ("AU", "U", "U"), ("U", "AU", "U"), ("U", "U", "AU")]
+    assert stabilized
+
+
+def test_the_one_tuple_path_reads_its_key_as_the_base_tuple():
+    inst = g.sphere_model(3)
+    ctx, spaces = inst.context(), (inst.space,) * 3
+    (relation,), action = _linked([builtin_relation("SevenTermMu")], ctx,
+                                  spaces)
+    assert relation.action is action
+    memo = {}
+    # a member that is not its orbit's least: the state is the same orbit
+    key = ("U", "AU", "U")
+    assert not action(key)
+    assert residual_on_key(relation, ctx, spaces, key, memo) is None
+    (members, rows, values), = memo.values()
+    assert members == _orbit_of(action, key) and len(rows) == 3
+    # its heads' values are stored at its own member and at the images
+    # its terms read
+    assert values[members.index(key)] and all(values)

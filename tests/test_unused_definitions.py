@@ -16,7 +16,13 @@ ALLOWED = {
     "expr._infer_source_spaces": "bench/tracing.py traces it by name",
     "checks.relation_residual": "bench/tracing.py times relations by "
                                 "wrapping it",
+    "checks.residual_on_key": "the public one-tuple check; bench/tracing.py "
+                              "counts key evaluations by wrapping it",
     "core.Element.tensor": "bench/tracing.py counts its calls",
+    "core.Rationals.add": "the field's scalar sum, the tests' reference "
+                          "for accumulate",
+    "core.PrimeField.add": "the field's scalar sum, the tests' reference "
+                           "for accumulate",
     "structures.relation_ids": "bench/child.py lists the catalog with it",
 }
 

@@ -2,6 +2,7 @@
 
     python3 tools/ab_inproc.py PARENT CHANGE --workload sphere-deep \\
         [--runs 40] [--n 3]
+    python3 tools/ab_inproc.py PARENT CHANGE --workload all [--runs 40]
 
 PARENT and CHANGE are two checkouts of the repository.  Each checkout's
 ``src/gradedbv`` is imported as its own set of modules into this one
@@ -21,11 +22,14 @@ over its commands, after a garbage collection.
 
 The script prints each round, each side's median seconds with its
 quartiles beside it, the relative change of the medians and the number
-of rounds the change wins.  ``--runs`` defaults to 40: on a loaded
-2-vCPU host a side's per-run CPU seconds can spread by a factor of two,
-and three 16-round readings of the same two trees read from -6.6% to
-+16.5%, so a 16-round reading cannot decide a change of a few percent;
-compare the change of the medians with the spread of the quartiles.  It
+of rounds the change wins.  ``--workload all`` times every workload of
+PARENT's ``BENCHMARK.json`` in turn, each with ``--runs`` rounds, and
+ends with one such summary line per workload, led by its name.
+``--runs`` defaults to 40: on a loaded 2-vCPU host a side's per-run CPU
+seconds can spread by a factor of two, and three 16-round readings of
+the same two trees read from -6.6% to +16.5%, so a 16-round reading
+cannot decide a change of a few percent; compare the change of the
+medians with the spread of the quartiles.  It
 exits 1 when a command's exit code differs from the workload's, or when
 the two sides' ``--out`` reports differ, else 0.  Stdlib only; nothing
 in either checkout is written but Python's bytecode caches.
@@ -40,6 +44,7 @@ import hashlib
 import importlib
 import importlib.util
 import io
+import json
 import os
 import pkgutil
 import statistics
@@ -150,52 +155,77 @@ def summary(pairs):
     return parent, change, change / parent - 1, sum(c < p for p, c in pairs)
 
 
+def compare(args, workload, sides, tmp):
+    """Time ``workload`` on both sides (see the module docstring): (its
+    summary line, whether every run was correct)."""
+    commands = workload_commands(args.parent, workload, args.n)
+    expected = [code for _, code in commands]
+    workdirs = {}
+    for name in sides:
+        workdirs[name] = os.path.join(tmp, workload, name)
+        os.makedirs(workdirs[name])
+    correct = True
+    for name, modules in sides.items():
+        _, codes = run_once(modules, commands, workdirs[name])
+        if codes != expected:
+            print("%s exit codes %s, expected %s" % (name, codes, expected))
+            correct = False
+    if report_digests(commands, workdirs["parent"]) != report_digests(
+            commands, workdirs["change"]):
+        print("the two sides' reports differ")
+        correct = False
+    pairs = []
+    for index in range(args.runs):
+        order = ["parent", "change"][::-1 if index % 2 else 1]
+        seconds = {}
+        for name in order:
+            seconds[name], codes = run_once(sides[name], commands,
+                                            workdirs[name])
+            correct &= codes == expected
+        pairs.append((seconds["parent"], seconds["change"]))
+        print("run %d (%s first): parent %.4f s change %.4f s (%+.1f%%)"
+              % (index + 1, order[0], seconds["parent"], seconds["change"],
+                 100 * (seconds["change"] / seconds["parent"] - 1)),
+              flush=True)
+    parent, change, relative, wins = summary(pairs)
+    spread = [quartiles([pair[side] for pair in pairs]) for side in (0, 1)]
+    return ("median CPU seconds (quartiles): parent %.4f (%.4f-%.4f) change "
+            "%.4f (%.4f-%.4f) (%+.1f%%); change wins %d of %d runs"
+            % (parent, spread[0][0], spread[0][2], change, spread[1][0],
+               spread[1][2], 100 * relative, wins, len(pairs))), correct
+
+
+def benchmark_workloads(checkout):
+    """The workload names of ``checkout``'s ``BENCHMARK.json``, in order."""
+    with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as f:
+        return [workload["name"] for workload in json.load(f)["workloads"]]
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        help="a workload name, or all")
     parser.add_argument("--runs", type=int, default=40)
     parser.add_argument("--n", type=int, default=3)
     args = parser.parse_args(argv)
 
-    commands = workload_commands(args.parent, args.workload, args.n)
-    expected = [code for _, code in commands]
+    workloads = ([args.workload] if args.workload != "all"
+                 else benchmark_workloads(args.parent))
+    lines, correct = [], True
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {}
-        for name in ("parent", "change"):
-            workdir = os.path.join(tmp, name)
-            os.mkdir(workdir)
-            sides[name] = (load_side(getattr(args, name)), workdir)
-        correct = True
-        for name, (modules, workdir) in sides.items():
-            _, codes = run_once(modules, commands, workdir)
-            if codes != expected:
-                print("%s exit codes %s, expected %s" % (name, codes, expected))
-                correct = False
-        if report_digests(commands, sides["parent"][1]) != report_digests(
-                commands, sides["change"][1]):
-            print("the two sides' reports differ")
-            correct = False
-        pairs = []
-        for index in range(args.runs):
-            order = ["parent", "change"][::-1 if index % 2 else 1]
-            seconds = {}
-            for name in order:
-                modules, workdir = sides[name]
-                seconds[name], codes = run_once(modules, commands, workdir)
-                correct &= codes == expected
-            pairs.append((seconds["parent"], seconds["change"]))
-            print("run %d (%s first): parent %.4f s change %.4f s (%+.1f%%)"
-                  % (index + 1, order[0], seconds["parent"], seconds["change"],
-                     100 * (seconds["change"] / seconds["parent"] - 1)),
-                  flush=True)
-    parent, change, relative, wins = summary(pairs)
-    spread = [quartiles([pair[side] for pair in pairs]) for side in (0, 1)]
-    print("median CPU seconds (quartiles): parent %.4f (%.4f-%.4f) change "
-          "%.4f (%.4f-%.4f) (%+.1f%%); change wins %d of %d runs"
-          % (parent, spread[0][0], spread[0][2], change, spread[1][0],
-             spread[1][2], 100 * relative, wins, len(pairs)))
+        sides = {name: load_side(getattr(args, name))
+                 for name in ("parent", "change")}
+        for workload in workloads:
+            line, ok = compare(args, workload, sides, tmp)
+            lines.append(line)
+            correct &= ok
+    if len(workloads) == 1:
+        print(lines[0])
+    else:
+        for workload, line in zip(workloads, lines):
+            print("%s: %s" % (workload, line))
     if not correct:
         print("a run was not correct")
     return 0 if correct else 1
