@@ -21,8 +21,9 @@ permutations generate a group G of slot moves, built once per walk with
 two tables: which element moves as "g, then P", and the parity of P's
 Koszul sign on g's image of a tuple, by the parities of its names.  An
 orbit of G reads its base tuple's parities once, and each member finds
-P's image and sign there by index, so no permutation map, and no
-``signed`` function of an input permutation, runs during a walk.  The
+P's image and sign there by index, in rows built once per walk for each
+orbit shape, so no permutation map, and no ``signed`` function of an
+input permutation, runs during a walk.  The
 catalog spells the cyclic and twist factors out as terms ``X``, ``X .
 sigma``, ``X . sigma2`` (or ``X . tau``), the transported Gysin terms
 carry them inside, as ``post . (X . tau) . (M (x) M)``, and some
@@ -179,12 +180,12 @@ def _split_output(head):
 def _link(typed, arity):
     """The relations of ``typed`` (each a list of _typed_terms groups),
     all typed on ``arity`` slots, compiled for one walk: (relations,
-    action), each relation a _Relation of compiled groups (see
-    _group_sums) and ``action`` the walk's _Action.
+    action), each relation a tuple of compiled groups (see _group_sums)
+    and ``action`` the walk's _Action.
 
     A term ``c * O . X . P`` compiles to ((c, -c), X's key_run, X or
-    None, P's index, O's signed function or None); the pair is read at
-    the parity of P's sign.  Heads are the context's hash-consed
+    None, P's index, O's action on a value (_moved) or None); the pair
+    is read at the parity of P's sign.  Heads are the context's hash-consed
     GradedMaps (``compile_expr``), so two terms share a head when they
     use the same map object, in one relation or in two.  A shared head
     is its own key into an orbit member's values, and an unshared one
@@ -201,21 +202,21 @@ def _link(typed, arity):
     linked = [[((terms[0][4] or terms[0][1]).target,
                 tuple(((coeff, head.field.neg(coeff)), head.key_run,
                        head if uses[head] > 1 else None,
-                       perms.index(slots or identity), out and out.signed)
+                       perms.index(slots or identity), out and _moved(out))
                       for coeff, head, _, slots, out in terms))
                for terms in groups] for groups in typed]
     sums = _group_sums([group for groups in linked for group in groups])
-    action = _Action(perms, arity)
-    relations = [_Relation(sums[terms] for _, terms in groups)
-                 for groups in linked]
-    for relation in relations:
-        relation.action = action
-    return relations, action
+    return ([tuple(sums[terms] for _, terms in groups) for groups in linked],
+            _Action(perms, arity))
 
 
-class _Relation(tuple):
-    """A relation compiled by _link: its tuple of compiled groups, read
-    under ``action``, its walk's _Action."""
+def _moved(out):
+    """O's action on a head value, with no cache: the value's items, each
+    key moved through O's ``signed`` and its coefficient negated where
+    the sign is odd."""
+    one, neg, signed = out.field.one, out.field.neg, out.signed
+    return lambda value: [(k, v if s == one else neg(v)) for (k, s), v
+                          in zip(map(signed, value), value.values())]
 
 
 def _group_sums(groups):
@@ -249,8 +250,9 @@ def _group_sums(groups):
 
 def compile_relation(spec, ctx, spaces):
     """The relation ``spec`` typed on ``spaces`` and compiled alone (see
-    _link)."""
-    return _link([_typed_terms(spec, ctx, spaces)], len(spaces))[0][0]
+    _link): (relation, action)."""
+    (relation,), action = _link([_typed_terms(spec, ctx, spaces)], len(spaces))
+    return relation, action
 
 
 class _Action:
@@ -264,10 +266,11 @@ class _Action:
     ``signs[g][pattern][P]`` is the parity of P's sign on g's image of a
     tuple whose names have the parities of ``pattern`` (bit i for slot
     i): the number of P's inverted slot pairs whose two names are odd,
-    as ``core.permute`` counts them.
+    as ``core.permute`` counts them.  ``shapes`` keeps the rows of each
+    orbit shape (see state), built on first use.
     """
 
-    __slots__ = ("moves", "compose", "signs")
+    __slots__ = ("moves", "compose", "signs", "shapes")
 
     def __init__(self, generators, arity):
         inverses = [tuple(map(p.index, range(arity))) for p in generators]
@@ -282,24 +285,19 @@ class _Action:
         self.signs = [[[sum(pattern >> g[i] & pattern >> g[j] & 1
                             for i, j in inverted) & 1 for inverted in pairs]
                        for pattern in range(1 << arity)] for g in elements]
+        self.shapes = {}
 
-    def __call__(self, key):
-        """``key``'s orbit under G, its members sorted, or () when ``key``
-        is not its least member."""
-        images = [move(key) for move in self.moves]
-        if min(images) < key:
-            return ()
-        return sorted(set(images))
-
-    def state(self, base, slots, members=None):
-        """The state of ``base``'s orbit, ``members`` (sorted; computed
-        when not given): (members, rows, values).  The parity of
-        ``base``'s name in slot i is read through that slot's (degree,
-        parity dict) of ``slots``, stored the first time it is read (a
-        lookup that raises is not stored).  ``rows[m]`` gives, for each
-        input permutation, the member index of its image of member m
-        and the parity of its sign there; ``values[m]`` holds m's shared
-        head values and stored sums, keyed by head map and store index.
+    def state(self, base, slots):
+        """The state of ``base``'s orbit under G: (members, rows, values),
+        the members sorted.  The parity of ``base``'s name in slot i is
+        read through that slot's (degree, parity dict) of ``slots``,
+        stored the first time it is read (a lookup that raises is not
+        stored).  ``rows[m]`` gives, for each input permutation, the
+        member index of its image of member m and the parity of its sign
+        there.  The rows depend only on the orbit's shape, which element
+        sends ``base`` to which member, and on the parities, and are
+        built once for each.  ``values[m]`` holds m's shared head values
+        and stored sums, keyed by head map and store index.
         """
         pattern = 0
         for i, (name, (degree, parity)) in enumerate(zip(base, slots)):
@@ -308,22 +306,24 @@ class _Action:
                 bit = parity[name] = degree(name) % 2
             pattern |= bit << i
         images = [move(base) for move in self.moves]
-        members = members or sorted(set(images))
-        at = {member: m for m, member in enumerate(members)}
-        member_of = [at[image] for image in images]
-        rows = [None] * len(members)
-        for g, m in enumerate(member_of):
-            rows[m] = ([member_of[h] for h in self.compose[g]],
-                       self.signs[g][pattern])
+        members = sorted(set(images))
+        member_of = tuple(map(members.index, images))
+        rows = self.shapes.get((member_of, pattern))
+        if rows is None:
+            rows = self.shapes[member_of, pattern] = [None] * len(members)
+            for g, m in enumerate(member_of):
+                rows[m] = ([member_of[h] for h in self.compose[g]],
+                           self.signs[g][pattern])
         return members, rows, [{} for _ in members]
 
 
 def residual_on_key(spec, ctx, spaces, key, memo=None):
     """Evaluate each signed group on one basis tuple.
 
-    ``spec`` is a RelationSpec or a relation compiled by _link.  Returns
-    (group index, residual) for the first non-vanishing group, or None
-    when the relation holds on this input.
+    ``spec`` is a RelationSpec or the (relation, action) pair of
+    compile_relation.  Returns _first_residual: (group index, residual)
+    for the first non-vanishing group, or None when the relation holds
+    on this input.
 
     ``key`` is the base tuple of an orbit state of the relation's action
     (_Action.state), its names' parities read from ``spaces``, and is
@@ -332,20 +332,25 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
     values; a value that raises is not stored, so every use raises
     again.  Without a memo, a fresh state serves this tuple only.
     """
-    relation = spec
     if isinstance(spec, RelationSpec):
-        relation = compile_relation(spec, ctx, spaces)
+        spec = compile_relation(spec, ctx, spaces)
+    relation, action = spec
     if len(key) != len(spaces):
         raise ArityMismatch("key %r does not match arity %d" % (key, len(spaces)))
     if memo is None:
         memo = {}
-    field = ctx.field
     key = tuple(key)
     state = memo.get(key)
     if state is None:
-        state = memo[key] = relation.action.state(
+        state = memo[key] = action.state(
             key, [(space.degree, {}) for space in spaces])
-    m = state[0].index(key)
+    return _first_residual(relation, state[0].index(key), state, ctx.field)
+
+
+def _first_residual(relation, m, state, field):
+    """(group index, residual) for the first of a compiled relation's
+    groups whose sum (_group_sum) on member ``m`` of the orbit ``state``
+    does not vanish, or None."""
     for gi, group in enumerate(relation):
         acc = _group_sum(group, m, state, field)
         if acc:
@@ -361,8 +366,8 @@ def _group_sum(group, m, state, field):
     and its coefficient the pair's entry at the parity of P's sign, also
     read from the row: no permutation map runs.  A shared head is read
     from the image's values, computed on a miss; an unshared one runs on
-    the image's tuple (``key_run``).  O moves the value's keys one at a
-    time through its ``signed``, negating a value whose sign is odd.  A
+    the image's tuple (``key_run``).  O's action (_moved) moves the
+    value's keys one at a time, negating a value whose sign is odd.  A
     vanishing term value adds nothing.  A stored sum is never changed, so
     a residual may hold it, and a value that raises is not stored."""
     _, base, terms, store = group
@@ -372,21 +377,20 @@ def _group_sum(group, m, state, field):
         if acc is not None:
             return acc
     acc = {} if base is None else dict(_group_sum(base, m, state, field))
-    one, neg, add_into = field.one, field.neg, field.accumulate
+    add_into = field.accumulate
     images, bits = rows[m]
     for pair, key_run, head, perm, out in terms:
         image = images[perm]
         if head is None:
             value = key_run(members[image])
         else:
-            value = values[image].get(head)
+            held = values[image]
+            value = held.get(head)
             if value is None:
-                value = values[image][head] = key_run(members[image])
+                value = held[head] = key_run(members[image])
         if value:
-            items = value.items() if out is None else [
-                (k, v if s == one else neg(v))
-                for (k, s), v in zip(map(out, value), value.values())]
-            add_into(acc, items, pair[bits[perm]])
+            add_into(acc, value.items() if out is None else out(value),
+                     pair[bits[perm]])
     if store is not None:
         values[m][store] = acc
     return acc
@@ -424,34 +428,35 @@ def _walk(relations, action, ctx, spaces, names):
     member, the base tuple of the orbit's state (_Action.state): its
     names' parities are read once, through one dict for the walk, and
     the orbit's members share the state's values, dropped after the
-    orbit.  A member above a relation's cut is skipped for that relation,
-    and the walk ends once every relation is past its cut: every tuple
-    below the current one has been evaluated.
+    orbit.  The orbit's other members are held in a set until the walk
+    reaches and skips them.  A member above a relation's cut is skipped
+    for that relation, and the walk ends once every relation is past its
+    cut: every tuple below the current one has been evaluated.
     """
     walks = live = [_Walk(relation) for relation in relations]
-    field, parity = ctx.field, {}
+    field, parity, done = ctx.field, {}, set()
     slots = [(space.degree, parity) for space in spaces]
     for key in itertools.product(names, repeat=len(spaces)):
-        members = action(key)
-        if not members:
+        if key in done:
+            done.remove(key)
             continue    # evaluated with its orbit's least member
         live = [w for w in live if w.cut is None or key <= w.cut]
         if not live:
             break
-        state = action.state(key, slots, members)
+        state = action.state(key, slots)
+        members = state[0]
+        done.update(members[1:])
         for m, member in enumerate(members):
             for w in live:
                 if w.cut is not None and member > w.cut:
                     continue
                 try:
-                    for gi, group in enumerate(w.relation):
-                        acc = _group_sum(group, m, state, field)
-                        if acc:
-                            w.failed(member, (gi, _trusted_element(
-                                group[0], field, acc)))
-                            break
+                    hit = _first_residual(w.relation, m, state, field)
                 except Exception as exc:
                     w.error, w.cut = (member, exc), member
+                    continue
+                if hit is not None:
+                    w.failed(member, hit)
     return walks
 
 

@@ -745,14 +745,14 @@ def tensor_run(kernel, field):
     A single non-identity block has one loop, whose sign slots all lie
     before the block (none for a block at the start); it copies the
     identity slots around the block's output with slices fixed ahead of
-    time (an empty head at the start, an empty tail at the end), reads
-    the sign slots' parities as ``_odd`` does, inline, skips a vanishing
-    output and adds a one-term output without building a list (on the
-    sphere model about a third of the block outputs vanish and over half
-    have one term), storing it at a new key with one field multiply, none
-    when the output's coefficient is one, and no kernel call.  Several
-    blocks (or none) multiply their outputs out.  ``tensor_key_run`` is
-    the single block's loop on one key with coefficient one.
+    time (an empty head at the start, an empty tail at the end), skips a
+    vanishing output and adds a one-term output without building a list
+    (on the sphere model about a third of the block outputs vanish and
+    over half have one term), storing it at a new key with one field
+    multiply, none when the output's coefficient is one, and no kernel
+    call.  Several blocks (or none) multiply their outputs out.
+    ``tensor_key_run`` is the single block's loop on one key with
+    coefficient one.
     The parities of ``_odd`` are the only tensor signs introduced.
     """
     arity, sign_slots, blocks = kernel
@@ -767,14 +767,7 @@ def tensor_run(kernel, field):
         for key, coeff in coeffs.items():
             if len(key) != arity:
                 raise _arity_error(key, arity)
-            odd = 0
-            for i, degree, parity in sign_slots:    # _odd, inline
-                name = key[i]
-                bit = parity.get(name)
-                if bit is None:
-                    bit = parity[name] = degree(name) % 2
-                odd ^= bit
-            if odd:
+            if sign_slots and _odd(sign_slots, key):
                 coeff = neg(coeff)
             block = key[start:end]
             out = get(block)

@@ -386,7 +386,7 @@ def test_permutation_keys_of_unknown_names_or_the_wrong_arity_raise():
 @pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
 @pytest.mark.parametrize("model", ["sphere:3", "three-dim", "D(three-dim)"])
 def test_walker_permutation_reads_match_the_map_and_the_oracle(model, field_name):
-    from gradedbv.checks import Window, _Action, _group_sum
+    from gradedbv.checks import Window, _Action, _group_sum, _moved
     from gradedbv.core import ArityMismatch, UnknownBasisName
     field = g.field_by_name(field_name)
     space = _slot_space(model, field)
@@ -405,7 +405,7 @@ def test_walker_permutation_reads_match_the_map_and_the_oracle(model, field_name
                     perm, [space.degree(n) for n in key]))
             # the walker applies an output permutation O key by key
             term = ((field.one, field.neg(field.one)), lambda key: value,
-                    None, 0, gmap.signed)
+                    None, 0, _moved(gmap))
             group = (gmap.target, None, (term,), None)
             state = _Action([tuple(range(arity))], arity).state(
                 keys[0], [(space.degree, {})] * arity)

@@ -89,16 +89,24 @@ def test_orbits_match_the_tuple_by_tuple_reference(field):
 
 
 def _linked(specs, ctx, spaces):
-    """(relations, orbit) of ``specs`` compiled for one walk."""
+    """(relations, action) of ``specs`` compiled for one walk."""
     return checks._link([checks._typed_terms(spec, ctx, spaces)
                          for spec in specs], len(spaces))
 
 
-def _orbit_of(orbit, key):
-    """Every member of ``key``'s orbit under the walk's ``orbit``, least
+def _orbit(action, key):
+    """``key``'s orbit under the walk's ``action``, its members sorted,
+    when ``key`` is its least member (the walk evaluates the orbit
+    there), else ()."""
+    members = action.state(key, [(lambda name: 0, {})] * len(key))[0]
+    return members if members[0] == key else ()
+
+
+def _orbit_of(action, key):
+    """Every member of ``key``'s orbit under the walk's ``action``, least
     first, whichever member ``key`` is."""
     for least in sorted(set(itertools.permutations(key))):
-        members = orbit(least)
+        members = _orbit(action, least)
         if key in members:
             return members
     raise AssertionError(key)
@@ -111,16 +119,16 @@ def test_witnesses_spread_across_orbits_are_the_first_in_canonical_order():
     spec = sign_mutations(builtin_relation("PermMu"))[1]
     window = Window(2)
     report = _assert_matches_reference(spec, inst, window)
-    (relation,), orbit = _linked([spec], ctx, spaces)
+    (relation,), action = _linked([spec], ctx, spaces)
     keys = [key for key, _, _ in report.witnesses]
     failing = [key for key in itertools.product(window.names_for(inst.space, 3),
                                                 repeat=3)
-               if residual_on_key(relation, ctx, spaces, key)]
+               if residual_on_key((relation, action), ctx, spaces, key)]
     assert keys == failing[:MAX_WITNESSES]
-    assert len({tuple(_orbit_of(orbit, key)) for key in failing}) > MAX_WITNESSES
+    assert len({tuple(_orbit_of(action, key)) for key in failing}) > MAX_WITNESSES
     # some witness is a later member of an orbit, found before the least
     # members of orbits that come after it
-    assert any(not orbit(key) for key in keys)
+    assert any(not _orbit(action, key) for key in keys)
 
 
 def test_a_relation_without_shared_heads_has_one_tuple_orbits():
@@ -132,10 +140,10 @@ def test_a_relation_without_shared_heads_has_one_tuple_orbits():
                        ("SevenTermLambda", [None] + [0] * 3 + [1] * 3),
                        ("CoJacobi", [0] * 3)):
         arity = builtin_relation(rid).arity
-        (relation,), orbit = _linked([builtin_relation(rid)], inst.context(),
-                                     (inst.space,) * arity)
+        (relation,), action = _linked([builtin_relation(rid)], inst.context(),
+                                      (inst.space,) * arity)
         key = ("AU",) * arity
-        assert tuple(orbit(key)) == (key,)
+        assert tuple(_orbit(action, key)) == (key,)
         numbers = {}
         assert [head and numbers.setdefault(head, len(numbers))
                 for group in relation
@@ -228,8 +236,8 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
         groups[id(action)] = entry, keys
         return relations, action
 
-    def watched(action, base, slots, members=None):
-        state = state_original(action, base, slots, members)
+    def watched(action, base, slots):
+        state = state_original(action, base, slots)
         states.append((action, state))
         return state
 
@@ -238,7 +246,8 @@ def test_orbit_memos_are_bounded_and_scoped(monkeypatch):
         # store of the group each per member, and no permutation image
         for action, (members, rows, values) in states:
             entry, keys = groups[id(action)]
-            assert members == action(members[0])
+            assert members == sorted({move(members[0])
+                                      for move in action.moves})
             assert len(rows) == len(values) == len(members)
             assert set().union(*values) <= keys
             count = sum(map(len, values))
@@ -305,7 +314,7 @@ def _value_keys(relation):
 def test_relations_of_one_arity_share_their_heads():
     inst = g.sphere_model(3)
     ctx, spaces = inst.context(), (inst.space,) * 2
-    (eleven, nine, comm), orbit = _linked(
+    (eleven, nine, comm), action = _linked(
         [builtin_relation(rid) for rid in ("ElevenTerm", "NineTerm", "Comm")],
         ctx, spaces)
     # NineTerm is the first nine terms of ElevenTerm: each of its terms
@@ -316,21 +325,21 @@ def test_relations_of_one_arity_share_their_heads():
     assert _shared_heads(comm).isdisjoint(_shared_heads(eleven))
     # the walk's one orbit swaps the two slots, which the twisted terms'
     # tau moves
-    assert orbit(("AU", "U")) == [("AU", "U"), ("U", "AU")]
-    assert orbit(("U", "AU")) == ()
+    assert _orbit(action, ("AU", "U")) == [("AU", "U"), ("U", "AU")]
+    assert _orbit(action, ("U", "AU")) == ()
     # alone, NineTerm's untwisted terms are their own unshared heads
-    alone = compile_relation(builtin_relation("NineTerm"), ctx, spaces)
+    alone, _ = compile_relation(builtin_relation("NineTerm"), ctx, spaces)
     assert len(_shared_heads(alone)) < len(_shared_heads(nine))
 
 
 def test_a_raising_head_is_not_memoized_and_raises_on_every_use():
     space, ctx, spec, calls = raising_context(bad_f=("a1", "a0"))
-    relation = compile_relation(spec, ctx, (space, space))
-    assert len(_shared_heads(relation)) == 1
+    compiled = compile_relation(spec, ctx, (space, space))
+    assert len(_shared_heads(compiled[0])) == 1
     memo = {}
     for attempt in range(1, 4):
         with pytest.raises(EngineError, match="f fails on"):
-            residual_on_key(relation, ctx, (space, space), ("a0", "a1"), memo)
+            residual_on_key(compiled, ctx, (space, space), ("a0", "a1"), memo)
         # the memo keeps the key's orbit state, with no value at f . tau's
         # image ("a1", "a0")
         (members, _, values), = memo.values()
@@ -465,12 +474,11 @@ def test_action_tables_match_signed_and_the_koszul_oracle(model, field_name):
         assert (generators > 1) == (arity > 1)
         names = Window(2).names_for(space, arity)
         for key in itertools.product(names, repeat=arity):
-            members = action(key)
-            if not members:
-                continue
-            members_, rows, values = action.state(
-                key, [(space.degree, {})] * arity, members)
-            assert members_ is members and values == [{}] * len(members)
+            members, rows, values = action.state(
+                key, [(space.degree, {})] * arity)
+            if members[0] != key:
+                continue    # not its orbit's least member
+            assert values == [{}] * len(members)
             assert set(members) <= set(itertools.permutations(key))
             if len(members) < len(action.moves):
                 stabilized.add(key)
@@ -488,7 +496,7 @@ def test_action_tables_match_signed_and_the_koszul_oracle(model, field_name):
         # a repeated name under the cyclic group: no stabilizer, all
         # three rotations are members
         assert ("AU", "U", "U") not in stabilized
-        assert walks[3][2](("AU", "U", "U")) == [
+        assert _orbit(walks[3][2], ("AU", "U", "U")) == [
             ("AU", "U", "U"), ("U", "AU", "U"), ("U", "U", "AU")]
     assert stabilized
 
@@ -496,14 +504,13 @@ def test_action_tables_match_signed_and_the_koszul_oracle(model, field_name):
 def test_the_one_tuple_path_reads_its_key_as_the_base_tuple():
     inst = g.sphere_model(3)
     ctx, spaces = inst.context(), (inst.space,) * 3
-    (relation,), action = _linked([builtin_relation("SevenTermMu")], ctx,
-                                  spaces)
-    assert relation.action is action
+    relation, action = compile_relation(builtin_relation("SevenTermMu"),
+                                        ctx, spaces)
     memo = {}
     # a member that is not its orbit's least: the state is the same orbit
     key = ("U", "AU", "U")
-    assert not action(key)
-    assert residual_on_key(relation, ctx, spaces, key, memo) is None
+    assert not _orbit(action, key)
+    assert residual_on_key((relation, action), ctx, spaces, key, memo) is None
     (members, rows, values), = memo.values()
     assert members == _orbit_of(action, key) and len(rows) == 3
     # its heads' values are stored at its own member and at the images
