@@ -19,11 +19,14 @@ term is one path: its head on P's image, read one key at a time
 (``GradedMap.key_run``), added once.  The slot maps of the walk's input
 permutations generate a group G of slot moves, built once per walk with
 two tables: which element moves as "g, then P", and the parity of P's
-Koszul sign on g's image of a tuple, by the parities of its names.  An
-orbit of G reads its base tuple's parities once, and each member finds
-P's image and sign there by index, in rows built once per walk for each
-orbit shape, so no permutation map, and no ``signed`` function of an
-input permutation, runs during a walk.  The
+Koszul sign on a tuple, by the parities of its names.  Both come from
+``core``'s one slot-permutation rule (``_slot_rule``: each P's move and
+inverted pairs), as ``core.permute``'s signs do, and the parities from
+``core``'s one parity reader (``_parities``).  An orbit of G reads its
+base tuple's parities once, and each member finds P's image and sign
+there by index, in rows built once per walk for each orbit shape (which
+read the members' parities), so no permutation map, and no ``signed``
+function of an input permutation, runs during a walk.  The
 catalog spells the cyclic and twist factors out as terms ``X``, ``X .
 sigma``, ``X . sigma2`` (or ``X . tau``), the transported Gysin terms
 carry them inside, as ``post . (X . tau) . (M (x) M)``, and some
@@ -52,7 +55,8 @@ from collections import Counter, namedtuple
 from fractions import Fraction
 from operator import itemgetter
 
-from .core import ArityMismatch, _spaces_key, _trusted_element
+from .core import (ArityMismatch, _arity_error, _pairs_odd, _parities,
+                   _slot_rule, _spaces_key, _trusted_element)
 from .expr import ID, PERMS, Compose, Gen, compile_expr, normal_form, parse
 
 MAX_WITNESSES = 10
@@ -261,50 +265,44 @@ class _Action:
     generate, acting on basis tuples, with its tables.
 
     G's elements are slot moves g, g sending a tuple k to (k[g[0]], ...),
-    the identity first.  ``compose[g][P]`` is the element that moves as
-    g, then P (generator P's move, ``core.permute``'s).
-    ``signs[g][pattern][P]`` is the parity of P's sign on g's image of a
-    tuple whose names have the parities of ``pattern`` (bit i for slot
-    i): the number of P's inverted slot pairs whose two names are odd,
-    as ``core.permute`` counts them.  ``shapes`` keeps the rows of each
-    orbit shape (see state), built on first use.
+    the identity first.  Each generator P's move and inverted slot pairs
+    are ``core._slot_rule``'s.  ``compose[g][P]`` is the element that
+    moves as g, then P.  ``signs[pattern][P]`` is the parity of P's sign
+    on a tuple whose names have the parities of ``pattern`` (bit i for
+    slot i, ``core._parities``): the parity of P's inverted pairs whose
+    two names are odd (``core._pairs_odd``).  ``shapes`` keeps the rows
+    of each orbit shape (see state), built on first use.
     """
 
     __slots__ = ("moves", "compose", "signs", "shapes")
 
     def __init__(self, generators, arity):
-        inverses = [tuple(map(p.index, range(arity))) for p in generators]
+        rules = [_slot_rule(p) for p in generators]
         elements, rows = [tuple(range(arity))], []
         for g in elements:      # grows until G is closed
-            rows.append([tuple([g[i] for i in move]) for move in inverses])
+            rows.append([tuple([g[i] for i in move]) for move, _ in rules])
             elements += [h for h in dict.fromkeys(rows[-1]) if h not in elements]
-        pairs = [[(i, j) for j in range(arity) for i in range(j) if p[i] > p[j]]
-                 for p in generators]
         self.moves = [itemgetter(*g) if arity > 1 else tuple for g in elements]
         self.compose = [[elements.index(h) for h in row] for row in rows]
-        self.signs = [[[sum(pattern >> g[i] & pattern >> g[j] & 1
-                            for i, j in inverted) & 1 for inverted in pairs]
-                       for pattern in range(1 << arity)] for g in elements]
+        self.signs = [[_pairs_odd(pairs, pattern) for _, pairs in rules]
+                      for pattern in range(1 << arity)]
         self.shapes = {}
 
     def state(self, base, slots):
         """The state of ``base``'s orbit under G: (members, rows, values),
-        the members sorted.  The parity of ``base``'s name in slot i is
-        read through that slot's (degree, parity dict) of ``slots``,
-        stored the first time it is read (a lookup that raises is not
-        stored).  ``rows[m]`` gives, for each input permutation, the
-        member index of its image of member m and the parity of its sign
-        there.  The rows depend only on the orbit's shape, which element
-        sends ``base`` to which member, and on the parities, and are
-        built once for each.  ``values[m]`` holds m's shared head values
-        and stored sums, keyed by head map and store index.
+        the members sorted.  The parities of a tuple's names are read by
+        ``core._parities`` through the ``(i, degree, parity dict)`` of
+        each slot in ``slots``, each stored the first time it is read (a
+        lookup that raises is not stored).  ``rows[m]`` gives, for each
+        input permutation, the member index of its image of member m and
+        the parity of its sign there, read from ``signs`` at m's
+        parities.  The rows depend only on the orbit's shape, which
+        element sends ``base`` to which member, and on ``base``'s
+        parities, and are built once for each.  ``values[m]`` holds m's
+        shared head values and stored sums, keyed by head map and store
+        index.
         """
-        pattern = 0
-        for i, (name, (degree, parity)) in enumerate(zip(base, slots)):
-            bit = parity.get(name)
-            if bit is None:
-                bit = parity[name] = degree(name) % 2
-            pattern |= bit << i
+        pattern = _parities(slots, base)
         images = [move(base) for move in self.moves]
         members = sorted(set(images))
         member_of = tuple(map(members.index, images))
@@ -313,7 +311,7 @@ class _Action:
             rows = self.shapes[member_of, pattern] = [None] * len(members)
             for g, m in enumerate(member_of):
                 rows[m] = ([member_of[h] for h in self.compose[g]],
-                           self.signs[g][pattern])
+                           self.signs[_parities(slots, members[m])])
         return members, rows, [{} for _ in members]
 
 
@@ -336,14 +334,14 @@ def residual_on_key(spec, ctx, spaces, key, memo=None):
         spec = compile_relation(spec, ctx, spaces)
     relation, action = spec
     if len(key) != len(spaces):
-        raise ArityMismatch("key %r does not match arity %d" % (key, len(spaces)))
+        raise _arity_error(key, len(spaces))
     if memo is None:
         memo = {}
     key = tuple(key)
     state = memo.get(key)
     if state is None:
         state = memo[key] = action.state(
-            key, [(space.degree, {}) for space in spaces])
+            key, [(i, space.degree, {}) for i, space in enumerate(spaces)])
     return _first_residual(relation, state[0].index(key), state, ctx.field)
 
 
@@ -435,7 +433,7 @@ def _walk(relations, action, ctx, spaces, names):
     """
     walks = live = [_Walk(relation) for relation in relations]
     field, parity, done = ctx.field, {}, set()
-    slots = [(space.degree, parity) for space in spaces]
+    slots = [(i, space.degree, parity) for i, space in enumerate(spaces)]
     for key in itertools.product(names, repeat=len(spaces)):
         if key in done:
             done.remove(key)

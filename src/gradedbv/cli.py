@@ -8,6 +8,7 @@ occur, 64 usage error or a run that checked no relation.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .checks import Window
@@ -182,7 +183,10 @@ def cmd_mutate(args):
     return EXIT_EXPECTED_FAILURE_MISSING
 
 
+@functools.cache
 def build_parser():
+    """The CLI's argument parser, built once per process: ``main`` only
+    reads it, and every parse gets a fresh namespace."""
     parser = _Parser(prog="gradedbv",
                      description="exact checker for graded BV bialgebra "
                                  "and Frobenius structures")

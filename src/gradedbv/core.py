@@ -19,15 +19,20 @@ several blocks multiply their outputs out.  A map's output on a key is
 checked once, by ``GradedMap.on_key``, and cached; the loops of
 ``tensor_run``, ``GradedMap.run`` and ``GradedMap.key_run`` read a
 cached output with one dict lookup and call ``on_key`` only on a miss.
-The parity of a basis name in a sign slot is read from a per-kernel
-dict, filled the first time the name is seen.  ``permute`` compiles
-each permutation map alike, to one function ``signed(key) -> (image,
-sign)``: a fixed slot move and a sign from the parities of its inverted
-slot pairs, read from per-slot dicts; the map's rule wraps it, and the
-relation walker calls it without the cache.  ``koszul_sign`` computes
-that sign from scratch and is the tests' oracle.  Dualization
-(``double.dual_map``) carries its own sign.  No floating point is used
-anywhere.
+Signs come from two rules, each written once here.  ``_parities``
+reads the parities of a key's names as a bit pattern, each from its
+slot's dict, filled the first time the name is seen; a tensor kernel's
+sign is the parity of its sign slots' pattern.  ``_slot_rule`` gives a
+slot permutation's move (its inverse) and its inverted slot pairs, and
+``_pairs_odd`` the parity of its Koszul sign on a pattern, counted from
+those pairs.  ``permute`` compiles each permutation map alike, to one
+function ``signed(key) -> (image, sign)`` built on both rules; the map's
+rule wraps it, and the relation walker calls it without the cache.  The
+walker's permutation action (``checks._Action``) and the normal form of
+a composition (``expr._move``) read the same rules.  ``koszul_sign``
+computes permutation signs from scratch and is the tests' oracle only:
+the engine never calls it.  Dualization (``double.dual_map``) carries
+its own sign.  No floating point is used anywhere.
 
 Scalar arithmetic on linear combinations runs in one kernel per field:
 ``Rationals.accumulate`` and ``PrimeField.accumulate`` each add a scaled
@@ -368,8 +373,7 @@ class Element:
         if coeffs:
             for key, value in coeffs.items():
                 if len(key) != len(self.spaces):
-                    raise ArityMismatch(
-                        "key %r does not match arity %d" % (key, len(self.spaces)))
+                    raise _arity_error(key, len(self.spaces))
                 if not field.is_zero(value):
                     self.coeffs[key] = value
 
@@ -753,7 +757,8 @@ def tensor_run(kernel, field):
     call.  Several blocks (or none) multiply their outputs out.
     ``tensor_key_run`` is the single block's loop on one key with
     coefficient one.
-    The parities of ``_odd`` are the only tensor signs introduced.
+    The parity of the sign slots' pattern (``_parities``) is the only
+    tensor sign introduced.
     """
     arity, sign_slots, blocks = kernel
     neg, mul, add_into = field.neg, field.mul, field.accumulate
@@ -767,7 +772,7 @@ def tensor_run(kernel, field):
         for key, coeff in coeffs.items():
             if len(key) != arity:
                 raise _arity_error(key, arity)
-            if sign_slots and _odd(sign_slots, key):
+            if sign_slots and _parities(sign_slots, key).bit_count() & 1:
                 coeff = neg(coeff)
             block = key[start:end]
             out = get(block)
@@ -805,7 +810,7 @@ def tensor_key_run(kernel, field):
     def key_run(key):
         if len(key) != arity:
             raise _arity_error(key, arity)
-        odd = sign_slots and _odd(sign_slots, key)
+        odd = sign_slots and _parities(sign_slots, key).bit_count() & 1
         block = key[start:end]
         out = get(block)
         part = (on_key(block) if out is None else out).coeffs
@@ -833,7 +838,7 @@ def _product_run(kernel, field):
         for key, coeff in coeffs.items():
             if len(key) != arity:
                 raise _arity_error(key, arity)
-            if sign_slots and _odd(sign_slots, key):
+            if sign_slots and _parities(sign_slots, key).bit_count() & 1:
                 coeff = neg(coeff)
             terms = [((), coeff)]
             pos = 0
@@ -854,18 +859,41 @@ def _product_run(kernel, field):
     return run
 
 
-def _odd(sign_slots, key):
-    """Whether the degrees of ``key``'s names in ``sign_slots`` add up
-    to an odd number.  A name's parity is read from its slot's dict, and
+def _parities(slots, key):
+    """The parities of ``key``'s names in ``slots`` as a bit pattern, bit
+    i for slot i.  ``slots`` holds ``(i, degree, parity)`` for each slot
+    read: its space's ``degree`` function and a dict from basis name to
+    degree mod 2.  A name's parity is read from its slot's dict, and
     stored there the first time the name is seen; a name whose degree
     lookup raises is not stored, so it raises again."""
-    odd = 0
-    for i, degree, parity in sign_slots:
-        name = key[i]
-        bit = parity.get(name)
+    pattern = 0
+    for i, degree, parity in slots:
+        bit = parity.get(key[i])
         if bit is None:
-            bit = parity[name] = degree(name) % 2
-        odd ^= bit
+            bit = parity[key[i]] = degree(key[i]) % 2
+        pattern |= bit << i
+    return pattern
+
+
+def _slot_rule(perm):
+    """(move, pairs) of the slot map ``perm``, perm[i] being the target
+    slot of factor i: ``move`` is its inverse, which moves a key k to
+    (k[move[0]], k[move[1]], ...), and ``pairs`` are its inverted slot
+    pairs, i < j and perm[i] > perm[j], each as the bit mask of its two
+    slots, 1 << i | 1 << j.  The Koszul sign of moving a key whose names
+    have the parities of a bit pattern (``_parities``) is odd when an odd
+    number of those pairs have both names odd (``_pairs_odd``)."""
+    return (tuple(map(perm.index, range(len(perm)))), [
+        1 << i | 1 << j for i, j in itertools.combinations(range(len(perm)), 2)
+        if perm[i] > perm[j]])
+
+
+def _pairs_odd(pairs, pattern):
+    """Whether an odd number of the pair masks ``pairs`` (of
+    ``_slot_rule``) have both their slots set in ``pattern``."""
+    odd = 0
+    for pair in pairs:
+        odd ^= pattern & pair == pair
     return odd
 
 
@@ -880,19 +908,20 @@ def permute(perm, spaces, field):
     The map is compiled once, to ``signed(key) -> (image, sign)``: the
     key's names move to their target slots by a fixed ``itemgetter`` of
     the inverse permutation, and the sign is the parity of the inverted
-    pairs (i < j, perm[i] > perm[j]) whose two names are odd, those index
-    pairs being fixed here too.  ``signed`` checks the key's length
-    (ArityMismatch) and reads every slot's name through its slot's parity
-    dict as in ``_odd``, so an unknown name raises UnknownBasisName and is
-    not stored.  It does not check degree additivity per key, which holds
-    by construction: the target slots are the source slots moved by the
-    same ``itemgetter``, and the degree is 0.  ``koszul_sign`` computes
-    the same sign from scratch.  The map's rule wraps ``signed``, so
-    expressions read the map through ``GradedMap.on_key``'s checked
-    cache like any other; the relation walker calls an output
-    permutation's ``signed``, the map's ``signed`` attribute, or the
-    map's ``key_run`` for a permutation head, and caches nothing in the
-    map (it reads input permutations from its own tables).
+    pairs (i < j, perm[i] > perm[j]) whose two names are odd, the move
+    and the pairs being ``_slot_rule``'s, fixed here.  ``signed`` checks
+    the key's length (ArityMismatch) and reads every slot's name through
+    its slot's parity dict (``_parities``), so an unknown name raises
+    UnknownBasisName and is not stored.  It does not check degree
+    additivity per key, which holds by construction: the target slots
+    are the source slots moved by the same ``itemgetter``, and the
+    degree is 0.  ``koszul_sign`` computes the same sign from scratch.
+    The map's rule wraps ``signed``, so expressions read the map through
+    ``GradedMap.on_key``'s checked cache like any other; the relation
+    walker calls an output permutation's ``signed``, the map's
+    ``signed`` attribute, or the map's ``key_run`` for a permutation
+    head, and caches nothing in the map (it reads input permutations
+    from its own tables).
     """
     perm = tuple(perm)
     n = len(perm)
@@ -901,25 +930,16 @@ def permute(perm, spaces, field):
                             % (perm, len(spaces)))
     if sorted(perm) != list(range(n)):
         raise EngineError("%r is not a permutation" % (perm,))
-    move = itemgetter(*map(perm.index, range(n))) if n > 1 else tuple
+    move, pairs = _slot_rule(perm)
+    move = itemgetter(*move) if n > 1 else tuple
     target = move(tuple(spaces))    # the slot spaces move like a key
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]]
-    slots = [(space.degree, {}) for space in spaces]
+    slots = [(i, space.degree, {}) for i, space in enumerate(spaces)]
     signs = (field.one, field.coerce(-1))
 
     def signed(key):
         if len(key) != n:
             raise _arity_error(key, n)
-        bits = []
-        for name, (degree, parity) in zip(key, slots):
-            bit = parity.get(name)
-            if bit is None:
-                bit = parity[name] = degree(name) % 2
-            bits.append(bit)
-        odd = 0
-        for i, j in pairs:
-            odd ^= bits[i] & bits[j]
-        return move(key), signs[odd]
+        return move(key), signs[_pairs_odd(pairs, _parities(slots, key))]
 
     def key_run(key):
         return dict((signed(key),))

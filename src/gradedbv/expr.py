@@ -35,9 +35,9 @@ from fractions import Fraction
 from types import MethodType
 
 from .core import (ArityMismatch, DegreeError, EngineError, GradedMap,
-                   basis_element, koszul_sign, permute, scalar_element,
-                   tensor_factors, tensor_key_run, tensor_run,
-                   zero_element, _spaces_key, _trusted_element)
+                   basis_element, permute, scalar_element, tensor_factors,
+                   tensor_key_run, tensor_run, zero_element, _pairs_odd,
+                   _slot_rule, _spaces_key, _trusted_element)
 
 
 class ParseError(EngineError):
@@ -611,9 +611,11 @@ def _move(perm, stages):
 
     where P moves the stage's output blocks whole into the order p, P'
     its input blocks, and e is the Koszul sign of reordering the f_i by
-    degree.  None when P splits a block or a block makes no slot, or when
-    the permutation that reaches the input is not a ``PERMS`` name."""
-    sign, moved = 1, []
+    degree: odd when an odd number of the inverted pairs of the blocks'
+    move (``core._slot_rule``) join two blocks of odd degree.  None when
+    P splits a block or a block makes no slot, or when the permutation
+    that reaches the input is not a ``PERMS`` name."""
+    odd, moved = 0, []
     for stage in stages:
         sizes = [block[2] for block in stage]
         if 0 in sizes:
@@ -621,12 +623,13 @@ def _move(perm, stages):
         order = sorted(range(len(stage)), key=lambda b: perm[sum(sizes[:b])])
         if _block_map(sizes, order) != perm:
             return None
-        # each block's place in the new order, and its degree
-        sign *= koszul_sign(_block_map([1] * len(order), order), [b[3] for b in stage])
+        # the inverted pairs of the blocks' move, and their degrees' parities
+        odd ^= _pairs_odd(_slot_rule(_block_map([1] * len(order), order))[1],
+                          sum(b[3] % 2 << i for i, b in enumerate(stage)))
         perm = _block_map([block[1] for block in stage], order)
         moved.append(tuple(stage[b] for b in order))
     name = next((n for n, p in PERMS.items() if p == perm), None)
-    return None if name is None else (sign, Gen(name), moved)
+    return None if name is None else ((-1) ** odd, Gen(name), moved)
 
 
 def _block_map(sizes, order):

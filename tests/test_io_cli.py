@@ -1,8 +1,12 @@
 """Instance files, report files, the command-line surface, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +231,40 @@ def test_mutate_exit_codes():
     # over F2 the sign flip is invisible: the expected failure is missing
     assert main(["mutate", "sphere:3", "--mutation", "lambda-u-flip",
                  "--field", "Fp:2", "--window", "2", "--window3", "2"]) == 4
+
+
+def test_main_builds_the_parser_once_per_process(monkeypatch, capsys):
+    from gradedbv import cli
+    commands = [["mutate", "sphere:3", "--mutation", "lambda-u-flip",
+                 "--field", "Fp:2", "--window", "2", "--window3", "2"],
+                ["check", "sphere:3", "--window", "x"],
+                ["check", "sphere:3", "--suite", "bvui", "--window", "2"]]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    separate = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "gradedbv.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        separate.append((proc.returncode, proc.stdout))
+    tops, init = [], cli._Parser.__init__
+
+    def counted(parser, *args, **kwargs):
+        tops.append(kwargs.get("prog") == "gradedbv")
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    together = []
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # a usage error
+            code = exc.code
+        together.append((code, capsys.readouterr().out))
+    assert tops.count(True) == 1
+    assert [code for code, _ in separate] == [4, 64, 0]
+    assert together == separate
 
 
 def test_validation_exit_code(tmp_path):

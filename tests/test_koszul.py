@@ -337,13 +337,14 @@ def _parity_dicts(gmap):
     signed = gmap.signed
     cells = dict(zip(signed.__code__.co_freevars,
                      (cell.cell_contents for cell in signed.__closure__)))
-    return [parity for _, parity in cells["slots"]]
+    return [parity for _, _, parity in cells["slots"]]
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:101"])
 @pytest.mark.parametrize("model", ["sphere:3", "three-dim", "D(three-dim)"])
 def test_every_permutation_matches_the_sign_oracle(model, field_name):
     from gradedbv.checks import Window
+    from gradedbv.core import _pairs_odd, _parities, _slot_rule
     field = g.field_by_name(field_name)
     space = _slot_space(model, field)
     negative = 0
@@ -359,6 +360,21 @@ def test_every_permutation_matches_the_sign_oracle(model, field_name):
                 assert gmap.on_key(key) == want, (perm, key)
                 negative += sign == -1
     assert negative > 0
+    # core's slot rule on 0 to 4 slots, on every parity pattern of the
+    # model's names, against both oracles
+    even, odd = (min(n for n in Window(3, 2).names_for(space, 1)
+                     if space.degree(n) % 2 == bit) for bit in (0, 1))
+    for arity in range(5):
+        slots = [(i, space.degree, {}) for i in range(arity)]
+        for perm in itertools.permutations(range(arity)):
+            move, pairs = _slot_rule(perm)
+            for key in itertools.product((even, odd), repeat=arity):
+                degrees = [space.degree(n) for n in key]
+                sign = (1, -1)[_pairs_odd(pairs, _parities(slots, key))]
+                oracle = adjacent_decomposition_sign(perm, degrees, True)
+                assert sign == g.koszul_sign(perm, degrees) == oracle
+                image = tuple(key[i] for i in move)
+                assert image == apply_permutation_key(perm, key)
 
 
 def test_permutation_keys_of_unknown_names_or_the_wrong_arity_raise():
@@ -408,7 +424,7 @@ def test_walker_permutation_reads_match_the_map_and_the_oracle(model, field_name
                     None, 0, _moved(gmap))
             group = (gmap.target, None, (term,), None)
             state = _Action([tuple(range(arity))], arity).state(
-                keys[0], [(space.degree, {})] * arity)
+                keys[0], [(i, space.degree, {}) for i in range(arity)])
             assert _group_sum(group, 0, state, field) == gmap.run(value)
             # a fresh map: nothing cached, no parity stored
             gmap = g.permute(perm, spaces, field)
@@ -442,3 +458,31 @@ def test_a_permutation_cache_miss_builds_no_element(monkeypatch):
     monkeypatch.undo()
     assert out == want and out.spaces is sigma.target
     assert sigma._cache == {("A", "U", "AU"): out}
+
+
+def test_the_engine_never_calls_the_sign_oracle(monkeypatch, tmp_path):
+    import sys
+    from gradedbv import expr
+    from gradedbv.cli import main
+    # the Gysin run's transported terms move permutations past stages
+    commands = [["gysin", "sphere:3", "--window", "4"],
+                ["check", "sphere:3", "--suite", "all", "--window", "3"],
+                ["double", "three-dim"]]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine called koszul_sign")
+
+    def run(tag):
+        out = []
+        for index, argv in enumerate(commands):
+            path = tmp_path / ("%s-%d.json" % (tag, index))
+            out.append((main(argv + ["--out", str(path)]), path.read_bytes()))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "gradedbv" and hasattr(module, "koszul_sign"):
+            monkeypatch.setattr(module, "koszul_sign", forbidden)
+    monkeypatch.setattr(expr, "_NORMAL", {})    # every normal form afresh
+    patched = run("patched")
+    monkeypatch.undo()
+    assert patched == run("plain")

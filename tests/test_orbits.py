@@ -98,7 +98,8 @@ def _orbit(action, key):
     """``key``'s orbit under the walk's ``action``, its members sorted,
     when ``key`` is its least member (the walk evaluates the orbit
     there), else ()."""
-    members = action.state(key, [(lambda name: 0, {})] * len(key))[0]
+    members = action.state(key, [(i, lambda name: 0, {})
+                                 for i in range(len(key))])[0]
     return members if members[0] == key else ()
 
 
@@ -475,7 +476,7 @@ def test_action_tables_match_signed_and_the_koszul_oracle(model, field_name):
         names = Window(2).names_for(space, arity)
         for key in itertools.product(names, repeat=arity):
             members, rows, values = action.state(
-                key, [(space.degree, {})] * arity)
+                key, [(i, space.degree, {}) for i in range(arity)])
             if members[0] != key:
                 continue    # not its orbit's least member
             assert values == [{}] * len(members)
